@@ -22,6 +22,12 @@ counted, which is what "open loop at 4x capacity" means operationally.
 **Reported per tier**: served scenes/sec, shed fraction, and the
 p50/p99 of served-request latency (submit to completed future).
 
+**Floor gate** (both modes, every host): the sharded tier must serve
+at least as many scenes/sec as the single-process baseline — sharding
+may fail to help, but it must never lose.  Each shard worker sizes its
+BLAS pools to its CPU share, so the shards overlap instead of
+oversubscribing the cores (see :mod:`repro.serve.shard`).
+
 **Acceptance gate** (full mode, hosts with >= 4 CPU cores): with >= 4
 shards the sharded tier must sustain **>= 3x** the baseline's served
 scenes/sec at equal-or-better p99.  On smaller hosts the shards
@@ -400,11 +406,17 @@ def main():
     tables, merged = run_experiment(smoke=smoke, shards=shards)
     _print_results(tables)
     _finalize(tables, merged)
-    if smoke:
-        return 0
     workload = tables["workload"][0]
     rows = {row["tier"]: row for row in tables["rows"]}
     speedup = workload["speedup"]
+    failed = False
+    if not speedup >= 1.0:  # NaN (nothing served) fails too
+        print(f"FAIL: sharded tier served "
+              f"{rows['sharded']['served_per_s']:.1f} scenes/s, below the "
+              f"single-process tier's {rows['baseline']['served_per_s']:.1f}")
+        failed = True
+    if smoke:
+        return 1 if failed else 0
     p99_ok = rows["sharded"]["p99_ms"] <= rows["baseline"]["p99_ms"]
     cpus = os.cpu_count() or 1
     if cpus < MIN_GATE_CPUS:
@@ -412,8 +424,7 @@ def main():
               f">= {TARGET_SPEEDUP:.0f}x gate is reported, not enforced "
               f"(measured {speedup:.2f}x, p99 "
               f"{'<=' if p99_ok else '>'} baseline)")
-        return 0
-    failed = False
+        return 1 if failed else 0
     if speedup < TARGET_SPEEDUP:
         print(f"WARNING: sharded tier sustained {speedup:.2f}x baseline "
               f"scenes/sec (target >= {TARGET_SPEEDUP:.0f}x with "

@@ -287,6 +287,11 @@ class DetectionEngine:
                     "engine.queue_wait", job.enqueued_s, flush_start,
                     trace_id=job.ctx.trace_id if job.ctx else None,
                     parent_id=job.ctx.parent_span_id if job.ctx else None)
+        # Futures resolve only after the batch span has closed, so a
+        # caller woken by its result already sees this batch's
+        # ``engine.batch`` timer.  A stride group that succeeded keeps
+        # its results even when a later group raises.
+        served: List["tuple[_Job, List[Detection]]"] = []
         error: Optional[BaseException] = None
         try:
             with obs.span("engine.batch", scenes=len(batch)) as batch_span:
@@ -310,14 +315,15 @@ class DetectionEngine:
                         self._record_execute(
                             obs, jobs, exec_start, time.perf_counter(),
                             batch_span)
-                    for job, detections in zip(jobs, results):
-                        job.future.set_result(detections)
-        except BaseException as exc:  # fail the whole batch, keep serving
+                    served.extend(zip(jobs, results))
+        except BaseException as exc:  # fail the rest of the batch, keep serving
             error = exc
+        for job, detections in served:
+            job.future.set_result(detections)
+        if error is not None:
             for job in batch:
                 if not job.future.done():
-                    job.future.set_exception(exc)
-        if error is not None:
+                    job.future.set_exception(error)
             sampler = get_sampler()
             if sampler is not None:
                 sampler.record_engine_error(

@@ -32,6 +32,10 @@ module shards the tier across **processes**:
   :func:`repro.obs.merge_snapshots` — bit-exactly, by construction —
   and can re-serve the merged document via
   :meth:`ShardRouter.serve_metrics`.
+* Each worker sizes every mapped OpenBLAS pool to its CPU share,
+  ``max(1, cpus // num_shards)`` over the process's affinity set, before
+  any model is built, and reports the applied counts as ``blas_threads``
+  in the ready handshake (:meth:`ShardRouter.shard_info`).
 
 Failure and drain semantics: SIGTERM to a worker finishes its in-flight
 jobs (their futures complete normally), rejects everything later with
@@ -244,6 +248,63 @@ def _picklable_exc(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+def _cpu_share(num_shards: int) -> int:
+    """BLAS threads one of ``num_shards`` workers may run: its share of
+    the CPUs this process may be scheduled on, never less than one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - non-Linux hosts
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // num_shards)
+
+
+def _openblas_call(lib, verb: str):
+    """The library's ``{set,get}_num_threads`` entry point, whichever
+    symbol prefix (numpy/scipy wheels rename theirs) and integer-width
+    suffix it was built with; ``None`` if it exports none."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _limit_blas_threads(threads: int) -> Dict[str, int]:
+    """Size every OpenBLAS pool mapped into this process to ``threads``.
+
+    Returns each library's file name with the count read back through
+    its getter; empty where ``/proc/self/maps`` is missing or no
+    OpenBLAS is mapped.  Every copy is set because numpy's and scipy's
+    wheels each bundle one; the pools were sized when the libraries
+    loaded, so an ``OPENBLAS_NUM_THREADS`` set now would do nothing.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(
+                line.split(None, 5)[5].strip() for line in maps
+                if "/" in line and "openblas" in line.rsplit("/", 1)[1])
+    except OSError:
+        return {}
+    applied: Dict[str, int] = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = _openblas_call(lib, "set")
+        getter = _openblas_call(lib, "get")
+        if setter is None or getter is None:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(threads)
+        applied[os.path.basename(path)] = getter()
+    return applied
+
+
 def _shard_worker_main(conn_recv, conn_send, shard_index: int,
                        config: ShardConfig,
                        factory: Callable[[str], Any]) -> None:
@@ -252,8 +313,13 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
     Bootstrap order matters: install a fresh registry (the forked one
     carries the parent's accumulated metrics, which would double-count
     in merged snapshots, and locks whose fork-time state is not
-    guaranteed clean), reseed ``np.random`` process-uniquely, then
-    announce readiness with the metrics endpoint, and serve.
+    guaranteed clean), reseed ``np.random`` process-uniquely, size the
+    BLAS pools to this worker's CPU share before any model is built,
+    then announce readiness with the metrics endpoint, and serve.
+
+    Every forked worker would otherwise inherit OpenBLAS's
+    one-thread-per-core default, so N shards on N cores would run N²
+    compute threads that contend instead of overlapping.
     """
     import numpy as np
 
@@ -274,6 +340,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
     registry.counter("engine.rejected")
     seed = worker_seed(config.base_seed, shard_index, os.getpid())
     np.random.seed(seed)
+    blas_threads = _limit_blas_threads(_cpu_share(config.num_shards))
 
     metrics: Optional[MetricsServer] = None
     if config.metrics:
@@ -294,6 +361,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
         "shard": shard_index,
         "pid": os.getpid(),
         "seed": seed,
+        "blas_threads": blas_threads,
         "metrics_url": metrics.url if metrics is not None else None,
         "metrics_port": metrics.port if metrics is not None else None,
     }))
@@ -580,7 +648,8 @@ class ShardRouter:
         raise ShardClosed("no live shards")
 
     def shard_info(self) -> List[Dict[str, Any]]:
-        """Ready-handshake info per shard (pid, seed, metrics url)."""
+        """Ready-handshake info per shard (pid, seed, BLAS threads per
+        OpenBLAS library, metrics url)."""
         return [dict(handle.info) for handle in self._handles]
 
     def shard_metrics_urls(self) -> List[str]:

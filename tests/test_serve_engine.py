@@ -14,6 +14,8 @@ Covers the three layers of the serving stack:
   telemetry.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,21 @@ class CountingLLM(SimulatedLLM):
     def generate(self, *args, **kwargs):
         self.generate_calls += 1
         return super().generate(*args, **kwargs)
+
+
+class GatedEchoSession:
+    """Model-free session: blocks each batch until ``release`` is set,
+    returns empty detections, and raises for ``fail_stride``."""
+
+    def __init__(self, release, fail_stride=None):
+        self.release = release
+        self.fail_stride = fail_stride
+
+    def detect_batch(self, scenes, stride=None):
+        self.release.wait(timeout=10.0)
+        if stride is not None and stride == self.fail_stride:
+            raise ValueError(f"stride {stride} rejected")
+        return [[] for _ in scenes]
 
 
 def build_pipeline(llm=None) -> ITaskPipeline:
@@ -378,6 +395,37 @@ class TestDetectionEngine:
             # The engine keeps serving after a failed batch.
             good = engine.submit(scenes[0])
             assert good.result(timeout=10.0) is not None
+
+    def test_futures_resolve_after_batch_span_is_recorded(self):
+        """A caller woken by its result must already see that batch's
+        ``engine.batch`` timer — a snapshot taken on completion may not
+        miss the batch that completed it."""
+        registry = get_registry()
+        registry.reset()
+        release = threading.Event()
+        session = GatedEchoSession(release)
+        seen = []
+        with DetectionEngine(session, EngineConfig(max_batch=1)) as engine:
+            future = engine.submit("scene")
+            # Attached while the batch is still blocked in detect_batch,
+            # so the callback runs at resolution time on the worker.
+            future.add_done_callback(
+                lambda _: seen.append(registry.timer("engine.batch").calls))
+            release.set()
+            assert future.result(timeout=10.0) == []
+        assert seen == [1]
+
+    def test_failing_stride_group_keeps_earlier_group_results(self):
+        release = threading.Event()
+        session = GatedEchoSession(release, fail_stride=4)
+        config = EngineConfig(max_batch=2, flush_ms=5000.0)
+        with DetectionEngine(session, config) as engine:
+            good = engine.submit("a")
+            bad = engine.submit("b", stride=4)
+            release.set()
+            assert good.result(timeout=10.0) == []
+            with pytest.raises(ValueError, match="stride 4"):
+                bad.result(timeout=10.0)
 
     def test_engine_telemetry(self, pipeline, spec, scenes):
         registry = get_registry()

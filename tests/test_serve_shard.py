@@ -8,6 +8,8 @@ Covers the multi-process refactor of the serving stack:
 * result exactness — scenes routed through worker processes must be
   bit-identical to in-process detection (the quantized batch-invariance
   guarantee extended across the process boundary),
+* BLAS sizing: every OpenBLAS copy mapped into a worker runs at the
+  worker's CPU share, ``max(1, cpus // num_shards)``,
 * lifecycle: graceful SIGTERM drain (in-flight finishes, raced jobs are
   rejected with ``engine.rejected`` and rerouted without loss), queue
   backpressure shedding, per-tenant fairness caps, idempotent close,
@@ -22,6 +24,7 @@ Covers the multi-process refactor of the serving stack:
 
 import json
 import multiprocessing
+import os
 import time
 import urllib.request
 
@@ -333,6 +336,41 @@ class TestCascadeThroughShards:
         assert {d["route"] for d in decisions} == {FAST_PATH}
         assert (sorted(d["margin"] for d in decisions)
                 == sorted(d.margin for d in ref_decisions))
+
+
+# ----------------------------------------------------------------------
+# BLAS pools sized to each worker's CPU share
+# ----------------------------------------------------------------------
+def mapped_openblas_names():
+    """File names of the OpenBLAS libraries mapped into this process;
+    forked workers inherit the same mappings."""
+    names = set()
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            name = line.rstrip("\n").rsplit("/", 1)[-1]
+            if "/" in line and "openblas" in name:
+                names.add(name)
+    return names
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps")
+                    or not hasattr(os, "sched_getaffinity"),
+                    reason="needs /proc/self/maps and sched_getaffinity")
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_every_openblas_copy_runs_at_the_cpu_share(num_shards):
+    expected = max(1, len(os.sched_getaffinity(0)) // num_shards)
+    libraries = mapped_openblas_names()
+    with echo_router(num_shards=num_shards) as router:
+        info = router.shard_info()
+    assert len(info) == num_shards
+    for meta in info:
+        # numpy and scipy each bundle an OpenBLAS: configuring only
+        # the first one mapped would leave the other at one thread per
+        # core, so every mapped copy must be reported at the share.
+        assert set(meta["blas_threads"]) == libraries
+        assert all(threads == expected
+                   for threads in meta["blas_threads"].values())
 
 
 # ----------------------------------------------------------------------
