@@ -9,10 +9,15 @@ through a full-recompute pass and a delta-gated pass over identical
 pre-rendered frames, sweeping motion density from fully static to
 every-cell-changes.
 
-Three tables:
+Four tables:
 
 * ``sweep`` — frames/sec, speedup, gate hit rate, and bit-identity per
   motion density under exact gating;
+* ``replay`` — per motion density, the gated pass replayed through
+  ``update_many`` in ``REPLAY_CHUNK``-frame chunks (each chunk's changed
+  cells scored in one forward) against the per-frame gated pass, also
+  asserted bit-identical to full recompute.  It runs with the registry
+  off, so the telemetry the share gate reads is the per-frame path's;
 * ``carryover`` — tracker-prior carryover (``motion_threshold > 0``) on
   a jittery feed, reporting carried reuses and the MOTA-style quality
   delta the approximation costs;
@@ -25,7 +30,8 @@ sweep point (motion density ``0.05``) the gated pass must run at least
 ``MIN_SPEEDUP`` (3x) faster than full recompute **and** produce
 bit-identical tracks; every exact-gate sweep point must be
 bit-identical with zero quality delta, including the full-motion end
-where the gate buys nothing.  The run exits non-zero otherwise.
+where the gate buys nothing, and so must every replay row.  The run
+exits non-zero otherwise.
 
 Run standalone:
 
@@ -65,6 +71,9 @@ SMOKE_MOTION_RATES = (0.05, 1.0)
 GATE_MOTION_RATE = 0.05
 MIN_SPEEDUP = 3.0
 
+#: Frames per ``update_many`` chunk in the replay rows.
+REPLAY_CHUNK = 8
+
 #: Carryover demonstration: sub-threshold jitter on a moderately busy
 #: feed, with the periodic refresh bounding drift.
 CARRYOVER_MOTION_RATE = 0.3
@@ -82,12 +91,12 @@ def run_experiment(smoke: bool = False):
     num_cameras, num_frames, grid = (2, 8, 4) if smoke else (3, 20, 5)
     motion_rates = SMOKE_MOTION_RATES if smoke else MOTION_RATES
 
-    sweep_rows = []
+    sweep_rows, replay_rows = [], []
     for motion_rate in motion_rates:
         row = run_stream_bench(
             model, matcher, task,
             num_cameras=num_cameras, num_frames=num_frames, grid=grid,
-            motion_rate=motion_rate, seed=3)
+            motion_rate=motion_rate, seed=3, replay_chunk=REPLAY_CHUNK)
         assert row["identical"], (
             f"exact delta gating diverged from full recompute at "
             f"motion_rate={motion_rate}: {row['mismatch']}")
@@ -95,6 +104,9 @@ def run_experiment(smoke: bool = False):
             f"bit-identical tracks must yield identical streaming metrics "
             f"(motion_rate={motion_rate}, "
             f"delta={row['max_quality_delta']})")
+        assert row["replay_identical"], (
+            f"gated update_many replay diverged from full recompute at "
+            f"motion_rate={motion_rate}: {row['replay_mismatch']}")
         sweep_rows.append({
             "motion": motion_rate,
             "cameras": row["cameras"],
@@ -105,6 +117,14 @@ def run_experiment(smoke: bool = False):
             "hit_rate": row["hit_rate"],
             "identical": row["identical"],
             "quality_delta": row["max_quality_delta"],
+        })
+        replay_rows.append({
+            "motion": motion_rate,
+            "chunk": REPLAY_CHUNK,
+            "gated_fps": row["gated_fps"],
+            "replay_fps": row["replay_fps"],
+            "replay_speedup": row["replay_fps"] / row["gated_fps"],
+            "identical": row["replay_identical"],
         })
 
     carryover = run_stream_bench(
@@ -125,7 +145,8 @@ def run_experiment(smoke: bool = False):
         "quality_delta": carryover["max_quality_delta"],
     }]
 
-    tables = {"sweep": sweep_rows, "carryover": carryover_rows}
+    tables = {"sweep": sweep_rows, "replay": replay_rows,
+              "carryover": carryover_rows}
     gate_row = next((row for row in sweep_rows
                      if row["motion"] == GATE_MOTION_RATE), None)
     return tables, gate_row
@@ -134,6 +155,8 @@ def run_experiment(smoke: bool = False):
 def _print_results(tables) -> None:
     print_table("E14: full recompute vs delta gating (exact, bit-identical)",
                 tables["sweep"])
+    print_table("E14: gated update_many replay vs per-frame update "
+                "(bit-identical)", tables["replay"])
     print_table("E14: tracker-prior carryover (approximate, bounded drift)",
                 tables["carryover"])
     print()

@@ -21,8 +21,9 @@ implementations of the same detection math and asserts agreement:
 * ``stream_metrics`` — ``evaluate_stream`` vs an independent clean-room
   reimplementation of the documented metric semantics, driven by the
   same deterministic detector outputs.
-* ``incremental_stream`` — delta-gated streaming vs full recompute on
-  every camera of the scenario, bit-exact on the quantized model, plus
+* ``incremental_stream`` — delta-gated streaming (per-frame ``update``
+  and chunked ``update_many``) vs full recompute on every camera of
+  the scenario, bit-exact on the quantized model, plus
   the ``refresh_every=1`` degeneracy check for tracker-prior carryover.
 
 Every disagreement is reported as a :class:`Divergence` — a JSON-able
@@ -49,6 +50,9 @@ if TYPE_CHECKING:
 #: Float GEMM tiling varies with batch shape, so scores across fused vs
 #: per-scene float forwards agree to a few ulps, not bitwise.
 _SCORE_ATOL = 1e-5
+
+#: Frames per gated ``update_many`` chunk in ``incremental_stream``.
+_GATED_CHUNK = 3
 
 
 @dataclasses.dataclass
@@ -232,13 +236,8 @@ def oracle_stream_fused(spec: ScenarioSpec,
     divergences: List[Divergence] = []
     frames = [state.scene for state in ctx.frames]
     for kind in ("quantized", "float"):
-        sequential_detector = ctx.make_stream(kind)
-        snapshots = []
-        for scene in frames:
-            snapshots.append([dataclasses.replace(t)
-                              for t in sequential_detector.update(scene)])
-        fused_detector = ctx.make_stream(kind)
-        fused = fused_detector.update_many(frames)
+        snapshots = _update_snapshots(ctx.make_stream(kind), frames)
+        fused = ctx.make_stream(kind).update_many(frames)
         divergences += compare_track_snapshots(
             "stream_fused", f"{kind}:update_many_vs_update",
             snapshots, fused, exact_scores=(kind == "quantized"))
@@ -383,8 +382,12 @@ def oracle_stream_metrics(spec: ScenarioSpec,
     return divergences
 
 
-def _update_snapshots(detector, frames) -> List[List[Track]]:
-    """Per-frame deep-copied active-track snapshots from ``update``."""
+def _update_snapshots(detector, frames, chunk: int = 0) -> List[List[Track]]:
+    """Per-frame deep-copied active-track snapshots from ``update``, or
+    from ``update_many`` in ``chunk``-frame chunks."""
+    if chunk:
+        return [snapshot for start in range(0, len(frames), chunk)
+                for snapshot in detector.update_many(frames[start:start + chunk])]
     return [[dataclasses.replace(t) for t in detector.update(scene)]
             for scene in frames]
 
@@ -398,9 +401,11 @@ def oracle_incremental_stream(spec: ScenarioSpec,
     per model kind, a gated detector (exact gating, the spec's
     ``refresh_every``) must produce track snapshots bit-equal (quantized)
     or ulp-equal (float) to an ungated detector over the same frames —
-    regardless of whether the spec itself enables the gate.  When the
-    spec uses tracker-prior carryover (``motion_threshold > 0``), the
-    approximate path is additionally pinned at its degenerate point:
+    regardless of whether the spec itself enables the gate, frame by
+    frame and through ``update_many`` in ``_GATED_CHUNK``-frame chunks
+    (so chunk boundaries fall mid-scenario).  When the spec uses
+    tracker-prior carryover (``motion_threshold > 0``), the approximate
+    path is additionally pinned at its degenerate point:
     ``refresh_every=1`` forces a full re-score every frame, so carryover
     must then reproduce full recompute exactly.
     """
@@ -411,12 +416,15 @@ def oracle_incremental_stream(spec: ScenarioSpec,
         for kind in ("quantized", "float"):
             full = _update_snapshots(ctx.make_stream(kind, gated=False),
                                      frames)
-            gated = _update_snapshots(
-                ctx.make_stream(kind, gated=True, motion_threshold=0.0),
-                frames)
-            divergences += compare_track_snapshots(
-                "incremental_stream", f"camera{camera}:{kind}:gated_vs_full",
-                full, gated, exact_scores=(kind == "quantized"))
+            for label, chunk in (("gated", 0),
+                                 ("gated_update_many", _GATED_CHUNK)):
+                gated = _update_snapshots(
+                    ctx.make_stream(kind, gated=True, motion_threshold=0.0),
+                    frames, chunk)
+                divergences += compare_track_snapshots(
+                    "incremental_stream",
+                    f"camera{camera}:{kind}:{label}_vs_full",
+                    full, gated, exact_scores=(kind == "quantized"))
             if kind == "quantized" and spec.motion_threshold > 0.0:
                 degenerate = _update_snapshots(
                     ctx.make_stream(kind, gated=True,

@@ -30,8 +30,11 @@ float32) without rounding.  At construction the layer
   float32 when ``K · amax · wmax ≤ 2^24`` makes the narrower GEMM exact
   too (about 3x faster again), float64 otherwise.
 
-``forward_integer`` then runs one BLAS GEMM over the float codes and
-requantizes with constants fused at construction.  The original int64
+``forward_integer`` and ``__call__`` then run one BLAS GEMM over the
+zero-point-shifted float codes and requantize with constants fused at
+construction, in one grow-only scratch arena per thread; under
+``reuse_output`` the output lives there too, so the next call on that
+thread overwrites it, whatever its row count.  The original int64
 matmul is kept verbatim as :meth:`forward_integer_reference` — the
 bit-exactness oracle that property tests assert against, also
 selectable at runtime via ``REPRO_QUANT_EXACT=1`` as an escape hatch.
@@ -106,14 +109,9 @@ class QuantizedLinear:
         self._act_scale = float(np.asarray(act_params.scale).reshape(()))
         self._act_zero = int(np.asarray(act_params.zero_point).reshape(()))
         self._weight_col_sum = self.weight_q.sum(axis=1, dtype=np.int64)
-        # ---- fused requant vectors -----------------------------------
-        # y = acc_f · (s_x · s_w)  −  (z_x · Σ_k W_q) · (s_x · s_w) + b,
-        # with the subtraction applied on the exact integer accumulator
-        # (identical op order to the reference, so outputs are
-        # bit-identical).
+        # y = (acc − z_x · Σ_k W_q) · (s_x · s_w) + b, with the
+        # subtraction folded into zero-point-shifted codes (below).
         self._requant_scale = self._act_scale * self._weight_scale
-        self._zp_correction = (
-            self._act_zero * self._weight_col_sum).astype(np.float64)
         # ---- exactness bound + prepacked BLAS weight -----------------
         k = self.weight_q.shape[1]
         act_spec = act_params.spec
@@ -138,19 +136,20 @@ class QuantizedLinear:
             np.float32 if k * amax * wmax <= _F32_EXACT_BOUND else np.float64)
         self._packed_weight = np.ascontiguousarray(
             self.weight_q.T.astype(self._gemm_dtype))
-        # Per-thread scratch buffers (codes / accumulator / requant
-        # intermediate), keyed by row count.  Cycling three multi-MB
-        # allocations per call costs more than the GEMM itself on this
-        # machine; reuse keeps the pages hot.  Thread-local because the
-        # serving engine may run concurrent workers over one model.
+        # Per-thread scratch arena (codes / accumulator / requant
+        # intermediate, see ``_scratch_for``).  Cycling three multi-MB
+        # allocations per call costs more than the GEMM itself; reuse
+        # keeps the pages hot.  Thread-local because the serving engine
+        # may run concurrent workers over one model.
         self._scratch = threading.local()
-        # When True, ``__call__`` returns a scratch buffer that the NEXT
-        # same-shape call overwrites.  Only safe for callers that fully
-        # consume the result before invoking the layer again —
+        # When True, the kernel returns a view of the thread's arena
+        # that the NEXT call on that thread overwrites, whatever its
+        # row count.  Only safe for callers that fully consume the
+        # result before invoking the layer again —
         # :func:`~repro.quant.vit.quantize_vit` enables it for hidden
-        # sites (their outputs die inside one ``_vit_forward`` pass) and
-        # keeps it off for head sites, whose outputs the detect path
-        # accumulates across chunked forwards.
+        # sites (``_vit_forward`` calls each once per pass and consumes
+        # the output at once) and keeps it off for head sites, whose
+        # outputs the detect path accumulates across chunked forwards.
         self.reuse_output = False
 
     # ------------------------------------------------------------------
@@ -183,20 +182,20 @@ class QuantizedLinear:
         return quantize_array(x, self.act_params)
 
     def _scratch_for(self, m: int) -> dict:
-        """Reusable per-thread buffers for ``m``-row forwards.
+        """This thread's scratch arena, grown to hold an ``m``-row forward.
 
         ``q`` (float64 codes), ``codes`` (float32 codes, narrow-GEMM path
         only), ``acc`` (GEMM output), ``y`` (float64 requant
         intermediate) and ``out`` (float32 result, handed out only under
-        :attr:`reuse_output`).  Every buffer is fully overwritten before
-        it is read on each call, so reuse cannot leak state between
-        batches — outputs stay bit-identical and batch-invariant.
+        :attr:`reuse_output`).  One buffer set per thread, grown to the
+        largest row count seen; callers use the ``[:m]`` prefix of the
+        row-sized buffers and stream through the chunk-sized blocks.
+        Every buffer is fully overwritten before it is read on each
+        call, so reuse cannot leak state between batches — outputs stay
+        bit-identical and batch-invariant.
         """
-        store = self._scratch.__dict__.setdefault("buffers", {})
-        bufs = store.get(m)
-        if bufs is None:
-            if len(store) >= 8:   # bound memory if callers vary shapes
-                store.clear()
+        arena = getattr(self._scratch, "arena", None)
+        if arena is None or arena["acc"].shape[0] < m:
             n, k = self.weight_q.shape
             narrow = self._gemm_dtype is np.float32
             # On the narrow path the float64 intermediates are
@@ -205,15 +204,14 @@ class QuantizedLinear:
             # whole batch.
             q_rows = min(m, max(1, _CHUNK_ELEMS // k)) if narrow else m
             y_rows = min(m, max(1, _CHUNK_ELEMS // n))
-            bufs = {
+            arena = self._scratch.arena = {
                 "q": np.empty((q_rows, k), dtype=np.float64),
                 "codes": np.empty((m, k), dtype=np.float32) if narrow else None,
                 "acc": np.empty((m, n), dtype=self._gemm_dtype),
                 "y": np.empty((y_rows, n), dtype=np.float64) if narrow else None,
                 "out": np.empty((m, n), dtype=np.float32),
             }
-            store[m] = bufs
-        return bufs
+        return arena
 
     def _quantize_codes_shifted(self, x: np.ndarray) -> np.ndarray:
         """Activations → zero-point-shifted codes (q − z_x) in the GEMM's
@@ -225,7 +223,8 @@ class QuantizedLinear:
         path needs no add pass, no integer-storage round trip — and the
         GEMM over shifted codes needs no correction subtraction at all.
         """
-        bufs = self._scratch_for(x.shape[0])
+        m = x.shape[0]
+        bufs = self._scratch_for(m)
         if self._gemm_dtype is np.float32:
             # Fuse the float32 cast into the rint pass: rounded codes
             # within the clip range are integers ≤ 2^24, exact in
@@ -233,11 +232,11 @@ class QuantizedLinear:
             # which the clip maps to the same bound either way.  The
             # float64 quotient only ever lives in a cache-resident
             # chunk; rint/clip run while that block is hot.
-            codes = bufs["codes"]
+            codes = bufs["codes"][:m]
             scratch = bufs["q"]
             step = scratch.shape[0]
-            for start in range(0, x.shape[0], step):
-                stop = min(start + step, x.shape[0])
+            for start in range(0, m, step):
+                stop = min(start + step, m)
                 block = scratch[: stop - start]
                 np.divide(x[start:stop], self._act_scale, out=block,
                           dtype=np.float64)
@@ -246,7 +245,7 @@ class QuantizedLinear:
                 np.clip(rounded, self._shift_qmin, self._shift_qmax,
                         out=rounded)
             return codes
-        q = np.divide(x, self._act_scale, out=bufs["q"], dtype=np.float64)
+        q = np.divide(x, self._act_scale, out=bufs["q"][:m], dtype=np.float64)
         np.rint(q, out=q)
         np.clip(q, self._shift_qmin, self._shift_qmax, out=q)
         return q
@@ -261,9 +260,10 @@ class QuantizedLinear:
         casts the exact integer accumulator to float64 and scales it in
         one pass, matching the reference's op order.
         """
-        bufs = self._scratch_for(q.shape[0])
-        acc = np.matmul(q, self._packed_weight, out=bufs["acc"])
-        out = (bufs["out"] if self.reuse_output
+        m = q.shape[0]
+        bufs = self._scratch_for(m)
+        acc = np.matmul(q, self._packed_weight, out=bufs["acc"][:m])
+        out = (bufs["out"][:m] if self.reuse_output
                else np.empty(acc.shape, dtype=np.float32))
         # Every multiply/add below computes in float64 (ufunc type
         # resolution ignores the float32 ``out``) and casts on store, so
@@ -300,44 +300,13 @@ class QuantizedLinear:
         """
         if _reference_requested():
             return self.forward_integer_reference(x_q)
-        if x_q.ndim != 2:
-            acc = x_q.astype(self._gemm_dtype, copy=False) @ self._packed_weight
-            if acc.dtype != np.float64:
-                acc = acc.astype(np.float64)  # exact: integer-valued floats
-            acc -= self._zp_correction
-            acc *= self._requant_scale
-            if self.bias is not None:
-                acc += self.bias
-            return acc.astype(np.float32)
-        bufs = self._scratch_for(x_q.shape[0])
-        narrow = self._gemm_dtype is np.float32
-        codes = bufs["codes"] if narrow else bufs["q"]
-        codes[...] = x_q    # integer storage → exact float codes
-        acc = np.matmul(codes, self._packed_weight, out=bufs["acc"])
-        out = np.empty(acc.shape, dtype=np.float32)
-        if narrow:
-            scratch = bufs["y"]
-            step = scratch.shape[0]
-            for start in range(0, acc.shape[0], step):
-                stop = min(start + step, acc.shape[0])
-                y = scratch[: stop - start]
-                y[...] = acc[start:stop]    # exact: integer-valued floats
-                y -= self._zp_correction
-                y *= self._requant_scale
-                if self.bias is None:
-                    out[start:stop] = y
-                else:
-                    np.add(y, self.bias, out=out[start:stop],
-                           casting="same_kind")
-            return out
-        y = acc
-        y -= self._zp_correction
-        y *= self._requant_scale
-        if self.bias is None:
-            out[...] = y
-        else:
-            np.add(y, self.bias, out=out, casting="same_kind")
-        return out
+        # Zero-point-shifted codes are exact in the GEMM dtype (the
+        # construction-time bound covers them): the same kernel as
+        # ``__call__`` from here on.
+        shifted = np.subtract(x_q.reshape(-1, x_q.shape[-1]), self._act_zero,
+                              dtype=self._gemm_dtype)
+        y = self._forward_shifted(shifted)
+        return y.reshape(*x_q.shape[:-1], self.out_features)
 
     def forward_integer_reference(self, x_q: np.ndarray) -> np.ndarray:
         """The seed int64 kernel, kept as the bit-exactness oracle.

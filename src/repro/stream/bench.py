@@ -2,9 +2,10 @@
 
 Shared by ``benchmarks/bench_e14_stream.py`` and the ``repro stream``
 CLI family: materialize N camera sequences at a configurable motion
-density, drive a full-recompute pass and a delta-gated pass over the
-same frames, and report frames/sec, gate hit rates, track bit-identity
-against the full-recompute oracle, and MOTA-style quality deltas from
+density, drive a full-recompute pass and a delta-gated pass (optionally
+also a gated ``update_many`` replay) over the same frames, and report
+frames/sec, gate hit rates, track bit-identity against the
+full-recompute oracle, and MOTA-style quality deltas from
 :mod:`repro.stream.metrics`.
 
 The identity check is the benchmark's correctness gate: with exact
@@ -21,6 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.data.scenes import SceneConfig
 from repro.data.tasks import TaskDefinition
+from repro.obs import get_registry
 from repro.stream.metrics import evaluate_stream, metrics_delta
 from repro.stream.sequence import FrameState, SceneSequence, SequenceConfig
 from repro.stream.tracker import StreamingDetector, Track, TrackerConfig
@@ -70,9 +72,12 @@ def run_pass(
     config: TrackerConfig,
     cameras: Sequence[Sequence[FrameState]],
     batch_size: int = 64,
+    chunk: int = 0,
 ) -> Tuple[List[List[List[Track]]], float, List[StreamingDetector]]:
     """One timed sweep: every camera's frames through its own detector.
 
+    Frame by frame through ``update``, or with ``chunk > 0`` through
+    ``update_many`` in ``chunk``-frame chunks (the replay path).
     Returns ``(per-camera per-frame track snapshots, elapsed seconds,
     detectors)`` — the detectors expose ``gate_stats`` afterwards.
     """
@@ -82,11 +87,16 @@ def run_pass(
     snapshots: List[List[List[Track]]] = []
     start = perf_counter()
     for detector, states in zip(detectors, cameras):
-        camera_snaps: List[List[Track]] = []
-        for state in states:
-            camera_snaps.append([dataclasses.replace(t)
-                                 for t in detector.update(state.scene)])
-        snapshots.append(camera_snaps)
+        scenes = [state.scene for state in states]
+        if chunk > 0:
+            snapshots.append([snapshot
+                              for start in range(0, len(scenes), chunk)
+                              for snapshot in detector.update_many(
+                                  scenes[start:start + chunk])])
+        else:
+            snapshots.append([[dataclasses.replace(t)
+                               for t in detector.update(scene)]
+                              for scene in scenes])
     elapsed = perf_counter() - start
     return snapshots, elapsed, detectors
 
@@ -154,6 +164,7 @@ def run_stream_bench(
     seed: int = 0,
     exact_scores: bool = True,
     batch_size: int = 64,
+    replay_chunk: int = 0,
 ) -> Dict[str, Any]:
     """Full-recompute vs delta-gated sweep over one motion density.
 
@@ -161,7 +172,10 @@ def run_stream_bench(
     with ``delta_gate=False`` and the gated pass with ``delta_gate=True``
     (or ``gate`` verbatim when provided, e.g. to benchmark carryover).
     Returns one row of results; ``identical``/``mismatch`` report the
-    oracle comparison under ``exact_scores``.
+    oracle comparison under ``exact_scores``.  ``replay_chunk > 0`` adds
+    a gated ``update_many`` pass in chunks of that many frames
+    (``replay_*`` keys, same oracle), run with the registry off so the
+    stage shares stay the per-frame path's.
     """
     scene = SceneConfig(grid=grid, cell_size=cell_size,
                         object_density=object_density,
@@ -183,6 +197,21 @@ def run_stream_bench(
     exact_gate = gated_config.motion_threshold == 0.0
     mismatch = compare_snapshots(full_snaps, gated_snaps,
                                  exact_scores=exact_scores and exact_gate)
+    replay: Dict[str, Any] = {}
+    if replay_chunk > 0:
+        registry = get_registry()
+        enabled, registry.enabled = registry.enabled, False
+        try:
+            replay_snaps, replay_s, _ = run_pass(
+                model, matcher, gated_config, cameras,
+                batch_size=batch_size, chunk=replay_chunk)
+        finally:
+            registry.enabled = enabled
+        replay_mismatch = compare_snapshots(
+            full_snaps, replay_snaps, exact_scores=exact_scores and exact_gate)
+        replay = {"replay_fps": num_cameras * num_frames / replay_s,
+                  "replay_identical": replay_mismatch is None,
+                  "replay_mismatch": replay_mismatch}
 
     skipped = sum(d.gate_stats.skipped for d in gated_detectors)
     recomputed = sum(d.gate_stats.recomputed for d in gated_detectors)
@@ -228,4 +257,5 @@ def run_stream_bench(
                                  if gated_metrics else 0.0),
         "max_quality_delta": max(quality.values()) if quality else 0.0,
         "quality_deltas": quality,
+        **replay,
     }

@@ -15,7 +15,9 @@ score is reused without a model forward or a matcher pass.  Identical
 pixels through a deterministic model + matcher produce identical scores,
 so gated EMA/hysteresis state is *bit-equal* to full recompute on the
 quantized configuration (whose exact kernels are batch-invariant) and
-ulp-equal on the float one.  Two staleness escapes are closed
+ulp-equal on the float one.  Which cells are re-scored never depends on
+scores, so ``update_many`` gates a whole chunk first and scores its
+changed cells in one forward.  Two staleness escapes are closed
 explicitly: cached matcher results are keyed on the knowledge graph's
 ``version`` (a KG edit invalidates every cached cell), and
 ``refresh_every`` forces a periodic full re-score.  The optional
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,158 +154,138 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _cells_and_windows(scene: Scene) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-        cells = []
-        windows = []
+    def _cells_and_windows(scene: Scene
+                           ) -> Tuple[List[Tuple[int, int]], Sequence[np.ndarray]]:
+        """A scene's cells and their pixel windows, in scan order.
+
+        One stacked copy makes every window contiguous, which is cheaper
+        than fingerprinting strided views; a zero-cell frame (degenerate
+        grid) has nothing to stack.
+        """
+        cells, windows = [], []
         for row, col, _bbox, window in scene.iter_cells():
             cells.append((row, col))
             windows.append(window)
-        if windows:
-            return cells, np.stack(windows)
-        # Zero-cell scene (degenerate grid): a well-formed zero-row batch
-        # rides the same empty-batch path predict_windows already guards,
-        # instead of crashing in np.stack on an empty list.
-        channels = scene.image.shape[0] if scene.image.ndim == 3 else 3
-        return cells, np.zeros(
-            (0, channels, scene.cell_size, scene.cell_size),
-            dtype=scene.image.dtype if scene.image.size else np.float32)
-
-    def _cell_scores(self, scene: Scene) -> Dict[Tuple[int, int], float]:
-        cells, windows = self._cells_and_windows(scene)
-        # Same scoring rule as TaskDetector — one shared implementation.
-        combined = score_windows(self.model, windows, self.matcher,
-                                 batch_size=self.batch_size)
-        return dict(zip(cells, combined))
+        return cells, np.stack(windows) if windows else windows
 
     def _matcher_version(self) -> int:
         """KG edit counter the cached matcher results are keyed on."""
         return self.matcher.kg.version if self.matcher is not None else -1
 
-    def _gated_scores(self, scene: Scene) -> Dict[Tuple[int, int], float]:
-        """Raw cell scores with frame-delta gating (see module docstring).
+    def _score_chunk(self, scenes: Sequence[Scene]
+                     ) -> List[Dict[Tuple[int, int], Any]]:
+        """Raw ``{cell: score}`` maps for consecutive frames, in scene
+        cell order (track birth order depends on it), from one fused
+        :func:`score_windows` call.
 
-        Returns the same ``{cell: score}`` map ``_cell_scores`` would,
-        in the same cell order (track birth order depends on it), but
-        only sends changed cells through the model; unchanged cells
-        reuse the cached score of their last scoring pass — so gated
-        cells still count as *observed* in :meth:`_advance`, which is
-        the correctness contract: reuse replaces the forward, never the
-        observation.
+        Ungated, every cell is scored.  Gated (see module docstring),
+        each frame's cells are fingerprinted in order against a
+        chunk-local *view* of the cache: a cell's ``_CellCache`` entry,
+        or the entry an earlier frame of the chunk queued.  Which cells
+        are queued depends on fingerprints, the KG version and the frame
+        index, never on scores, so the whole chunk scores at once and
+        the last entry per cell is written back.  Carryover reads track
+        state, so callers pass it one frame at a time.  Reused cells
+        still count as *observed* in :meth:`_advance` — reuse replaces
+        the forward, never the observation.
         """
         cfg = self.config
-        registry = get_registry()
-        cells, windows = self._cells_and_windows(scene)
-        frame = self._frame + 1  # the index _advance will stamp
-        refresh = cfg.refresh_every > 0 and frame % cfg.refresh_every == 0
+        gated = cfg.delta_gate
+        keep_pixels = gated and cfg.motion_threshold > 0.0
         kg_version = self._matcher_version()
-        scores: List[Any] = [None] * len(cells)
-        compute: List[int] = []
-        carried = 0
-        with registry.time("stream.gate"):
-            fingerprints = [_window_fingerprint(w) for w in windows]
-            for index, cell in enumerate(cells):
-                entry = self._score_cache.get(cell)
-                if (refresh or entry is None
-                        or entry.kg_version != kg_version):
-                    compute.append(index)
-                    continue
-                if entry.fingerprint == fingerprints[index]:
-                    scores[index] = entry.score
-                    continue
-                track = self._tracks.get(cell)
-                if (cfg.motion_threshold > 0.0 and entry.window is not None
-                        and track is not None and track.active
-                        and float(np.abs(windows[index] - entry.window).mean())
-                        <= cfg.motion_threshold):
-                    # Tracker-prior carryover: sub-threshold motion on a
-                    # confirmed track keeps the cached score alive.  The
-                    # reference pixels stay at the last *computed* frame,
-                    # so drift is bounded by refresh_every, not unbounded
-                    # by a random walk of tiny deltas.
-                    scores[index] = entry.score
-                    carried += 1
-                    continue
-                compute.append(index)
-        if compute:
-            fresh = score_windows(self.model, windows[compute], self.matcher,
-                                  batch_size=self.batch_size)
-            keep_pixels = cfg.motion_threshold > 0.0
-            for slot, index in enumerate(compute):
-                scores[index] = fresh[slot]
-                self._score_cache[cells[index]] = _CellCache(
-                    fingerprint=fingerprints[index], score=fresh[slot],
-                    kg_version=kg_version,
-                    window=np.array(windows[index]) if keep_pixels else None)
-        reused = len(cells) - len(compute)
-        stats = self.gate_stats
-        stats.frames += 1
-        stats.skipped += reused
-        stats.recomputed += len(compute)
-        stats.carried += carried
-        registry.count("stream.cells.skipped", reused)
-        registry.count("stream.cells.recomputed", len(compute))
-        if cells:
-            registry.observe("stream.delta_gate.hit_rate",
-                             reused / len(cells))
-        return dict(zip(cells, scores))
+        frames = [self._cells_and_windows(scene) for scene in scenes]
+        view: Dict[Tuple[int, int], _CellCache] = {}
+        queued: List[Tuple[_CellCache, np.ndarray]] = []
+        per_frame: List[List[_CellCache]] = []
+        counts: List[Tuple[int, int, int]] = []  # cells, recomputed, carried
+        registry = get_registry()
+        with registry.time("stream.gate") if gated else nullcontext():
+            for offset, (cells, windows) in enumerate(frames):
+                frame = self._frame + 1 + offset  # the index _advance stamps
+                # Ungated, every cell is re-scored (and nothing cached).
+                refresh = not gated or (cfg.refresh_every > 0
+                                        and frame % cfg.refresh_every == 0)
+                entries: List[_CellCache] = []
+                before, carried = len(queued), 0
+                for cell, window in zip(cells, windows):
+                    fingerprint = _window_fingerprint(window) if gated else None
+                    entry = (None if refresh else
+                             view.get(cell) or self._score_cache.get(cell))
+                    if entry is not None and entry.kg_version == kg_version:
+                        if entry.fingerprint == fingerprint:
+                            entries.append(entry)
+                            continue
+                        if self._carries(entry, cell, window):
+                            carried += 1
+                            entries.append(entry)
+                            continue
+                    entry = _CellCache(fingerprint, None, kg_version,
+                                       np.array(window) if keep_pixels else None)
+                    queued.append((entry, window))
+                    entries.append(entry)
+                    if gated:
+                        view[cell] = entry
+                per_frame.append(entries)
+                counts.append((len(cells), len(queued) - before, carried))
+        for total, recomputed, carried in counts if gated else ():
+            reused = total - recomputed
+            self.gate_stats.frames += 1
+            self.gate_stats.skipped += reused
+            self.gate_stats.recomputed += recomputed
+            self.gate_stats.carried += carried
+            registry.count("stream.cells.skipped", reused)
+            registry.count("stream.cells.recomputed", recomputed)
+            if total:
+                registry.observe("stream.delta_gate.hit_rate", reused / total)
+        if queued:
+            fresh = score_windows(self.model,
+                                  np.stack([window for _, window in queued]),
+                                  self.matcher, batch_size=self.batch_size)
+            for (entry, _), score in zip(queued, fresh):
+                entry.score = score
+        self._score_cache.update(view)
+        return [{cell: entry.score for cell, entry in zip(cells, entries)}
+                for (cells, _), entries in zip(frames, per_frame)]
+
+    def _carries(self, entry: _CellCache, cell: Tuple[int, int],
+                 window: np.ndarray) -> bool:
+        """Tracker-prior carryover: sub-threshold motion on a confirmed
+        track keeps the cached score alive.  The reference pixels stay
+        at the last *computed* frame, so drift is bounded by
+        refresh_every, not unbounded by a random walk of tiny deltas."""
+        threshold = self.config.motion_threshold
+        track = self._tracks.get(cell)
+        return (threshold > 0.0 and entry.window is not None
+                and track is not None and track.active
+                and float(np.abs(window - entry.window).mean()) <= threshold)
 
     # ------------------------------------------------------------------
     def update(self, scene: Scene) -> List[Track]:
         """Process one frame; returns the currently active tracks."""
         with get_registry().span("stream.update"):
-            if self.config.delta_gate:
-                raw = self._gated_scores(scene)
-            else:
-                raw = self._cell_scores(scene)
-            return self._advance(raw)
+            return self._advance(self._score_chunk([scene])[0])
 
     def update_many(self, scenes: Sequence[Scene]) -> List[List[Track]]:
         """Process a chunk of frames with one fused model forward.
 
-        The windows of every frame in the chunk are scored in a single
-        batched forward (the replay/offline-analysis fast path); the
-        temporal EMA + hysteresis state then advances frame by frame in
-        order, exactly as repeated :meth:`update` calls would.  Returns
-        each frame's active-track snapshot.
-
-        With the delta gate enabled the chunk cannot be fused — whether
-        a window is re-scored depends on the cache state the previous
-        frame left behind — so the chunk falls back to sequential
-        :meth:`update` calls; the gate itself already removes most
-        forwards.
+        The chunk's scored windows (all of them ungated, the changed
+        cells gated) go through one batched :func:`score_windows` call;
+        EMA + hysteresis then advance frame by frame, exactly as — and
+        with the same :class:`GateStats` as — repeated :meth:`update`
+        calls.  Carryover (``motion_threshold > 0``) reads the track
+        state the previous frame left, so that mode scores one frame at
+        a time.  Returns each frame's active-track snapshot.
         """
         scenes = list(scenes)
-        if not scenes:
-            return []
-        if self.config.delta_gate:
-            return [[dataclasses.replace(t) for t in self.update(scene)]
-                    for scene in scenes]
-        per_frame_cells: List[List[Tuple[int, int]]] = []
-        parts: List[np.ndarray] = []
-        for scene in scenes:
-            cells, windows = self._cells_and_windows(scene)
-            per_frame_cells.append(cells)
-            parts.append(windows)
-        # Zero-cell frames contribute zero-row parts; dropping them keeps
-        # the concatenate well-formed even when frame shapes differ only
-        # through degenerate grids (an all-empty chunk scores nothing).
-        nonempty = [p for p in parts if p.shape[0]]
-        all_windows = (np.concatenate(nonempty, axis=0) if nonempty
-                       else parts[0])
-        combined = score_windows(self.model, all_windows, self.matcher,
-                                 batch_size=self.batch_size)
-        snapshots: List[List[Track]] = []
-        start = 0
-        for cells in per_frame_cells:
-            stop = start + len(cells)
-            raw = dict(zip(cells, combined[start:stop]))
-            # Deep-copy the snapshot: tracks are mutable and advance in
-            # place on later frames, so sharing the Track objects would
-            # silently rewrite frame 0's scores to frame k's.
-            snapshots.append([dataclasses.replace(t)
-                              for t in self._advance(raw)])
-            start = stop
-        return snapshots
+        if self.config.delta_gate and self.config.motion_threshold > 0.0:
+            chunks = [[scene] for scene in scenes]
+        else:
+            chunks = [scenes]
+        # Deep-copy each snapshot: tracks are mutable and advance in
+        # place on later frames, so sharing the Track objects would
+        # silently rewrite frame 0's scores to frame k's.
+        return [[dataclasses.replace(t) for t in self._advance(raw)]
+                for chunk in chunks for raw in self._score_chunk(chunk)]
 
     def _advance(self, raw: Dict[Tuple[int, int], float]) -> List[Track]:
         """Advance one frame of EMA + hysteresis from raw cell scores.

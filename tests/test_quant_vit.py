@@ -156,3 +156,74 @@ class TestQuantizedModel:
         out = q(calibration_images[:3])
         assert out["class_logits"].shape == (3, student_vit.config.num_classes)
         assert out["cls_embedding"].shape == (3, student_vit.config.dim)
+
+
+def _assert_outputs_equal(actual, expected):
+    for key in expected:
+        if isinstance(expected[key], dict):
+            for sub in expected[key]:
+                np.testing.assert_array_equal(actual[key][sub],
+                                              expected[key][sub])
+        else:
+            np.testing.assert_array_equal(actual[key], expected[key])
+
+
+class TestScratchArena:
+    """One grow-only scratch buffer set per kernel and thread."""
+
+    ROWS = (5, 1, 12, 3, 12, 7)
+
+    def test_interleaved_row_counts_bit_equal_fresh_model(
+            self, student_vit, calibration_images):
+        q = quantize_vit(student_vit, calibration_images)
+        outputs = [q(calibration_images[:m]) for m in self.ROWS]
+        # every result is checked after all forwards ran: returned
+        # outputs must survive later calls of other row counts
+        for m, out in zip(self.ROWS, outputs):
+            fresh = quantize_vit(student_vit, calibration_images)
+            _assert_outputs_equal(out, fresh(calibration_images[:m]))
+
+    def test_one_buffer_set_sized_by_largest_rows(self, student_vit,
+                                                  calibration_images):
+        single = quantize_vit(student_vit, calibration_images)
+        single(calibration_images[:1])
+        rows_per_image = {site: layer._scratch.arena["acc"].shape[0]
+                          for site, layer in single.layers.items()}
+        q = quantize_vit(student_vit, calibration_images)
+        for m in self.ROWS:
+            q(calibration_images[:m])
+        for site, layer in q.layers.items():
+            arena = layer._scratch.arena
+            rows = max(self.ROWS) * rows_per_image[site]
+            assert arena["acc"].shape[0] == rows
+            assert arena["out"].shape[0] == rows
+            assert list(vars(layer._scratch)) == ["arena"]
+
+    def test_threads_do_not_share_buffers(self, student_vit,
+                                          calibration_images):
+        import threading
+
+        q = quantize_vit(student_vit, calibration_images)
+        expected = {m: quantize_vit(student_vit, calibration_images)(
+            calibration_images[:m]) for m in (4, 9)}
+        barrier = threading.Barrier(2)
+        arenas, results = {}, {}
+
+        def work(m):
+            barrier.wait()
+            for _ in range(3):
+                results[m] = q(calibration_images[:m])
+            arenas[m] = {site: layer._scratch.arena
+                         for site, layer in q.layers.items()}
+
+        threads = [threading.Thread(target=work, args=(m,)) for m in (4, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for m in (4, 9):
+            _assert_outputs_equal(results[m], expected[m])
+        for site in q.layers:
+            for name, buf in arenas[4][site].items():
+                if buf is not None:
+                    assert not np.shares_memory(buf, arenas[9][site][name])

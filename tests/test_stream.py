@@ -112,7 +112,8 @@ class TestStreamingDetector:
         # drive with synthetic scores by monkeypatching the scorer
         cells = [(0, 0)]
         scores = iter([0.5, 0.1, 0.1, 0.5])
-        detector._cell_scores = lambda scene: {cells[0]: next(scores)}
+        detector._score_chunk = lambda scenes: [{cells[0]: next(scores)}
+                                                 for _ in scenes]
         seq = SceneSequence(seed=9)
         scene = seq.step().scene
         for _ in range(4):
@@ -428,16 +429,118 @@ class TestDeltaGating:
         assert _track_tuples(gated) == _track_tuples(full)
         assert _scores(gated) == _scores(full)
 
-    def test_update_many_falls_back_to_sequential_gating(
-            self, fuzz_model_pair):
+    @staticmethod
+    def _drive(model, scenes, config, chunk=None, edit_at=None):
+        """One gated detector over ``scenes``: ``update`` per frame
+        (``chunk=None``) or ``update_many`` in ``chunk``-frame chunks.
+        With ``edit_at``, the detector matches against its own KG and
+        one constraint is edited before that frame.  Returns the
+        snapshots, the gate stats and the gate counters it recorded."""
+        from repro.kg import GraphMatcher, SimulatedLLM
+        from repro.obs import get_registry
+
+        matcher = None
+        if edit_at is not None:
+            matcher = GraphMatcher(SimulatedLLM().generate_for_task(
+                get_task("roadside_hazards")))
+        detector = StreamingDetector(model, matcher=matcher, config=config)
+        registry = get_registry()
+        registry.reset()
+        step = chunk or 1
+        snapshots = []
+        for start in range(0, len(scenes), step):
+            if start == edit_at:
+                constraint = matcher.kg.constraints[0]
+                matcher.kg.replace_constraint(dataclasses.replace(
+                    constraint, weight=constraint.weight * 0.5))
+            part = scenes[start:start + step]
+            if chunk is None:
+                snapshots.append([dataclasses.replace(t)
+                                  for t in detector.update(part[0])])
+            else:
+                snapshots.extend(detector.update_many(part))
+        recorded = {name: counter.value
+                    for name, counter in registry.counters.items()
+                    if name.startswith("stream.cells.")}
+        recorded["hit_rate"] = registry.distributions[
+            "stream.delta_gate.hit_rate"].merge_state()
+        registry.reset()
+        return snapshots, detector.gate_stats, recorded
+
+    @staticmethod
+    def _revert_frames():
+        """A A B A B B A A: one cell changes and reverts inside chunks."""
+        [scene] = _gate_scenes(seed=32, num_frames=1, motion_rate=0.0,
+                               birth_rate=1.0, death_rate=0.0)
+        image = scene.image.copy()
+        size = scene.cell_size
+        image[:, :size, :size] += 0.25
+        changed = dataclasses.replace(scene, image=image)
+        return [scene if key == "A" else changed for key in "AABABBAA"]
+
+    @pytest.mark.parametrize("case", [
+        "refresh_every", "kg_edit", "churn", "zero_cell_frames",
+        "revert_in_chunk"])
+    def test_update_many_gated_equals_sequential_update(
+            self, fuzz_model_pair, case):
+        """Gated ``update_many`` is bit-equal to sequential ``update``,
+        with equal gate stats and counters, whatever the chunking."""
+        from repro.data import SceneGenerator
+
         _, quantized = fuzz_model_pair
-        scenes = _gate_scenes(seed=25, num_frames=4, motion_rate=0.1)
-        config = TrackerConfig(delta_gate=True, **self.BASE)
-        fused = StreamingDetector(quantized, matcher=None,
-                                  config=config).update_many(scenes)
-        sequential, _ = _run(quantized, scenes, config)
+        kwargs = dict(self.BASE)
+        chunk, edit_at = 3, None
+        if case == "refresh_every":
+            kwargs["refresh_every"] = 3
+            scenes = _gate_scenes(seed=25, num_frames=8, motion_rate=0.25)
+        elif case == "kg_edit":
+            chunk, edit_at = 4, 4
+            scenes = _gate_scenes(seed=25, num_frames=8, motion_rate=0.1)
+        elif case == "churn":
+            kwargs["max_missed_frames"] = 0
+            scenes = _gate_scenes(seed=24, num_frames=8, motion_rate=0.1,
+                                  birth_rate=1.0, death_rate=1.0)
+        elif case == "zero_cell_frames":
+            busy = _gate_scenes(seed=23, num_frames=3, motion_rate=0.25)
+            empty = SceneGenerator(SceneConfig(grid=0, cell_size=16),
+                                   seed=5).generate()
+            scenes = [busy[0], empty, busy[1], empty, empty, busy[2]]
+        else:
+            chunk = 4
+            scenes = self._revert_frames()
+        config = TrackerConfig(delta_gate=True, **kwargs)
+        sequential, seq_stats, seq_counters = self._drive(
+            quantized, scenes, config, edit_at=edit_at)
+        fused, fused_stats, fused_counters = self._drive(
+            quantized, scenes, config, chunk=chunk, edit_at=edit_at)
         assert _track_tuples(fused) == _track_tuples(sequential)
-        assert _scores(fused) == _scores(sequential)
+        assert _scores(fused) == _scores(sequential)  # bit-exact
+        assert fused_stats == seq_stats
+        assert fused_counters == seq_counters
+        if case == "revert_in_chunk":
+            # frames 2, 3, 4 and 6 change the cell and must each re-score
+            # it; the reverts to A may not reuse frame 0's entry
+            cells = scenes[0].grid ** 2
+            assert seq_stats.recomputed == cells + 4
+
+    def test_gated_chunk_scores_in_one_forward(self, fuzz_model_pair):
+        """An 8-frame chunk's changed cells go through one forward."""
+        from repro.obs import get_registry
+
+        _, quantized = fuzz_model_pair
+        scenes = _gate_scenes(seed=33, num_frames=8, motion_rate=0.25)
+        config = TrackerConfig(delta_gate=True, **self.BASE)
+        registry = get_registry()
+        registry.reset()
+        _, detector = _run(quantized, scenes, config)
+        per_frame = registry.timers["detect.model_forward"].calls
+        assert per_frame > 1  # the feed changes after frame 0
+        registry.reset()
+        fused = StreamingDetector(quantized, matcher=None, config=config)
+        fused.update_many(scenes)
+        assert registry.timers["detect.model_forward"].calls == 1
+        assert fused.gate_stats == detector.gate_stats
+        registry.reset()
 
     def test_static_sequence_gate_hit_rate(self, fuzz_model_pair):
         """Frozen feed: after frame 0 every cell reuses its cache."""
@@ -605,9 +708,11 @@ class TestStreamBenchHelpers:
         row = run_stream_bench(
             quantized, None, task, num_cameras=1, num_frames=4, grid=2,
             cell_size=16, motion_rate=0.0, birth_rate=0.0, death_rate=0.0,
-            seed=6)
+            seed=6, replay_chunk=3)
         assert row["identical"] is True
         assert row["mismatch"] is None
+        assert row["replay_identical"] is True
+        assert row["replay_mismatch"] is None and row["replay_fps"] > 0
         assert row["max_quality_delta"] == 0.0
         assert row["hit_rate"] > 0.5
         assert row["full_fps"] > 0 and row["gated_fps"] > 0
