@@ -3,17 +3,17 @@
 The paper's serving story ("real-time task-oriented detection at the
 edge") depends on the *whole* pipeline — window extraction, model
 forward, knowledge-graph matching, NMS — not just the accelerator GEMMs
-that E3 times.  This benchmark runs :meth:`TaskDetector.detect` on a
-large (default 25×25-cell) scene twice: once through the seed
-reference implementation (per-cell crop loop + O(N²) Python NMS,
-``vectorized=False``) and once through the vectorized hot path, asserts
-the two produce identical detections, and reports the speedup plus a
+that E3 times.  This benchmark runs a large (default 25×25-cell) scene
+twice: once through the seed reference implementation
+(:func:`repro.reference.detect_reference`: per-cell crop loop + O(N²)
+Python NMS) and once through :meth:`TaskDetector.detect`, asserts the
+two produce identical detections, and reports the speedup plus a
 per-stage latency breakdown.
 
 The stage list is **derived from the span tree** the pipeline records
-(children of the last ``detect.total`` span), not hard-coded here — if a
-stage is renamed or added in ``repro.detect.pipeline``, this benchmark
-follows automatically and the two can never drift.
+(children of the last ``detect.batch_total`` span), not hard-coded
+here — if a stage is renamed or added in ``repro.detect.pipeline``,
+this benchmark follows automatically and the two can never drift.
 
 Run standalone:
 
@@ -41,28 +41,28 @@ from repro.detect import TaskDetector
 from repro.kg import GraphMatcher, SimulatedLLM
 from repro.nn import VisionTransformer, ViTConfig
 from repro.obs import get_registry
+from repro.reference import detect_reference
 
-ROOT_STAGE = "detect.total"
+ROOT_STAGE = "detect.batch_total"
 
 
-def _build_detectors(grid: int):
+def _build_detector(grid: int):
     """Fresh (untrained) student + task matcher: weights don't affect
     timing, and skipping ArtifactBuilder keeps the benchmark stateless."""
     config = ViTConfig.student(num_classes(), attribute_head_spec())
     model = VisionTransformer(config, rng=np.random.default_rng(0))
     kg = SimulatedLLM().generate_for_task(get_task("roadside_hazards"))
     scene = SceneGenerator(SceneConfig(grid=grid), seed=7).generate()
-    common = dict(matcher=GraphMatcher(kg), score_threshold=0.0)
-    reference = TaskDetector(model, vectorized=False, **common)
-    vectorized = TaskDetector(model, vectorized=True, **common)
-    return scene, reference, vectorized
+    detector = TaskDetector(model, matcher=GraphMatcher(kg),
+                            score_threshold=0.0)
+    return scene, detector
 
 
-def _time_detect(detector, scene, repeats: int) -> float:
+def _time_detect(detect, scene, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        detector.detect(scene)
+        detect(scene)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -70,10 +70,10 @@ def _time_detect(detector, scene, repeats: int) -> float:
 def pipeline_stages(obs) -> list:
     """Stage names in pipeline order, read off the recorded span tree.
 
-    Walks the last ``detect.total`` root's subtree depth-first, so nested
-    stages (e.g. ``kg.match`` inside ``detect.kg_match``) appear after
-    their parent; duplicates (one span per forward batch) collapse to one
-    entry.
+    Walks the last ``detect.batch_total`` root's subtree depth-first, so
+    nested stages (e.g. ``kg.match`` inside ``detect.kg_match``) appear
+    after their parent; duplicates (one span per forward batch) collapse
+    to one entry.
     """
     roots = [r for r in obs.span_tree() if r["name"] == ROOT_STAGE]
     if not roots:
@@ -96,31 +96,32 @@ def pipeline_stages(obs) -> list:
 
 
 def run_experiment(grid: int = 25, repeats: int = 3):
-    scene, reference, vectorized = _build_detectors(grid)
+    scene, detector = _build_detector(grid)
     obs = get_registry()
 
-    # Correctness gate: the vectorized path must reproduce the seed
-    # detections exactly (same boxes, same keep order).
-    ref_dets = reference.detect(scene)
-    vec_dets = vectorized.detect(scene)
-    assert [d.bbox for d in ref_dets] == [d.bbox for d in vec_dets], \
-        "vectorized pipeline diverged from the reference implementation"
+    # Correctness gate: production must reproduce the seed detections
+    # exactly (same boxes, same keep order).
+    ref_dets = detect_reference(detector, scene)
+    dets = detector.detect(scene)
+    assert [d.bbox for d in ref_dets] == [d.bbox for d in dets], \
+        "detect diverged from the reference implementation"
     np.testing.assert_allclose([d.score for d in ref_dets],
-                               [d.score for d in vec_dets], rtol=1e-12)
+                               [d.score for d in dets], rtol=1e-12)
 
-    reference_s = _time_detect(reference, scene, repeats)
-    obs.reset()  # isolate the vectorized run's spans and per-stage numbers
-    vectorized_s = _time_detect(vectorized, scene, repeats)
+    reference_s = _time_detect(
+        lambda s: detect_reference(detector, s), scene, repeats)
+    obs.reset()  # isolate the production run's spans and per-stage numbers
+    production_s = _time_detect(detector.detect, scene, repeats)
     stage_stats = obs.snapshot()["timers"]
     stage_names = pipeline_stages(obs)
 
     summary = [{
         "scene": f"{grid}x{grid} cells",
         "windows": grid * grid,
-        "detections": len(vec_dets),
+        "detections": len(dets),
         "reference_ms": reference_s * 1e3,
-        "vectorized_ms": vectorized_s * 1e3,
-        "speedup": reference_s / vectorized_s,
+        "production_ms": production_s * 1e3,
+        "speedup": reference_s / production_s,
     }]
     total = stage_stats.get(ROOT_STAGE, {}).get("total_s", 0.0)
     stages = [
@@ -141,8 +142,8 @@ def run_experiment(grid: int = 25, repeats: int = 3):
 
 
 def _print_results(summary, stages) -> None:
-    print_table("E10: end-to-end detect() latency (vectorized vs seed)", summary)
-    print_table("E10: vectorized run, per-stage breakdown (from span tree)",
+    print_table("E10: end-to-end detect() latency (production vs seed)", summary)
+    print_table("E10: production run, per-stage breakdown (from span tree)",
                 stages)
     print()
     print(get_registry().report("E10 pipeline"))

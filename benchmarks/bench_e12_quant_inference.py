@@ -7,12 +7,13 @@ to undercut.  This benchmark measures the rebuilt integer stack
 bottom-up:
 
 * ``kernels`` — per-site GEMM latency of the exact BLAS-backed
-  ``forward_integer`` vs the int64 ``forward_integer_reference``;
+  ``forward_integer`` vs the int64 ``forward_integer_reference``
+  (:mod:`repro.reference`);
 * ``forward`` — the whole quantized network end to end (patch
   projection → blocks → heads) at serving batch size — **the
   acceptance gate**: full mode exits non-zero below ``SPEEDUP_TARGET``;
 * ``detect`` — scenes/sec through the full detect path (window
-  extraction and NMS included), fast vs ``REPRO_QUANT_EXACT=1``;
+  extraction and NMS included), fast vs ``int64_kernels()``;
 * ``engine`` — float-specialist vs quantized micro-batching engines on
   the E11 harness (the quantized configuration must stay within
   ``ENGINE_RATIO_TARGET`` of float at batch >= 8).

@@ -443,7 +443,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     detections = 0
     for _ in range(args.repeats):
         detections = len(detector.detect(scene))
-    total = registry.timer("detect.total")
+    total = registry.timer("detect.batch_total")
     rows = [{
         "task": args.task,
         "grid": args.grid,

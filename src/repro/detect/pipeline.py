@@ -15,9 +15,9 @@ and emits :class:`Detection` records above threshold, after NMS.
 
 The quantized configuration's forwards run on the exact BLAS-backed
 integer kernels (:class:`~repro.quant.QuantizedLinear`): bit-identical
-to the int64 reference arithmetic, and exactly batch-invariant — so
-fused multi-scene forwards through :meth:`TaskDetector.detect_batch`
-reproduce per-scene results bit for bit.
+to the int64 reference arithmetic, and exactly batch-invariant — so a
+scene's quantized detections are the same bits whichever batch of
+:meth:`TaskDetector.detect_batch` it arrives in.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.data.datasets import background_class_id
 from repro.data.scenes import Scene
-from repro.detect.boxes import nms, nms_reference
+from repro.detect.boxes import nms
 from repro.kg.matcher import GraphMatcher
 from repro.nn import VisionTransformer
 from repro.obs import get_registry
@@ -51,11 +51,22 @@ def _attr_deadline(span) -> None:
     if ctx is not None and ctx.deadline_s is not None:
         span.set_attr(deadline_remaining_s=round(ctx.remaining_s(), 6))
 
-# Fused multi-scene forwards run bigger chunks than single-scene detect:
-# per-chunk Python/dispatch overhead amortizes across the whole batch.
-# 256 is the measured sweet spot for the student ViT on one CPU core;
-# much larger chunks start thrashing cache in the attention GEMMs.
-_BATCH_FORWARD_CHUNK = 256
+
+def forward_chunk(total: int) -> int:
+    """Rows per forward when detecting ``total`` windows in one call.
+
+    At most 256: per-chunk Python/dispatch overhead amortizes across the
+    whole batch, and 256 is the measured sweet spot for the student ViT
+    on one CPU core (much larger chunks start thrashing cache in the
+    attention GEMMs).  When ``total`` needs several chunks the rows are
+    split evenly across ``ceil(total / 256)`` of them, so no slow ragged
+    tail remains.
+    """
+    chunk = 256
+    if total > chunk:
+        pieces = -(-total // chunk)
+        chunk = -(-total // pieces)
+    return chunk
 
 
 def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -220,6 +231,32 @@ class Detection:
         )
 
 
+def build_detections(boxes: Sequence[Sequence[int]], rows: np.ndarray,
+                     predictions: Dict[str, np.ndarray],
+                     scores: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                     ) -> List[Detection]:
+    """:class:`Detection` records for the batch rows ``rows``.
+
+    ``boxes[k]`` is row ``rows[k]``'s box; ``scores`` is
+    :func:`score_predictions` output.  Attribute distributions are row
+    views into ``predictions``.
+    """
+    objectness, task_scores, combined = scores
+    class_ids = predictions["class_probs"][rows].argmax(axis=1)
+    return [
+        Detection(
+            bbox=tuple(box),
+            score=float(combined[i]),
+            objectness=float(objectness[i]),
+            task_score=float(task_scores[i]),
+            class_id=int(class_id),
+            attribute_probs={family: probs[i] for family, probs
+                             in predictions["attribute_probs"].items()},
+        )
+        for box, i, class_id in zip(boxes, rows, class_ids)
+    ]
+
+
 class TaskDetector:
     """Task-oriented detector: model configuration + KG matcher.
 
@@ -235,12 +272,11 @@ class TaskDetector:
     nms_iou:
         IoU threshold for the final NMS pass (grid windows never overlap,
         but sliding-window mode produces duplicates).
-    vectorized:
-        When True (default), window extraction uses a batched
-        stride-tricks gather and NMS the batched-IoU implementation.
-        When False, both fall back to the readable per-cell / O(N²)
-        reference loops — the seed implementation, kept as an oracle for
-        tests and as the baseline in ``bench_e10_pipeline_latency``.
+
+    Every entry point runs the one body,
+    :meth:`detect_batch_with_signals`: ``detect(scene)`` is
+    ``detect_batch([scene])[0]``.  The seed loop implementations it
+    replaced live in :mod:`repro.reference` as test oracles.
     """
 
     def __init__(
@@ -249,8 +285,6 @@ class TaskDetector:
         matcher: Optional[GraphMatcher] = None,
         score_threshold: float = 0.35,
         nms_iou: float = 0.5,
-        batch_size: int = 64,
-        vectorized: bool = True,
     ) -> None:
         if not 0.0 <= score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
@@ -258,17 +292,8 @@ class TaskDetector:
         self.matcher = matcher
         self.score_threshold = score_threshold
         self.nms_iou = nms_iou
-        self.batch_size = batch_size
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
-    def _windows(self, scene: Scene,
-                 stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        with get_registry().time("detect.window_build"):
-            if self.vectorized:
-                return self._windows_vectorized(scene, stride=stride)
-            return self._windows_loop(scene, stride=stride)
-
     @staticmethod
     def _window_starts(scene: Scene, stride: Optional[int]) -> Tuple[int, np.ndarray]:
         size = scene.cell_size
@@ -277,82 +302,29 @@ class TaskDetector:
         starts = np.arange(0, limit + 1, stride) if limit >= 0 else np.empty(0, int)
         return size, starts
 
-    def _windows_loop(self, scene: Scene,
-                      stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        """Reference one-crop-per-cell extraction (seed implementation)."""
-        size, starts = self._window_starts(scene, stride)
-        boxes: List[Tuple[int, int, int, int]] = []
-        crops: List[np.ndarray] = []
-        for y0 in starts:
-            for x0 in starts:
-                bbox = (int(x0), int(y0), int(x0) + size, int(y0) + size)
-                boxes.append(bbox)
-                crops.append(scene.crop(bbox))
-        if not crops:
-            channels = scene.image.shape[0]
-            return np.zeros((0, channels, size, size), dtype=scene.image.dtype), []
-        return np.stack(crops), boxes
-
-    @staticmethod
-    def _grid_aligned(scene: Scene, size: int, stride: Optional[int]) -> bool:
-        """Windows tile the scene exactly (stride == window == cell)."""
-        return (stride or size) == size and scene.size % size == 0
-
-    def _windows_vectorized(self, scene: Scene,
-                            stride: Optional[int] = None) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
-        """Batched extraction: one strided gather builds the whole batch."""
-        size, starts = self._window_starts(scene, stride)
-        channels = scene.image.shape[0]
-        if starts.size == 0:
-            # Scene smaller than one window: no valid placements.
-            return np.zeros((0, channels, size, size), dtype=scene.image.dtype), []
-        if self._grid_aligned(scene, size, stride):
-            # Non-overlapping tiling: a pure reshape/transpose copy, far
-            # cheaper than the general strided gather below.
-            n = scene.size // size
-            windows = scene.image.reshape(channels, n, size, n, size)
-            windows = windows.transpose(1, 3, 0, 2, 4).reshape(
-                -1, channels, size, size)
-        else:
-            view = np.lib.stride_tricks.sliding_window_view(
-                scene.image, (size, size), axis=(1, 2))
-            # (C, ny, nx, S, S) -> (ny, nx, C, S, S) -> (N, C, S, S)
-            windows = view[:, starts[:, None], starts[None, :]]
-            windows = windows.transpose(1, 2, 0, 3, 4).reshape(
-                -1, channels, size, size)
-        boxes = [
-            (int(x0), int(y0), int(x0) + size, int(y0) + size)
-            for y0 in starts for x0 in starts
-        ]
-        return windows, boxes
-
     def _windows_all(
         self, scenes: Sequence[Scene], stride: Optional[int] = None,
-    ) -> Tuple[np.ndarray, List[List[Tuple[int, int, int, int]]]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """All scenes' windows as one ``(N, C, S, S)`` batch.
 
         Requires homogeneous scenes (same image shape and cell size —
-        :meth:`detect_batch` checks).  The vectorized path stacks the
-        images and runs a single strided gather, so the fused batch is
-        element-identical to per-scene extraction.
+        :meth:`detect_batch_with_signals` groups them).  Every scene
+        shares the same window placements, returned once as an
+        ``(N / len(scenes), 4)`` int box array in scan order.
         """
         with get_registry().time("detect.window_build"):
             first = scenes[0]
             size, starts = self._window_starts(first, stride)
             channels = first.image.shape[0]
+            ys, xs = np.meshgrid(starts, starts, indexing="ij")
+            ys, xs = ys.reshape(-1), xs.reshape(-1)
+            boxes = np.stack([xs, ys, xs + size, ys + size], axis=1)
             if starts.size == 0:
+                # Scene smaller than one window: no valid placements.
                 empty = np.zeros((0, channels, size, size),
                                  dtype=first.image.dtype)
-                return empty, [[] for _ in scenes]
-            if not self.vectorized:
-                parts: List[np.ndarray] = []
-                boxes_per_scene: List[List[Tuple[int, int, int, int]]] = []
-                for scene in scenes:
-                    windows, boxes = self._windows_loop(scene, stride=stride)
-                    parts.append(windows)
-                    boxes_per_scene.append(boxes)
-                return np.concatenate(parts, axis=0), boxes_per_scene
-            if self._grid_aligned(first, size, stride):
+                return empty, boxes
+            if (stride or size) == size and first.size % size == 0:
                 # Non-overlapping tiling: strided copies straight into the
                 # fused batch, one per scene — no intermediate stack, and
                 # an order of magnitude cheaper than the general gather.
@@ -372,85 +344,46 @@ class TaskDetector:
                 windows = view[:, :, starts[:, None], starts[None, :]]
                 windows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
                     -1, channels, size, size)
-            boxes = [
-                (int(x0), int(y0), int(x0) + size, int(y0) + size)
-                for y0 in starts for x0 in starts
-            ]
-            return windows, [list(boxes) for _ in scenes]
+            return windows, boxes
 
     # ------------------------------------------------------------------
-    def _emit(
-        self,
-        boxes: Sequence[Tuple[int, int, int, int]],
-        class_probs: np.ndarray,
-        attribute_probs: Dict[str, np.ndarray],
-        objectness: np.ndarray,
-        task_scores: np.ndarray,
-        combined: np.ndarray,
-    ) -> List[Detection]:
-        """Threshold + NMS for one scene's scored windows."""
-        candidates = [
-            Detection(
-                bbox=boxes[i],
-                score=float(combined[i]),
-                objectness=float(objectness[i]),
-                task_score=float(task_scores[i]),
-                class_id=int(class_probs[i].argmax()),
-                attribute_probs={
-                    family: probs[i] for family, probs in attribute_probs.items()
-                },
-            )
-            for i in np.flatnonzero(combined >= self.score_threshold)
-        ]
-        if not candidates:
-            return []
-        nms_fn = nms if self.vectorized else nms_reference
-        with get_registry().span("detect.nms", candidates=len(candidates)):
-            keep = nms_fn([d.bbox for d in candidates],
-                          [d.score for d in candidates],
-                          iou_threshold=self.nms_iou)
-        return [candidates[i] for i in keep]
-
-    @staticmethod
-    def _signals(combined: np.ndarray, score_threshold: float,
-                 num_detections: int) -> SceneSignals:
-        return SceneSignals(
-            margin=confidence_margin(combined, score_threshold),
-            max_combined=float(combined.max()) if combined.size else 0.0,
-            num_windows=int(combined.size),
-            num_detections=num_detections,
-        )
+    def _detect_fused(
+        self, scenes: Sequence[Scene], stride: Optional[int],
+    ) -> Tuple[List[List[Detection]], List[SceneSignals]]:
+        """One forward and one KG match over homogeneous scenes, then
+        per-scene threshold + NMS on arrays; :class:`Detection` objects
+        are built for the kept rows only."""
+        windows, boxes = self._windows_all(scenes, stride=stride)
+        predictions = predict_windows(
+            self.model, windows,
+            batch_size=forward_chunk(windows.shape[0]))
+        with get_registry().time("detect.kg_match"):
+            scores = score_predictions(predictions, self.matcher)
+        combined = scores[2]
+        n = len(boxes)
+        results: List[List[Detection]] = []
+        signals: List[SceneSignals] = []
+        for start in [index * n for index in range(len(scenes))]:
+            scene_scores = combined[start:start + n]
+            hits = np.flatnonzero(scene_scores >= self.score_threshold)
+            detections: List[Detection] = []
+            if hits.size:
+                with get_registry().span("detect.nms", candidates=int(hits.size)):
+                    keep = hits[nms(boxes[hits], scene_scores[hits],
+                                    iou_threshold=self.nms_iou)]
+                detections = build_detections(boxes[keep].tolist(),
+                                              start + keep, predictions, scores)
+            results.append(detections)
+            signals.append(SceneSignals(
+                margin=confidence_margin(scene_scores, self.score_threshold),
+                max_combined=float(scene_scores.max()) if n else 0.0,
+                num_windows=n,
+                num_detections=len(detections),
+            ))
+        return results, signals
 
     def detect(self, scene: Scene, stride: Optional[int] = None) -> List[Detection]:
-        return self.detect_with_signals(scene, stride=stride)[0]
-
-    def detect_with_signals(
-        self, scene: Scene, stride: Optional[int] = None,
-    ) -> Tuple[List[Detection], SceneSignals]:
-        """:meth:`detect` plus the scene's :class:`SceneSignals`.
-
-        The signals come from the same scored windows as the detections;
-        ``detect`` is exactly this with the signals dropped.
-        """
-        obs = get_registry()
-        task_name = self.matcher.kg.task_name if self.matcher is not None else None
-        with obs.span("detect.total", task=task_name, grid=scene.grid,
-                      vectorized=self.vectorized) as span:
-            _attr_deadline(span)
-            windows, boxes = self._windows(scene, stride=stride)
-            span.set_attr(windows=len(boxes))
-            predictions = predict_windows(self.model, windows,
-                                          batch_size=self.batch_size)
-            with obs.time("detect.kg_match"):
-                objectness, task_scores, combined = score_predictions(
-                    predictions, self.matcher)
-            detections = self._emit(
-                boxes, predictions["class_probs"],
-                predictions["attribute_probs"],
-                objectness, task_scores, combined)
-            span.set_attr(detections=len(detections))
-            return detections, self._signals(
-                combined, self.score_threshold, len(detections))
+        return self.detect_batch_with_signals([scene], stride=stride)[0][0]
 
     def detect_batch(self, scenes: Sequence[Scene],
                      stride: Optional[int] = None) -> List[List[Detection]]:
@@ -464,83 +397,39 @@ class TaskDetector:
         Windows from every scene are concatenated into a single forward
         pass and a single knowledge-graph match, then split back for
         per-scene threshold + NMS.  Results arrive in input order, one
-        detection list per scene.
+        detection list per scene, each with the :class:`SceneSignals`
+        computed from the same scored windows.
 
         Determinism: window extraction, matching, threshold, and NMS are
         all row-wise, and the quantized (integer) configuration's forward
-        is exactly order- and batch-invariant — so with it, detect_batch
-        is bit-identical to per-scene :meth:`detect`.  Float models agree
-        on boxes and keep order, with scores equal to within one or two
-        ulps (BLAS GEMM tiling varies with batch size on the narrow
-        attribute heads).
+        is exactly order- and batch-invariant — so with it, a scene's
+        detections do not depend on the batch it arrives in.  Float
+        models agree with scores equal to within one or two ulps (BLAS
+        GEMM tiling varies with batch size on the narrow attribute
+        heads), so only windows whose scores tie to within that can
+        swap keep order.
 
         Scenes with different image shapes or cell sizes cannot share a
-        forward; those fall back to per-scene detection (still under the
-        ``detect.batch_total`` span).
+        forward; those run one at a time through the same fused body,
+        still under the one ``detect.batch_total`` span.
         """
         scenes = list(scenes)
-        obs = get_registry()
-        task_name = self.matcher.kg.task_name if self.matcher is not None else None
         if not scenes:
             return [], []
-        with obs.span("detect.batch_total", task=task_name,
-                      scenes=len(scenes), vectorized=self.vectorized) as span:
+        task_name = self.matcher.kg.task_name if self.matcher is not None else None
+        with get_registry().span("detect.batch_total", task=task_name,
+                                 scenes=len(scenes)) as span:
             _attr_deadline(span)
-            if len({(s.image.shape, s.cell_size) for s in scenes}) > 1:
-                span.set_attr(fused=False)
-                pairs = [self.detect_with_signals(scene, stride=stride)
-                         for scene in scenes]
-                return [p[0] for p in pairs], [p[1] for p in pairs]
-            windows, boxes_per_scene = self._windows_all(scenes, stride=stride)
-            counts = [len(boxes) for boxes in boxes_per_scene]
-            total = int(windows.shape[0])
-            span.set_attr(windows=total, fused=True)
-            # Larger forward chunks amortize per-call overhead across the
-            # batch; even-sized chunks avoid a slow ragged tail.  Per-scene
-            # batch_size still applies when it is bigger.
-            chunk = max(self.batch_size, _BATCH_FORWARD_CHUNK)
-            if total > chunk:
-                pieces = -(-total // chunk)
-                chunk = -(-total // pieces)
-            predictions = predict_windows(self.model, windows, batch_size=chunk)
-            class_probs = predictions["class_probs"]
-            attribute_probs = predictions["attribute_probs"]
-            with obs.time("detect.kg_match"):
-                objectness = 1.0 - class_probs[:, background_class_id()]
-                if "task_probs" in predictions:
-                    task_scores = predictions["task_probs"]
-                elif self.matcher is not None:
-                    # Row-wise scoring: one match over the concatenated
-                    # batch equals per-scene matching (see match_batch,
-                    # which adds the per-scene result split when needed).
-                    task_scores = self.matcher.match_distributions(
-                        attribute_probs).score
-                else:
-                    task_scores = np.ones_like(objectness)
-                combined = objectness * task_scores
+            fused = len({(s.image.shape, s.cell_size) for s in scenes}) == 1
+            groups = [scenes] if fused else [[scene] for scene in scenes]
             results: List[List[Detection]] = []
             signals: List[SceneSignals] = []
-            emitted = 0
-            start = 0
-            # One vectorized threshold pass; scenes without a candidate
-            # skip slicing and emission entirely.
-            passed = combined >= self.score_threshold
-            for boxes, n in zip(boxes_per_scene, counts):
-                rows = slice(start, start + n)
-                if not passed[rows].any():
-                    results.append([])
-                    signals.append(self._signals(
-                        combined[rows], self.score_threshold, 0))
-                    start += n
-                    continue
-                detections = self._emit(
-                    boxes, class_probs[rows],
-                    {f: p[rows] for f, p in attribute_probs.items()},
-                    objectness[rows], task_scores[rows], combined[rows])
-                results.append(detections)
-                signals.append(self._signals(
-                    combined[rows], self.score_threshold, len(detections)))
-                emitted += len(detections)
-                start += n
-            span.set_attr(detections=emitted)
+            for group in groups:
+                group_results, group_signals = self._detect_fused(group, stride)
+                results += group_results
+                signals += group_signals
+            span.set_attr(
+                fused=fused,
+                windows=sum(s.num_windows for s in signals),
+                detections=sum(s.num_detections for s in signals))
             return results, signals

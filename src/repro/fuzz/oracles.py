@@ -5,8 +5,9 @@ implementations of the same detection math and asserts agreement:
 
 * ``static_paths`` — per-scene ``detect`` vs fused ``detect_batch`` vs
   the micro-batching ``DetectionEngine``, for the float and the
-  quantized configuration, plus vectorized vs reference-loop extraction
-  and NMS.  The quantized path must agree **bit for bit** (the exact
+  quantized configuration, plus production vs
+  :func:`repro.reference.detect_reference` (loop extraction and NMS).
+  The quantized path must agree **bit for bit** (the exact
   BLAS kernels are batch-invariant by construction); the float path
   must agree on the kept boxes with scores equal to within a few ulps —
   box-set differences are excused only when the disagreeing score sits
@@ -41,6 +42,7 @@ import numpy as np
 from repro.data.tasks import TaskDefinition
 from repro.detect.pipeline import Detection, TaskDetector
 from repro.fuzz.scenario import ScenarioSpec, ScriptedSequence
+from repro.reference import detect_reference
 from repro.stream.sequence import FrameState
 from repro.stream.tracker import Track
 
@@ -203,7 +205,7 @@ def _track_dict(track: Track) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def oracle_static_paths(spec: ScenarioSpec,
                         ctx: "ExecutionContext") -> List[Divergence]:
-    """detect == detect_batch == engine, and vectorized == reference."""
+    """detect == detect_batch == engine, and detect == detect_reference."""
     divergences: List[Divergence] = []
     scenes = ctx.scenes
     threshold = spec.score_threshold
@@ -222,10 +224,10 @@ def oracle_static_paths(spec: ScenarioSpec,
         divergences += compare_detections(
             "static_paths", f"{kind}:engine_vs_sequential",
             sequential, engine_results, exact=exact, threshold=threshold)
-    reference_detector = ctx.make_detector("float", vectorized=False)
-    reference = [reference_detector.detect(scene) for scene in scenes]
+    float_detector = ctx.make_detector("float")
+    reference = [detect_reference(float_detector, scene) for scene in scenes]
     divergences += compare_detections(
-        "static_paths", "float:vectorized_vs_reference",
+        "static_paths", "float:production_vs_reference",
         float_sequential, reference, exact=False, threshold=threshold)
     return divergences
 

@@ -167,11 +167,10 @@ class ExecutionContext:
             return self.quantized_model
         raise ValueError(f"unknown model kind {kind!r}")
 
-    def make_detector(self, kind: str, vectorized: bool = True) -> TaskDetector:
+    def make_detector(self, kind: str) -> TaskDetector:
         return TaskDetector(
             self.model_for(kind), matcher=self.matcher,
-            score_threshold=self.spec.score_threshold,
-            vectorized=vectorized)
+            score_threshold=self.spec.score_threshold)
 
     def make_stream(self, kind: str, gated: Optional[bool] = None,
                     motion_threshold: Optional[float] = None,

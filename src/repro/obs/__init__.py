@@ -11,7 +11,7 @@ p50/p90/p99 from streaming histograms — instead of one opaque number:
     detector.detect(scene)
     print(get_registry().report("detect"))
 
-Timed blocks nest: ``registry.span("detect.total")`` around
+Timed blocks nest: ``registry.span("detect.batch_total")`` around
 ``registry.time("detect.nms")`` yields a parent/child trace tree that
 :mod:`repro.obs.trace` exports as Chrome trace-event JSON (open it in
 Perfetto), and :mod:`repro.obs.telemetry` persists alongside a run

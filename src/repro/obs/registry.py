@@ -8,7 +8,7 @@ Three layers, all stdlib-only:
   :class:`Counter` accumulates event counts; a :class:`Distribution`
   accumulates a stream of plain values (engine batch sizes, queue
   depths) behind the same percentile histogram.
-* **Spans** — ``with registry.span("detect.total", task="...") as sp:``
+* **Spans** — ``with registry.span("detect.batch_total", task="...") as sp:``
   opens a hierarchical span.  Spans nest through a thread-local stack, so
   a stage timed inside another stage becomes its child automatically;
   every completed span both feeds the stage's Timer and is appended to a

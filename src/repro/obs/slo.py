@@ -138,7 +138,7 @@ class SLOStatus:
 def default_slos() -> List[SLO]:
     """The serving tier's standing objectives."""
     return [
-        SLO(name="detect-p99", kind=LATENCY, stage="detect.total",
+        SLO(name="detect-p99", kind=LATENCY, stage="detect.batch_total",
             percentile=99.0, threshold_s=0.5),
         SLO(name="engine-queue-wait-p99", kind=LATENCY,
             stage="engine.queue_wait", percentile=99.0, threshold_s=0.25),

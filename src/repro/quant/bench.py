@@ -6,12 +6,12 @@ Three workloads cover the integer stack bottom-up:
 
 * :func:`run_kernel_latency` — per-site GEMM latency of the exact
   BLAS-backed :meth:`~repro.quant.QuantizedLinear.forward_integer`
-  against the int64 :meth:`forward_integer_reference`, asserting the
-  outputs are **bit-identical** before anything is timed;
+  against the int64 :func:`repro.reference.forward_integer_reference`,
+  asserting the outputs are **bit-identical** before anything is timed;
 * :func:`run_forward_latency` — the whole quantized network end to end
   (patch projection → blocks → heads) at serving batch size, BLAS
-  kernels vs the ``REPRO_QUANT_EXACT=1`` reference, gated on
-  bit-identical outputs — the ≥5x acceptance measurement;
+  kernels vs the int64 kernels (:func:`repro.reference.int64_kernels`),
+  gated on bit-identical outputs — the ≥5x acceptance measurement;
 * :func:`run_e2e_forward` — quantized scenes/sec through the full
   detect path (``TaskDetector.detect_batch`` over a scene stream,
   window extraction and NMS included), again gated on bit-identical
@@ -29,10 +29,8 @@ cache.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +39,7 @@ from repro.data.datasets import num_classes
 from repro.nn import VisionTransformer, ViTConfig
 from repro.quant.qparams import QuantSpec
 from repro.quant.vit import QuantizedVisionTransformer, quantize_vit
+from repro.reference import forward_integer_reference, int64_kernels
 from repro.serve.bench import _interleaved_rounds, compare_engine_configurations
 
 __all__ = [
@@ -49,23 +48,7 @@ __all__ = [
     "run_forward_latency",
     "run_e2e_forward",
     "compare_engine_configurations",
-    "reference_mode",
 ]
-
-
-@contextlib.contextmanager
-def reference_mode() -> Iterator[None]:
-    """Force every quantized forward through the int64 reference kernel
-    (scoped ``REPRO_QUANT_EXACT=1``)."""
-    prev = os.environ.get("REPRO_QUANT_EXACT")
-    os.environ["REPRO_QUANT_EXACT"] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_QUANT_EXACT", None)
-        else:
-            os.environ["REPRO_QUANT_EXACT"] = prev
 
 
 def build_quantized_student(
@@ -119,7 +102,7 @@ def run_kernel_latency(
         x_q = layer.quantize_input(x)
 
         fast = layer.forward_integer(x_q)
-        reference = layer.forward_integer_reference(x_q)
+        reference = forward_integer_reference(layer, x_q)
         assert fast.dtype == reference.dtype == np.float32
         if not np.array_equal(fast, reference):
             raise AssertionError(
@@ -127,7 +110,7 @@ def run_kernel_latency(
 
         samples = _interleaved_rounds(repeats, [
             lambda layer=layer, x_q=x_q: layer.forward_integer(x_q),
-            lambda layer=layer, x_q=x_q: layer.forward_integer_reference(x_q),
+            lambda layer=layer, x_q=x_q: forward_integer_reference(layer, x_q),
         ])
         fast_s, ref_s = min(samples[0]), min(samples[1])
         rows.append({
@@ -183,8 +166,8 @@ def run_forward_latency(
 
     One fused batch of ``batch_images`` images through the *whole*
     quantized model — patch projection, both transformer blocks, and
-    every head — once on the exact BLAS kernels and once under
-    ``REPRO_QUANT_EXACT=1``.  Every output head (logits, attributes,
+    every head — once on the exact BLAS kernels and once on the int64
+    kernels.  Every output head (logits, attributes,
     CLS embedding) must match **bit for bit** (asserted before timing).
     Returns (rows, speedup) with the drift-cancelled fast-over-reference
     speedup (each mode's best steady-state round, rounds interleaved) —
@@ -197,7 +180,7 @@ def run_forward_latency(
          config.image_size, config.image_size)).astype(np.float32)
 
     fast_out = quantized(images)
-    with reference_mode():
+    with int64_kernels():
         ref_out = quantized(images)
     if not _outputs_equal(fast_out, ref_out):
         raise AssertionError(
@@ -207,7 +190,7 @@ def run_forward_latency(
         quantized(images)
 
     def run_reference() -> None:
-        with reference_mode():
+        with int64_kernels():
             quantized(images)
 
     samples = _steady_state_rounds(repeats, [run_fast, run_reference])
@@ -253,7 +236,7 @@ def run_e2e_forward(
 
     Streams ``num_scenes`` scenes through the quantized serving pipeline
     (``MissionSession.detect_batch`` — fused multi-scene forwards) twice:
-    once on the exact BLAS kernels, once under ``REPRO_QUANT_EXACT=1``.
+    once on the exact BLAS kernels, once on the int64 kernels.
     Detections must match **bit for bit** (bbox, score, class — asserted
     before timing).  Returns (rows, speedup): one row per execution mode
     with scenes/sec, and the drift-cancelled fast-over-reference speedup
@@ -278,14 +261,14 @@ def run_e2e_forward(
         detect = lambda: detector.detect_batch(scenes)  # noqa: E731
 
     fast_out = detect()
-    with reference_mode():
+    with int64_kernels():
         ref_out = detect()
     if not _detections_equal(fast_out, ref_out):
         raise AssertionError(
             "BLAS detect path diverged from the int64 reference")
 
     def run_reference() -> None:
-        with reference_mode():
+        with int64_kernels():
             detect()
 
     samples = _steady_state_rounds(repeats, [detect, run_reference])

@@ -35,14 +35,14 @@ zero-point-shifted float codes and requantize with constants fused at
 construction, in one grow-only scratch arena per thread; under
 ``reuse_output`` the output lives there too, so the next call on that
 thread overwrites it, whatever its row count.  The original int64
-matmul is kept verbatim as :meth:`forward_integer_reference` — the
-bit-exactness oracle that property tests assert against, also
-selectable at runtime via ``REPRO_QUANT_EXACT=1`` as an escape hatch.
+matmul is kept verbatim as
+:func:`repro.reference.forward_integer_reference` — the bit-exactness
+oracle that property tests assert against (run a whole model on it
+under :func:`repro.reference.int64_kernels`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Optional
 
@@ -68,12 +68,6 @@ _F32_EXACT_BOUND = 2 ** 24
 # MiB of float64 through memory per site.  Chunking is invisible to the
 # results — every pass is elementwise, so blocking cannot change a bit.
 _CHUNK_ELEMS = 32 * 1024
-
-
-def _reference_requested() -> bool:
-    """``REPRO_QUANT_EXACT=1`` routes every forward through the int64
-    reference kernel (escape hatch; the BLAS path is provably exact)."""
-    return os.environ.get("REPRO_QUANT_EXACT", "") == "1"
 
 
 class QuantizedLinear:
@@ -108,7 +102,6 @@ class QuantizedLinear:
         self._weight_scale = np.asarray(weight_params.scale, dtype=np.float64).reshape(-1)
         self._act_scale = float(np.asarray(act_params.scale).reshape(()))
         self._act_zero = int(np.asarray(act_params.zero_point).reshape(()))
-        self._weight_col_sum = self.weight_q.sum(axis=1, dtype=np.int64)
         # y = (acc − z_x · Σ_k W_q) · (s_x · s_w) + b, with the
         # subtraction folded into zero-point-shifted codes (below).
         self._requant_scale = self._act_scale * self._weight_scale
@@ -295,11 +288,8 @@ class QuantizedLinear:
         """Integer GEMM + requantization from pre-quantized activations.
 
         ``x_q`` has shape (..., in_features), values already clipped to
-        the activation grid.  Runs the exact BLAS-backed kernel; set
-        ``REPRO_QUANT_EXACT=1`` to route through the int64 reference.
+        the activation grid.  Runs the exact BLAS-backed kernel.
         """
-        if _reference_requested():
-            return self.forward_integer_reference(x_q)
         # Zero-point-shifted codes are exact in the GEMM dtype (the
         # construction-time bound covers them): the same kernel as
         # ``__call__`` from here on.
@@ -308,27 +298,11 @@ class QuantizedLinear:
         y = self._forward_shifted(shifted)
         return y.reshape(*x_q.shape[:-1], self.out_features)
 
-    def forward_integer_reference(self, x_q: np.ndarray) -> np.ndarray:
-        """The seed int64 kernel, kept as the bit-exactness oracle.
-
-        Tests assert ``forward_integer`` reproduces this bit for bit;
-        it is also what ``REPRO_QUANT_EXACT=1`` deploys.
-        """
-        acc = x_q.astype(np.int64) @ self.weight_q.T.astype(np.int64)  # int accumulate
-        acc = acc - self._act_zero * self._weight_col_sum
-        y = acc.astype(np.float64) * (self._act_scale * self._weight_scale)
-        if self.bias is not None:
-            y = y + self.bias
-        return y.astype(np.float32)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Float in → float out, with integer compute in the middle."""
         original_shape = x.shape
         flat = x.reshape(-1, original_shape[-1])
-        if _reference_requested():
-            y = self.forward_integer_reference(self.quantize_input(flat))
-        else:
-            y = self._forward_shifted(self._quantize_codes_shifted(flat))
+        y = self._forward_shifted(self._quantize_codes_shifted(flat))
         return y.reshape(*original_shape[:-1], self.out_features)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detect import box_area, box_iou, clip_box, nms, nms_reference
+from repro.detect import box_area, box_iou, clip_box, nms
+from repro.reference import nms_reference
 
 
 def boxes_strategy():
@@ -118,7 +119,7 @@ def test_nms_invariants(boxes, threshold):
        st.floats(min_value=0.0, max_value=1.0),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_nms_vectorized_matches_reference(boxes, threshold, seed):
-    """The vectorized nms is byte-identical to the loop oracle —
+    """The array nms is byte-identical to the loop oracle —
     including tied scores (drawn from a coarse grid to force ties)."""
     rng = np.random.default_rng(seed)
     scores = (rng.integers(0, 4, size=len(boxes)) / 4.0).tolist()

@@ -8,7 +8,9 @@ from repro.data.datasets import background_class_id, num_classes
 from repro.data.scenes import Scene
 from repro.detect import TaskDetector, predict_windows, task_accuracy
 from repro.kg import GraphMatcher, SimulatedLLM
+from repro.obs import get_registry
 from repro.quant import quantize_vit
+from repro.reference import detect_reference, int64_kernels, windows_loop
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +60,35 @@ class TestPredictWindows:
         assert out["class_probs"].shape == (0, num_classes())
 
 
+def _assert_same_detections(left, right, rtol=1e-12):
+    """Same boxes in the same order, scores equal to ``rtol``."""
+    assert [d.bbox for d in left] == [d.bbox for d in right]
+    assert [d.class_id for d in left] == [d.class_id for d in right]
+    np.testing.assert_allclose([d.score for d in left],
+                               [d.score for d in right], rtol=rtol)
+
+
+def _assert_bit_equal(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert (a.bbox, a.score, a.objectness, a.task_score, a.class_id) == \
+            (b.bbox, b.score, b.objectness, b.task_score, b.class_id)
+        assert all(isinstance(v, int) for v in a.bbox)
+        assert a.attribute_probs.keys() == b.attribute_probs.keys()
+        for family in a.attribute_probs:
+            np.testing.assert_array_equal(a.attribute_probs[family],
+                                          b.attribute_probs[family])
+
+
 class TestTaskDetector:
     def test_grid_window_count(self, student_vit, scene):
         detector = TaskDetector(student_vit, score_threshold=0.0)
-        windows, boxes = detector._windows(scene)
+        windows, boxes = detector._windows_all([scene])
         assert windows.shape[0] == scene.grid ** 2 == len(boxes)
 
     def test_sliding_stride(self, student_vit, scene):
         detector = TaskDetector(student_vit, score_threshold=0.0)
-        windows, _ = detector._windows(scene, stride=16)
+        windows, _ = detector._windows_all([scene], stride=16)
         expected = ((scene.size - scene.cell_size) // 16 + 1) ** 2
         assert windows.shape[0] == expected
 
@@ -109,36 +131,34 @@ class TestTaskDetector:
         """Regression: a scene below one cell used to crash np.stack([])."""
         tiny = Scene(image=np.zeros((3, 16, 16), dtype=np.float32),
                      objects=[], grid=1, cell_size=32)
-        for vectorized in (True, False):
-            detector = TaskDetector(student_vit, score_threshold=0.0,
-                                    vectorized=vectorized)
-            windows, boxes = detector._windows(tiny)
-            assert windows.shape == (0, 3, 32, 32)
-            assert boxes == []
-            assert detector.detect(tiny) == []
+        detector = TaskDetector(student_vit, score_threshold=0.0)
+        windows, boxes = detector._windows_all([tiny])
+        assert windows.shape == (0, 3, 32, 32)
+        assert boxes.shape == (0, 4)
+        assert detector.detect(tiny) == []
+        loop_windows, loop_boxes = windows_loop(tiny)
+        assert loop_windows.shape == (0, 3, 32, 32)
+        assert loop_boxes == []
+        assert detect_reference(detector, tiny) == []
 
     def test_windows_vectorized_matches_loop(self, student_vit, scene):
         detector = TaskDetector(student_vit, score_threshold=0.0)
         for stride in (None, 16, 24):
-            vec_windows, vec_boxes = detector._windows_vectorized(scene, stride=stride)
-            loop_windows, loop_boxes = detector._windows_loop(scene, stride=stride)
-            assert vec_boxes == loop_boxes
-            np.testing.assert_array_equal(vec_windows, loop_windows)
+            windows, boxes = detector._windows_all([scene], stride=stride)
+            loop_windows, loop_boxes = windows_loop(scene, stride=stride)
+            assert [tuple(box) for box in boxes.tolist()] == loop_boxes
+            np.testing.assert_array_equal(windows, loop_windows)
 
     def test_detect_vectorized_matches_reference(self, student_vit, scene):
         task = get_task("stop_control")
         matcher = GraphMatcher(SimulatedLLM().generate_for_task(task))
-        for stride in (None, 16):
-            results = []
-            for vectorized in (True, False):
-                detector = TaskDetector(student_vit, matcher=matcher,
-                                        score_threshold=0.0,
-                                        vectorized=vectorized)
-                results.append(detector.detect(scene, stride=stride))
-            vec, ref = results
-            assert [d.bbox for d in vec] == [d.bbox for d in ref]
-            np.testing.assert_allclose([d.score for d in vec],
-                                       [d.score for d in ref], rtol=1e-12)
+        for threshold in (0.0, 0.3):
+            detector = TaskDetector(student_vit, matcher=matcher,
+                                    score_threshold=threshold)
+            for stride in (None, 16, 24):
+                _assert_same_detections(
+                    detector.detect(scene, stride=stride),
+                    detect_reference(detector, scene, stride=stride))
 
     def test_task_accuracy_range(self, student_vit):
         task = get_task("roadside_hazards")
@@ -148,3 +168,94 @@ class TestTaskDetector:
         assert 0.0 <= acc <= 1.0
         acc_hard = task_accuracy(detector, scenes, task, object_cells_only=True)
         assert 0.0 <= acc_hard <= 1.0
+
+
+class TestOneDetectionPath:
+    """``detect(scene)`` is ``detect_batch([scene])[0]``, and production
+    matches the loop oracle in :mod:`repro.reference`."""
+
+    @pytest.fixture(scope="class")
+    def matcher(self):
+        kg = SimulatedLLM().generate_for_task(get_task("roadside_hazards"))
+        return GraphMatcher(kg)
+
+    @pytest.fixture(scope="class")
+    def big_scene(self):
+        return SceneGenerator(SceneConfig(grid=14), seed=7).generate()
+
+    def test_detect_bit_equals_batch_of_one_float(self, student_vit,
+                                                  matcher, big_scene):
+        # Grid 14 = 196 windows: more than one 64-row chunk, so a
+        # separate single-scene forward would tile differently.
+        detector = TaskDetector(student_vit, matcher=matcher,
+                                score_threshold=0.0)
+        _assert_bit_equal(detector.detect(big_scene),
+                          detector.detect_batch([big_scene])[0])
+
+    def test_detect_bit_equals_batch_of_one_quantized(self, student_vit,
+                                                      matcher, big_scene):
+        calibration = np.random.default_rng(6).random(
+            (16, 3, 32, 32)).astype(np.float32)
+        detector = TaskDetector(quantize_vit(student_vit, calibration),
+                                matcher=matcher, score_threshold=0.0)
+        _assert_bit_equal(detector.detect(big_scene),
+                          detector.detect_batch([big_scene])[0])
+
+    def test_detect_opens_one_batch_total_root_span(self, student_vit,
+                                                    matcher, scene):
+        registry = get_registry()
+        registry.reset()
+        TaskDetector(student_vit, matcher=matcher,
+                     score_threshold=0.0).detect(scene)
+        roots = [node["name"] for node in registry.span_tree()]
+        assert roots == ["detect.batch_total"]
+        timers = registry.snapshot()["timers"]
+        assert "detect.total" not in timers
+        assert timers["detect.batch_total"]["calls"] == 1
+
+    def test_batches_match_reference(self, student_vit, matcher):
+        """A fused batch (quantized: bit for bit, so row offsets are
+        checked exactly) and a mixed-shape batch, run one scene at a
+        time (float), both match the per-scene reference."""
+        grid4 = SceneGenerator(SceneConfig(grid=4), seed=1).generate_batch(3)
+        mixed = [
+            grid4[0],
+            SceneGenerator(SceneConfig(grid=3), seed=2).generate(),
+            Scene(image=np.zeros((3, 16, 16), dtype=np.float32),
+                  objects=[], grid=1, cell_size=32),
+            grid4[1],
+        ]
+        calibration = np.random.default_rng(9).random(
+            (16, 3, 32, 32)).astype(np.float32)
+        cases = ((quantize_vit(student_vit, calibration), grid4, True),
+                 (student_vit, mixed, False))
+        registry = get_registry()
+        for model, scenes, fused in cases:
+            # 0.45 keeps some but not all of every scene's windows.
+            detector = TaskDetector(model, matcher=matcher,
+                                    score_threshold=0.45)
+            registry.reset()
+            batch, signals = detector.detect_batch_with_signals(
+                scenes, stride=16)
+            [root] = registry.span_tree()
+            assert root["name"] == "detect.batch_total"
+            assert root["attrs"]["fused"] is fused
+            assert [s.num_windows for s in signals] == [
+                len(windows_loop(scene, stride=16)[1]) for scene in scenes]
+            for scene, detections in zip(scenes, batch):
+                reference = detect_reference(detector, scene, stride=16)
+                if fused:
+                    _assert_bit_equal(detections, reference)
+                else:
+                    _assert_same_detections(detections, reference)
+
+    def test_quantized_detect_bit_equals_int64_kernels(self, student_vit,
+                                                       matcher, scene):
+        calibration = np.random.default_rng(8).random(
+            (16, 3, 32, 32)).astype(np.float32)
+        detector = TaskDetector(quantize_vit(student_vit, calibration),
+                                matcher=matcher, score_threshold=0.0)
+        fast = detector.detect(scene, stride=16)
+        with int64_kernels():
+            reference = detect_reference(detector, scene, stride=16)
+        _assert_bit_equal(fast, reference)

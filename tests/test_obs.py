@@ -148,7 +148,7 @@ class TestPipelineIntegration:
             scene = SceneGenerator(SceneConfig(), seed=11).generate()
             TaskDetector(student_vit, score_threshold=0.0).detect(scene)
             timers = registry.snapshot()["timers"]
-            for stage in ("detect.total", "detect.window_build",
+            for stage in ("detect.batch_total", "detect.window_build",
                           "detect.model_forward", "detect.nms"):
                 assert timers[stage]["calls"] >= 1
             assert registry.counter("detect.windows_scored").value == scene.grid ** 2

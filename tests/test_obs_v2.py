@@ -402,6 +402,29 @@ class TestSLOs:
         [status] = evaluate_telemetry([slo], self._doc(registry))
         assert not status.ok and status.burn > 1.0
 
+    def test_default_latency_slos_watch_recorded_stages(
+            self, global_registry, student_vit):
+        """Every default latency SLO watches a stage one real engine
+        batch records — otherwise the live /slo endpoint can never
+        fire it (it reports "not recorded" at burn 0 forever)."""
+        from repro.data import SceneConfig, SceneGenerator
+        from repro.detect import TaskDetector
+
+        detector = TaskDetector(student_vit, score_threshold=0.0)
+
+        class Session:
+            def detect_batch(self, scenes, stride=None):
+                return detector.detect_batch(scenes, stride=stride)
+
+        scenes = SceneGenerator(SceneConfig(grid=2), seed=0).generate_batch(2)
+        with DetectionEngine(Session(), EngineConfig(max_batch=2)) as engine:
+            engine.detect_many(scenes)
+        recorded = global_registry.snapshot()["timers"]
+        latency = [slo for slo in default_slos() if slo.kind == "latency"]
+        assert latency
+        for slo in latency:
+            assert slo.stage in recorded, f"{slo.name}: {slo.stage} never recorded"
+
     def test_latency_stats_fallback_without_histogram(self):
         doc = {"obs": {"timers": {"detect.total": {"p99_s": 0.6}}}}
         slo = SLO(name="p99", kind="latency", stage="detect.total",

@@ -12,6 +12,8 @@ from repro.quant import (
     compute_qparams,
     fake_quantize,
 )
+from repro import reference
+from repro.reference import forward_integer_reference, int64_kernels
 from repro.tensor import Tensor, randn
 
 
@@ -107,16 +109,15 @@ class TestExactBlasKernels:
         q, x = self._quantized(bits, symmetric)
         x_q = q.quantize_input(x)
         np.testing.assert_array_equal(q.forward_integer(x_q),
-                                      q.forward_integer_reference(x_q))
+                                      forward_integer_reference(q, x_q))
 
     @pytest.mark.parametrize("bits", [2, 4, 8, 16])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_call_bitwise_equals_reference_mode(self, bits, symmetric,
-                                                monkeypatch):
+    def test_call_bitwise_equals_reference_mode(self, bits, symmetric):
         q, x = self._quantized(bits, symmetric)
         fast = q(x)
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = q(x)
+        with int64_kernels():
+            reference = q(x)
         assert fast.dtype == reference.dtype == np.float32
         np.testing.assert_array_equal(fast, reference)
 
@@ -124,7 +125,7 @@ class TestExactBlasKernels:
         q, x = self._quantized(8, False)
         x_q = q.quantize_input(x.reshape(3, 11, -1))
         np.testing.assert_array_equal(q.forward_integer(x_q),
-                                      q.forward_integer_reference(x_q))
+                                      forward_integer_reference(q, x_q))
 
     def test_batch_invariant(self):
         """Fused rows must equal per-row forwards bit for bit (the
@@ -161,15 +162,21 @@ class TestExactBlasKernels:
             QuantizedLinear(weight_q, weight_params, act_params, None)
 
     def test_escape_hatch_routes_kernel_to_reference(self, monkeypatch):
+        """int64_kernels() routes both entry points through the int64
+        kernel, and only inside its scope."""
         q, x = self._quantized(8, False)
         calls = []
-        original = q.forward_integer_reference
+        original = reference.forward_integer_reference
         monkeypatch.setattr(
-            q, "forward_integer_reference",
-            lambda x_q: calls.append(1) or original(x_q))
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
+            reference, "forward_integer_reference",
+            lambda layer, x_q: calls.append(1) or original(layer, x_q))
+        with int64_kernels():
+            q.forward_integer(q.quantize_input(x))
+            q(x)
+        assert len(calls) == 2, "int64_kernels() must use the int64 reference"
         q.forward_integer(q.quantize_input(x))
-        assert calls, "REPRO_QUANT_EXACT=1 must use the int64 reference"
+        q(x)
+        assert len(calls) == 2, "the int64 kernels must not outlive the scope"
 
 
 class TestFakeQuantize:

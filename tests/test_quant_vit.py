@@ -5,6 +5,7 @@ import pytest
 
 from repro.quant import QuantSpec, calibrate_observers, quantize_vit
 from repro.quant.vit import _float_proj, _site_linear, _vit_forward, gemm_sites
+from repro.reference import int64_kernels
 from repro.tensor import Tensor, no_grad
 
 
@@ -113,12 +114,11 @@ class TestQuantizedModel:
             assert packed - biases <= weight_codes * bits / 8 + len(q.layers)
 
     def test_fast_path_bitwise_equals_reference(self, student_vit,
-                                                calibration_images,
-                                                monkeypatch):
+                                                calibration_images):
         q = quantize_vit(student_vit, calibration_images)
         fast = q(calibration_images[:4])
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = q(calibration_images[:4])
+        with int64_kernels():
+            reference = q(calibration_images[:4])
         for key in fast:
             if isinstance(fast[key], dict):
                 for sub in fast[key]:

@@ -263,10 +263,11 @@ class TestDetectBatch:
                                               exact=True)
 
     def test_quantized_detect_bitwise_equals_reference(self, student_vit,
-                                                       scenes, monkeypatch):
+                                                       scenes):
         """The whole detect path on BLAS kernels must reproduce the int64
-        reference path bit for bit (REPRO_QUANT_EXACT=1)."""
+        reference path bit for bit (under int64_kernels())."""
         from repro.quant import quantize_vit
+        from repro.reference import int64_kernels
 
         rng = np.random.default_rng(2)
         calibration = rng.random((16, 3, 32, 32)).astype(np.float32)
@@ -275,8 +276,8 @@ class TestDetectBatch:
         detector = TaskDetector(quantized, matcher=GraphMatcher(kg),
                                 score_threshold=0.0)
         fast = detector.detect_batch(scenes[:2])
-        monkeypatch.setenv("REPRO_QUANT_EXACT", "1")
-        reference = detector.detect_batch(scenes[:2])
+        with int64_kernels():
+            reference = detector.detect_batch(scenes[:2])
         for left, right in zip(fast, reference):
             assert [d.bbox for d in left] == [d.bbox for d in right]
             assert [d.score for d in left] == [d.score for d in right]
