@@ -24,8 +24,10 @@ not gated — with tens of scenes the specialist delta is small enough
 that held-out recovery is noise-dominated.
 
 Calibrations persist through :class:`repro.cascade.CalibrationStore`
-under the artifact registry, where ``repro cascade show`` and the
-serving path can load them.
+next to the telemetry, under ``BENCH_e13_cascade/calibrations/`` in the
+bench output directory (``repro cascade show --dir BENCH_e13_cascade``
+lists them).  A bench run never rewrites the calibrations shipped in the
+artifact registry; ``repro cascade calibrate --save`` writes those.
 
 Run standalone:
 
@@ -46,7 +48,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from benchmarks.common import (
     DECISION_THRESHOLD,
     EVAL_SEED,
-    builder,
+    bench_output_dir,
     finalize_benchmark,
     print_table,
     quantized_configuration,
@@ -60,6 +62,7 @@ from repro.cascade import (
     calibrate_margin_threshold,
     scene_cell_accuracy,
 )
+from repro.core import ModelRegistry
 from repro.data import SceneConfig, SceneGenerator, get_task
 from repro.detect import TaskDetector
 from repro.hw import AcceleratorConfig, Compiler, GPUConfig, GPUModel, Simulator
@@ -94,6 +97,12 @@ def measure_cost_ratio():
     }
 
 
+def calibration_store() -> CalibrationStore:
+    """E13's calibration store, in the bench output directory."""
+    return CalibrationStore(ModelRegistry(
+        os.path.join(bench_output_dir(), "BENCH_e13_cascade")))
+
+
 def _detector(model, task_name):
     return TaskDetector(model, matcher=task_matcher(task_name),
                         score_threshold=DECISION_THRESHOLD)
@@ -108,7 +117,7 @@ def run_experiment(smoke: bool = False):
 
     cost = measure_cost_ratio()
     ratio = cost["cost_ratio"]
-    store = CalibrationStore(builder().registry)
+    store = calibration_store()
     quantized = quantized_configuration().model
 
     calibration_rows = []
@@ -283,8 +292,8 @@ def test_e13_cascade(benchmark):
     # Smoke scenes are too few to gate recovery; check the sweep is sane.
     assert 0.0 <= gate_row["escalation"] <= 1.0
     assert gate_row["rel_cost"] <= 1.0 + 1.0 / tables["costs"][0]["cost_ratio"]
-    # The calibration must have persisted where the CLI can find it.
-    assert CalibrationStore(builder().registry).exists(GATE_TASK)
+    # The calibration must have persisted in the bench output directory.
+    assert calibration_store().exists(GATE_TASK)
 
 
 def test_e13_overload_tracing(benchmark):

@@ -6,7 +6,10 @@ implementations of the same detection math and asserts agreement:
 * ``static_paths`` — per-scene ``detect`` vs fused ``detect_batch`` vs
   the micro-batching ``DetectionEngine``, for the float and the
   quantized configuration, plus production vs
-  :func:`repro.reference.detect_reference` (loop extraction and NMS).
+  :func:`repro.reference.detect_reference` (loop extraction and NMS),
+  and the quantized forward vs
+  :func:`repro.reference.forward_full_sequence` (every token through
+  the last block, not the CLS row only).
   The quantized path must agree **bit for bit** (the exact
   BLAS kernels are batch-invariant by construction); the float path
   must agree on the kept boxes with scores equal to within a few ulps —
@@ -42,7 +45,7 @@ import numpy as np
 from repro.data.tasks import TaskDefinition
 from repro.detect.pipeline import Detection, TaskDetector
 from repro.fuzz.scenario import ScenarioSpec, ScriptedSequence
-from repro.reference import detect_reference
+from repro.reference import detect_reference, forward_full_sequence, windows_loop
 from repro.stream.sequence import FrameState
 from repro.stream.tracker import Track
 
@@ -229,7 +232,31 @@ def oracle_static_paths(spec: ScenarioSpec,
     divergences += compare_detections(
         "static_paths", "float:production_vs_reference",
         float_sequential, reference, exact=False, threshold=threshold)
-    return divergences
+    return divergences + _compare_full_sequence(ctx)
+
+
+def _compare_full_sequence(ctx: "ExecutionContext") -> List[Divergence]:
+    """The CLS-only quantized forward == the full-sequence oracle, bit
+    for bit, on every window of the scenario in one batch (a BLAS whose
+    row 0 of an attention product depended on the other rows would
+    show up here)."""
+    windows = [windows_loop(scene)[0] for scene in ctx.scenes]
+    windows = [w for w in windows if len(w)]
+    if not windows:
+        return []
+    images = np.concatenate(windows).astype(np.float32)
+    model = ctx.model_for("quantized")
+    actual, expected = model(images), forward_full_sequence(model, images)
+    pairs = [(key, actual[key], expected[key]) for key in expected
+             if key != "attributes"]
+    pairs += [(f"attributes.{name}", actual["attributes"][name], value)
+              for name, value in expected["attributes"].items()]
+    return [Divergence(
+        "static_paths",
+        f"quantized:forward_vs_full_sequence: {key} not bit-identical",
+        {"output": key, "rows": int(images.shape[0]),
+         "max_abs_diff": float(np.abs(got - want).max())})
+        for key, got, want in pairs if not np.array_equal(got, want)]
 
 
 def oracle_stream_fused(spec: ScenarioSpec,

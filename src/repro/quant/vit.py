@@ -145,7 +145,19 @@ def _vit_forward(
     projections: Mapping[str, ProjFn],
     observers: Optional[Mapping[str, Observer]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Shared ViT inference over pluggable projection kernels."""
+    """Shared ViT inference over pluggable projection kernels.
+
+    The heads read only the CLS token, so at inference (no
+    ``observers``) the last encoder block attends from the CLS row
+    alone over every token's keys and values, and its
+    ``proj``/``fc1``/``fc2`` GEMMs see ``batch`` rows instead of
+    ``batch × num_tokens``.  Every op after the attention is row-wise
+    and the integer GEMMs are exact, so the outputs are bit-identical
+    to the full-sequence forward.
+    Calibration (``observers`` given — an empty mapping runs the
+    full-sequence forward unobserved) keeps every token, so activation
+    ranges are observed over the whole sequence.
+    """
     cfg = model.config
     batch = images.shape[0]
     grid = cfg.image_size // cfg.patch_size
@@ -168,16 +180,29 @@ def _vit_forward(
     num_heads, head_dim = cfg.num_heads, cfg.dim // cfg.num_heads
     scale = 1.0 / np.sqrt(head_dim)
     seq = cfg.num_tokens
+    blocks = model.encoder.blocks
+    cls_only_block = len(blocks) - 1 if observers is None else -1
 
-    for i, block in enumerate(model.encoder.blocks):
+    for i, block in enumerate(blocks):
         normed = _layernorm(x, block.norm1.weight.data, block.norm1.bias.data)
         qkv = project(f"block{i}.qkv", normed)
         qkv = qkv.reshape(batch, seq, 3, num_heads, head_dim).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0], qkv[1], qkv[2]
         scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        attn = _softmax(scores)
-        context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, seq, cfg.dim)
+        if i == cls_only_block:
+            # Both attention GEMMs keep their full-sequence shapes (a
+            # 1-row product may take another BLAS route and round
+            # differently), and row 0 of a product reads only row 0 of
+            # its left operand.  So scale and softmax (row-local) just
+            # the CLS row; the raw rows below it are never read.
+            cls = scores[:, :, :1]
+            cls *= scale
+            scores[:, :, :1] = _softmax(cls)
+            context, x = (scores @ v)[:, :, :1], x[:, :1]
+        else:
+            scores *= scale
+            context = _softmax(scores) @ v
+        context = context.transpose(0, 2, 1, 3).reshape(batch, -1, cfg.dim)
         x += project(f"block{i}.proj", context)
 
         normed = _layernorm(x, block.norm2.weight.data, block.norm2.bias.data)

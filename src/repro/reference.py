@@ -1,18 +1,20 @@
 """Reference implementations: the readable seed code, kept as oracles.
 
-The runtime has one detection path (:class:`repro.detect.TaskDetector`)
-and one integer kernel (:class:`repro.quant.QuantizedLinear`).  The seed
-loop window builder, O(N²) NMS and int64 matmul they replaced live here,
-with :func:`int64_kernels` to run a whole model on the int64 kernel and
-:func:`detect_reference` to run detection on the loops, so tests,
-benchmarks and the fuzzer can check the fast code against them.  Nothing
-on the runtime path imports this module (a test enforces it).
+The runtime has one detection path (:class:`repro.detect.TaskDetector`),
+one integer kernel (:class:`repro.quant.QuantizedLinear`) and one
+quantized ViT forward, whose last block runs on the CLS row only.  The
+seed loop window builder, O(N²) NMS, int64 matmul and full-sequence
+forward they replaced live here, with :func:`int64_kernels` to run a
+whole model on the int64 kernel and :func:`detect_reference` to run
+detection on the loops, so tests, benchmarks and the fuzzer can check
+the fast code against them.  Nothing on the runtime path imports this
+module (a test enforces it).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +29,13 @@ from repro.detect.pipeline import (
     score_predictions,
 )
 from repro.quant.linear import QuantizedLinear
+from repro.quant.vit import QuantizedVisionTransformer, _vit_forward
 
 __all__ = [
     "windows_loop",
     "nms_reference",
     "forward_integer_reference",
+    "forward_full_sequence",
     "int64_kernels",
     "detect_reference",
 ]
@@ -98,6 +102,18 @@ def forward_integer_reference(layer: QuantizedLinear,
     if layer.bias is not None:
         y = y + layer.bias
     return y.astype(np.float32)
+
+
+def forward_full_sequence(model: QuantizedVisionTransformer,
+                          images: np.ndarray) -> Dict[str, np.ndarray]:
+    """The quantized forward with every token through every block.
+
+    Production runs the last encoder block on the CLS row only; this is
+    its bit-exactness oracle.  It is the calibration forward with no
+    observers attached, on the same integer kernels.
+    """
+    return _vit_forward(model.model, np.asarray(images, np.float32),
+                        model.layers, observers={})
 
 
 @contextlib.contextmanager

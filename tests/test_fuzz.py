@@ -167,7 +167,8 @@ class TestShrinker:
 # corpus + oracle agreement
 # ----------------------------------------------------------------------
 BUG_CASES = ("bug_zero_cells", "bug_stale_aging", "bug_fused_aliasing",
-             "bug_early_death_metrics", "bug_stale_specialist_graph")
+             "bug_early_death_metrics", "bug_stale_specialist_graph",
+             "bug_cls_only_gemv")
 
 
 class TestCorpus:

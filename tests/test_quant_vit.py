@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data.scenes import SceneConfig, SceneGenerator
 from repro.quant import QuantSpec, calibrate_observers, quantize_vit
+from repro.quant import vit as quant_vit
 from repro.quant.vit import _float_proj, _site_linear, _vit_forward, gemm_sites
-from repro.reference import int64_kernels
+from repro.reference import forward_full_sequence, int64_kernels, windows_loop
 from repro.tensor import Tensor, no_grad
 
 
@@ -227,3 +229,82 @@ class TestScratchArena:
             for name, buf in arenas[4][site].items():
                 if buf is not None:
                     assert not np.shares_memory(buf, arenas[9][site][name])
+
+
+@pytest.fixture(scope="module")
+def scene_windows():
+    """Every window of one grid-3, one grid-6 and one grid-16 scene
+    (9 + 36 + 256 rows), in that order."""
+    windows = []
+    for grid in (3, 6, 16):
+        [scene] = SceneGenerator(SceneConfig(grid=grid),
+                                 seed=grid).generate_batch(1)
+        windows.append(windows_loop(scene)[0])
+    return np.concatenate(windows).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def scene_quantized(student_vit, scene_windows):
+    return quantize_vit(student_vit, scene_windows[::4])
+
+
+def _last_block_sites(model):
+    last = model.config.depth - 1
+    return [f"block{last}.{layer}" for layer in ("proj", "fc1", "fc2")]
+
+
+class TestClsOnlyLastBlock:
+    """The last encoder block runs on the CLS row only at inference."""
+
+    @pytest.mark.parametrize("rows", [1, 9, 36, 256, 288])
+    def test_bit_equal_to_full_sequence(self, scene_quantized,
+                                        scene_windows, rows):
+        images = scene_windows[:rows]
+        _assert_outputs_equal(scene_quantized(images),
+                              forward_full_sequence(scene_quantized, images))
+
+    def test_last_block_kernels_see_one_row_per_image(
+            self, scene_quantized, scene_windows, monkeypatch):
+        seen = {}
+        for site, kernel in list(scene_quantized._projections.items()):
+            def record(x, site=site, kernel=kernel):
+                seen[site] = int(np.prod(x.shape[:-1]))
+                return kernel(x)
+            monkeypatch.setitem(scene_quantized._projections, site, record)
+        batch = 9
+        scene_quantized(scene_windows[:batch])
+        tokens = scene_quantized.config.num_tokens
+        last_block = _last_block_sites(scene_quantized)
+        for site in last_block:
+            assert seen[site] == batch
+        for site, rows in seen.items():
+            if site.startswith("block") and site not in last_block:
+                assert rows == batch * tokens, site
+
+    def test_calibration_observes_every_token(self, student_vit,
+                                              scene_windows, monkeypatch):
+        created = []
+        make_observer = quant_vit.make_observer
+
+        def recording_observer(kind, spec):
+            observer = make_observer(kind, spec)
+            observer.rows = []
+            observe = observer.observe
+
+            def record(x):
+                observer.rows.append(int(np.prod(x.shape[:-1])))
+                observe(x)
+
+            observer.observe = record
+            created.append(observer)
+            return observer
+
+        monkeypatch.setattr(quant_vit, "make_observer", recording_observer)
+        batch = 9
+        calibrate_observers(student_vit, scene_windows[:batch])
+        sites = gemm_sites(student_vit.config.depth,
+                           student_vit.attribute_names)
+        by_site = dict(zip(sites, created))
+        tokens = student_vit.config.num_tokens
+        for site in _last_block_sites(student_vit):
+            assert by_site[site].rows == [batch * tokens]
