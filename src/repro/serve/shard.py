@@ -21,10 +21,20 @@ module shards the tier across **processes**:
   the child, **never pickled across** — and serves them through an
   ordinary per-mission :class:`DetectionEngine`, so the micro-batching,
   tracing, and shedding semantics inside a shard are exactly PR 4's.
-* Transport is a pair of one-way :func:`multiprocessing.Pipe`\\ s per
-  shard carrying pickled scene batches; request identity crosses as the
-  :func:`repro.obs.context.context_to_wire` wire format, so spans
-  recorded in the worker join the submitter's trace tree by trace id.
+* Scene images cross through shared memory, not the pipe.  Each shard
+  owns one :class:`_SlotArena`: fixed-size slots in an unlinked
+  ``memfd`` that the worker inherits, one slot per scene a worker can
+  hold (``engine.queue_size + engine.max_batch * engine.workers``).
+  The shard's dispatcher copies ``scene.image`` into a free slot and
+  sends ``(slot, shape, dtype)`` plus the small pickled rest of the
+  scene down a one-way :func:`multiprocessing.Pipe`; the worker builds
+  its scene around a read-only view of the slot.  The slot is free
+  again when the job's reply arrives or the worker dies.  Results,
+  probes and snapshots travel the reverse pipe pickled.  Request
+  identity crosses as the :func:`repro.obs.context.context_to_wire`
+  wire format, so spans recorded in the worker join the submitter's
+  trace tree by trace id; ``shard.slot_wait``, ``shard.dispatch`` and
+  ``shard.receive`` split a request's transport into named parts.
 * Each worker installs a **fresh** :class:`repro.obs.Registry` (a forked
   registry would double-count the parent's history) and can expose its
   own :class:`repro.obs.MetricsServer` on an ephemeral port; the
@@ -43,7 +53,9 @@ jobs (their futures complete normally), rejects everything later with
 redistributes that shard's queued-but-undispatched jobs to live shards
 — no future is ever dropped.  A worker that dies uncleanly has its
 pending and queued jobs rerouted the same way; only when no live shard
-remains do futures fail with :class:`ShardClosed`.
+remains do futures fail with :class:`ShardClosed`.  ``close()`` never
+leaves a process behind: a worker that does not exit within its grace
+period is sent SIGTERM, then SIGKILL, and joined.
 
 Determinism: routing is a pure hash of the mission fingerprint, shards
 serve disjoint missions, and per-shard results come from the same
@@ -63,6 +75,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import mmap
 import multiprocessing
 import os
 import queue
@@ -70,9 +83,12 @@ import signal
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing import reduction
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
+
+import numpy as np
 
 from repro.obs import get_registry
 from repro.obs.context import (
@@ -226,6 +242,144 @@ class TaskSessionFactory:
 
 
 # ----------------------------------------------------------------------
+# Scene slots
+# ----------------------------------------------------------------------
+class _SlotArena:
+    """One shard's scene slots: ``count`` equal slots in one unlinked
+    ``memfd`` file.
+
+    The front-end creates the arena before the shard's worker starts;
+    ``fork`` inherits the descriptor, and under ``spawn`` pickling hands
+    it over with :class:`multiprocessing.reduction.DupFd`, as
+    :class:`multiprocessing.heap.Arena` does.  Nothing is named, so no
+    helper process tracks it and the kernel frees the memory when the
+    last descriptor and mapping close, crash or not.
+
+    Front-end side: :meth:`acquire` pops a free slot, most recently
+    freed first, so warm pages are reused and resident memory follows
+    the scenes in flight; :meth:`write` copies an image in and
+    :meth:`release` frees the slot.  The slot size grows to fit the
+    largest image seen — ``ftruncate`` plus a remap — only while no slot
+    is held, so no live view ever spans a remap.  Worker side:
+    :meth:`view` maps the file read-only and returns a slot as an array.
+    """
+
+    def __init__(self, count: int, fd: Optional[int] = None) -> None:
+        self.count = count
+        self.fd = (os.memfd_create("repro-shard-slots", os.MFD_CLOEXEC)
+                   if fd is None else fd)
+        self.slot_bytes = 0
+        self._map: Optional[mmap.mmap] = None
+        self._free = list(range(count - 1, -1, -1))
+        self._cond = threading.Condition()
+        self._interrupted = False
+
+    def __reduce__(self):
+        return _attach_arena, (self.count, reduction.DupFd(self.fd))
+
+    # -- front-end -----------------------------------------------------
+    @property
+    def held(self) -> int:
+        """Slots currently holding a scene."""
+        with self._cond:
+            return self.count - len(self._free)
+
+    def acquire(self, nbytes: int) -> Optional[int]:
+        """A free slot of at least ``nbytes``, growing the slots first
+        if they are smaller.  Blocks until one is free (and, to grow,
+        until all are); ``None`` once :meth:`interrupt` was called."""
+        nbytes = max(1, nbytes)  # even an empty image needs a mapping
+        with self._cond:
+            while not self._interrupted:
+                if nbytes <= self.slot_bytes:
+                    if self._free:
+                        return self._free.pop()
+                elif len(self._free) == self.count:
+                    self._grow(nbytes)
+                    return self._free.pop()
+                self._cond.wait()
+            return None
+
+    def _grow(self, nbytes: int) -> None:
+        slot_bytes = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        if self._map is not None:
+            self._map.close()
+        os.ftruncate(self.fd, slot_bytes * self.count)
+        self._map = mmap.mmap(self.fd, slot_bytes * self.count)
+        self.slot_bytes = slot_bytes
+
+    def write(self, slot: int, image: np.ndarray) -> None:
+        target = np.frombuffer(self._map, dtype=image.dtype, count=image.size,
+                               offset=slot * self.slot_bytes)
+        np.copyto(target.reshape(image.shape), image)
+
+    def release(self, slot: int) -> None:
+        with self._cond:
+            self._free.append(slot)
+            self._cond.notify_all()
+
+    def interrupt(self) -> None:
+        """Wake every :meth:`acquire` for good: the shard stopped
+        taking jobs (it drains, died or the router closes)."""
+        with self._cond:
+            self._interrupted = True
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        self.interrupt()
+        if self._map is not None:
+            self._map.close()
+            self._map = None
+        os.close(self.fd)
+
+    # -- worker --------------------------------------------------------
+    def view(self, slot: int, slot_bytes: int, shape: Tuple[int, ...],
+             dtype: str) -> np.ndarray:
+        """Read-only array over one slot, remapping first when the
+        front-end grew the slots since the last job."""
+        if slot_bytes != self.slot_bytes:
+            # The old mapping is unmapped once its last view is gone.
+            self._map = mmap.mmap(self.fd, 0, prot=mmap.PROT_READ)
+            self.slot_bytes = slot_bytes
+        return np.frombuffer(self._map, dtype=dtype,
+                             count=int(np.prod(shape)),
+                             offset=slot * slot_bytes).reshape(shape)
+
+
+def _attach_arena(count: int, dup_fd: Any) -> _SlotArena:
+    return _SlotArena(count, dup_fd.detach())
+
+
+# ----------------------------------------------------------------------
+# Worker shutdown
+# ----------------------------------------------------------------------
+#: Seconds ``close()`` lets the workers finish before SIGTERM, and the
+#: seconds SIGTERM gets before SIGKILL.
+_EXIT_GRACE_S = 30.0
+_TERM_GRACE_S = 5.0
+
+
+def _stop_processes(processes: Sequence[Any], grace_s: float) -> None:
+    """Join every process within ``grace_s``; SIGTERM the ones still
+    running, then SIGKILL and join the ones SIGTERM did not end.  A
+    worker turns SIGTERM into a drain request, so a worker stuck in a
+    batch only ends on SIGKILL."""
+    deadline = time.monotonic() + grace_s
+    for process in processes:
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+    alive = [process for process in processes if process.is_alive()]
+    for process in alive:
+        process.terminate()
+    deadline = time.monotonic() + _TERM_GRACE_S
+    for process in alive:
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+    for process in alive:
+        if process.is_alive():
+            process.kill()
+            process.join()
+
+
+# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 def _json_roundtrip(doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -307,25 +461,27 @@ def _limit_blas_threads(threads: int) -> Dict[str, int]:
 
 def _shard_worker_main(conn_recv, conn_send, shard_index: int,
                        config: ShardConfig,
-                       factory: Callable[[str], Any]) -> None:
+                       factory: Callable[[str], Any], arena: _SlotArena,
+                       foreign_fds: Sequence[int]) -> None:
     """Entry point of one shard worker process.
 
-    Bootstrap order matters: install a fresh registry (the forked one
-    carries the parent's accumulated metrics, which would double-count
-    in merged snapshots, and locks whose fork-time state is not
-    guaranteed clean), reseed ``np.random`` process-uniquely, size the
-    BLAS pools to this worker's CPU share before any model is built,
+    Bootstrap order matters: close the other shards' arenas a fork
+    inherited (``foreign_fds``), install a fresh registry (the forked
+    one carries the parent's accumulated metrics, which would
+    double-count in merged snapshots, and locks whose fork-time state is
+    not guaranteed clean), reseed ``np.random`` process-uniquely, size
+    the BLAS pools to this worker's CPU share before any model is built,
     then announce readiness with the metrics endpoint, and serve.
 
     Every forked worker would otherwise inherit OpenBLAS's
     one-thread-per-core default, so N shards on N cores would run N²
     compute threads that contend instead of overlapping.
     """
-    import numpy as np
-
     from repro.obs import Registry, install_registry
     from repro.obs.export import MetricsServer, mergeable_snapshot
 
+    for fd in foreign_fds:
+        os.close(fd)
     drain_flag = threading.Event()
     # The handler only sets a flag: sending on the pipe from signal
     # context could re-enter a send already in progress on this thread.
@@ -428,16 +584,21 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
         else:
             send(("probe_result", probe_id, payload))
 
-    def handle_job(job_id: int, mission: str, scene, stride,
-                   ctx_wire) -> None:
+    def handle_job(received_s: float, job_id: int, mission: str,
+                   where: Tuple[int, int, Tuple[int, ...], str], shell,
+                   stride, ctx_wire) -> None:
         if draining:
             reject(job_id)
             return
         try:
+            ctx = context_from_wire(ctx_wire)
+            scene = dataclasses.replace(shell, image=arena.view(*where))
+            if registry.enabled:
+                registry.record_span(
+                    "shard.receive", received_s, time.perf_counter(),
+                    trace_id=ctx.trace_id if ctx is not None else None)
             engine = engine_for(mission)
-            future = engine.submit(
-                scene, stride=stride, block=True,
-                ctx=context_from_wire(ctx_wire))
+            future = engine.submit(scene, stride=stride, block=True, ctx=ctx)
         except Exception as exc:
             send(("error", job_id, _picklable_exc(exc)))
             return
@@ -458,13 +619,14 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
                 begin_drain()
             if not conn_recv.poll(0.05):
                 continue
+            received_s = time.perf_counter()
             try:
                 msg = conn_recv.recv()
             except (EOFError, OSError):
                 break
             kind = msg[0]
             if kind == "job":
-                handle_job(*msg[1:])
+                handle_job(received_s, *msg[1:])
             elif kind == "probe":
                 handle_probe(*msg[1:])
             elif kind == "close":
@@ -485,7 +647,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
 # ----------------------------------------------------------------------
 class _ShardJob:
     __slots__ = ("job_id", "mission", "scene", "stride", "ctx_wire",
-                 "future", "primary", "tenant")
+                 "future", "primary", "tenant", "slot")
 
     def __init__(self, job_id: int, mission: str, scene: "Scene",
                  stride: Optional[int], ctx_wire: Optional[dict],
@@ -498,6 +660,11 @@ class _ShardJob:
         self.future: "Future[List[Detection]]" = Future()
         self.primary = primary
         self.tenant = tenant
+        self.slot: Optional[int] = None  # held in the dispatching shard's arena
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self.ctx_wire["trace_id"] if self.ctx_wire else None
 
 
 _STOP = object()
@@ -506,9 +673,10 @@ _STOP = object()
 class _WorkerHandle:
     """Front-end bookkeeping for one shard worker."""
 
-    def __init__(self, index: int, queue_size: int) -> None:
+    def __init__(self, index: int, queue_size: int, slots: int) -> None:
         self.index = index
         self.queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)
+        self.arena = _SlotArena(slots)
         self.pending: Dict[int, _ShardJob] = {}
         self.probes: Dict[int, Future] = {}
         self.lock = threading.Lock()
@@ -534,6 +702,20 @@ class _WorkerHandle:
                 return True
             except (OSError, BrokenPipeError, ValueError):
                 return False
+
+    def take_pending(self, job_id: int) -> Optional[_ShardJob]:
+        """Pop a dispatched job and free its slot."""
+        with self.lock:
+            job = self.pending.pop(job_id, None)
+        if job is not None and job.slot is not None:
+            self.arena.release(job.slot)
+            job.slot = None
+        return job
+
+    def take_all_pending(self) -> List[_ShardJob]:
+        with self.lock:
+            ids = list(self.pending)
+        return [job for job in map(self.take_pending, ids) if job is not None]
 
 
 class ShardRouter:
@@ -564,31 +746,46 @@ class ShardRouter:
                       multiprocessing.get_all_start_methods() else None)
         mp_ctx = multiprocessing.get_context(method)
 
-        self._handles = [_WorkerHandle(i, self.config.queue_size)
-                         for i in range(self.config.num_shards)]
+        # One slot per scene a worker can hold: its engine's queue plus
+        # a full batch on every engine thread.
+        engine = self.config.engine
+        slots = engine.queue_size + engine.max_batch * engine.workers
+        self._handles: List[_WorkerHandle] = []
         # Spawn EVERY process before starting ANY parent thread: forking
         # while a parent thread holds the registry (or a pipe) lock
         # would hand the child a lock that is never released.
-        for handle in self._handles:
-            to_worker_r, to_worker_w = mp_ctx.Pipe(duplex=False)
-            to_parent_r, to_parent_w = mp_ctx.Pipe(duplex=False)
-            process = mp_ctx.Process(
-                target=_shard_worker_main,
-                args=(to_worker_r, to_parent_w, handle.index,
-                      self.config, factory),
-                name=f"repro-shard-{handle.index}",
-                daemon=True,
-            )
-            process.start()
-            # Close the worker's ends in the parent so worker death
-            # surfaces as EOF on conn_recv instead of a silent hang.
-            to_worker_r.close()
-            to_parent_w.close()
-            handle.process = process
-            handle.conn_send = to_worker_w
-            handle.conn_recv = to_parent_r
-
-        self._await_ready()
+        try:
+            for index in range(self.config.num_shards):
+                # A forked worker inherits the arenas made before its
+                # own; it closes them first thing.
+                foreign = ([h.arena.fd for h in self._handles]
+                           if mp_ctx.get_start_method() == "fork" else [])
+                handle = _WorkerHandle(index, self.config.queue_size, slots)
+                self._handles.append(handle)
+                to_worker_r, to_worker_w = mp_ctx.Pipe(duplex=False)
+                to_parent_r, to_parent_w = mp_ctx.Pipe(duplex=False)
+                handle.conn_send = to_worker_w
+                handle.conn_recv = to_parent_r
+                process = mp_ctx.Process(
+                    target=_shard_worker_main,
+                    args=(to_worker_r, to_parent_w, handle.index,
+                          self.config, factory, handle.arena, foreign),
+                    name=f"repro-shard-{handle.index}",
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    # Close the worker's ends in the parent so worker
+                    # death surfaces as EOF on conn_recv, not a hang.
+                    to_worker_r.close()
+                    to_parent_w.close()
+                handle.process = process
+            self._await_ready()
+        except BaseException:
+            _stop_processes(self._processes(), grace_s=0.0)
+            self._release_handles()
+            raise
 
         for handle in self._handles:
             handle.dispatcher = threading.Thread(
@@ -603,31 +800,37 @@ class ShardRouter:
     # -- bootstrap -----------------------------------------------------
     def _await_ready(self) -> None:
         deadline = time.monotonic() + self.config.ready_timeout_s
-        try:
-            for handle in self._handles:
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        raise TimeoutError(
-                            f"shard {handle.index} not ready within "
-                            f"{self.config.ready_timeout_s:.0f}s")
-                    if handle.conn_recv.poll(min(remaining, 0.2)):
-                        msg = handle.conn_recv.recv()
-                        if msg[0] != "ready":
-                            raise RuntimeError(
-                                f"shard {handle.index} sent {msg[0]!r} "
-                                "before ready")
-                        handle.info = msg[1]
-                        break
-                    if not handle.process.is_alive():
+        for handle in self._handles:
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    raise TimeoutError(
+                        f"shard {handle.index} not ready within "
+                        f"{self.config.ready_timeout_s:.0f}s")
+                if handle.conn_recv.poll(min(remaining, 0.2)):
+                    msg = handle.conn_recv.recv()
+                    if msg[0] != "ready":
                         raise RuntimeError(
-                            f"shard {handle.index} died during bootstrap "
-                            f"(exitcode {handle.process.exitcode})")
-        except BaseException:
-            for handle in self._handles:
-                if handle.process is not None and handle.process.is_alive():
-                    handle.process.terminate()
-            raise
+                            f"shard {handle.index} sent {msg[0]!r} "
+                            "before ready")
+                    handle.info = msg[1]
+                    break
+                if not handle.process.is_alive():
+                    raise RuntimeError(
+                        f"shard {handle.index} died during bootstrap "
+                        f"(exitcode {handle.process.exitcode})")
+
+    def _processes(self) -> List[Any]:
+        return [handle.process for handle in self._handles
+                if handle.process is not None]
+
+    def _release_handles(self) -> None:
+        """Close every arena and pipe end the front-end holds."""
+        for handle in self._handles:
+            handle.arena.close()
+            for conn in (handle.conn_send, handle.conn_recv):
+                if conn is not None:
+                    conn.close()
 
     # -- routing -------------------------------------------------------
     @property
@@ -677,6 +880,10 @@ class ShardRouter:
         """
         if self._closed:
             raise ShardClosed("router is closed")
+        if not (dataclasses.is_dataclass(scene)
+                and isinstance(getattr(scene, "image", None), np.ndarray)):
+            raise TypeError("a scene must be a dataclass with an ndarray "
+                            f"image, got {type(scene).__name__}")
         if ctx is None:
             ctx = current_context()
         if tenant is None and ctx is not None:
@@ -744,22 +951,46 @@ class ShardRouter:
 
     # -- dispatcher / reader threads -----------------------------------
     def _dispatch_loop(self, handle: _WorkerHandle) -> None:
+        arena = handle.arena
         while True:
             item = handle.queue.get()
             if item is _STOP:
                 return
-            if not handle.live:
+            image = item.scene.image
+            waited_s = time.perf_counter()
+            slot = arena.acquire(image.nbytes) if handle.live else None
+            if slot is None:  # the shard drains, died or closes
                 self._reroute(item, exclude=handle.index)
                 continue
+            copied_s = time.perf_counter()
+            try:
+                arena.write(slot, image)
+                message = (
+                    "job", item.job_id, item.mission,
+                    (slot, arena.slot_bytes, image.shape, image.dtype.str),
+                    dataclasses.replace(item.scene, image=None),
+                    item.stride, item.ctx_wire)
+            except Exception as exc:  # fail the job, keep dispatching
+                arena.release(slot)
+                if not item.future.done():
+                    item.future.set_exception(exc)
+                continue
+            item.slot = slot
             with handle.lock:
                 handle.pending[item.job_id] = item
-            sent = handle.send(("job", item.job_id, item.mission,
-                                item.scene, item.stride, item.ctx_wire))
+            sent = handle.send(message)
+            registry = get_registry()
+            if registry.enabled:
+                registry.record_span("shard.slot_wait", waited_s, copied_s,
+                                     trace_id=item.trace_id)
+                registry.record_span("shard.dispatch", copied_s,
+                                     time.perf_counter(),
+                                     trace_id=item.trace_id)
             if not sent:
                 handle.dead = True
-                with handle.lock:
-                    handle.pending.pop(item.job_id, None)
-                self._reroute(item, exclude=handle.index)
+                arena.interrupt()
+                if handle.take_pending(item.job_id) is not None:
+                    self._reroute(item, exclude=handle.index)
 
     def _read_loop(self, handle: _WorkerHandle) -> None:
         while True:
@@ -769,21 +1000,22 @@ class ShardRouter:
                 break
             kind = msg[0]
             if kind == "result":
-                job = self._take_pending(handle, msg[1])
+                job = handle.take_pending(msg[1])
                 if job is not None and not job.future.done():
                     job.future.set_result(msg[2])
             elif kind == "error":
-                job = self._take_pending(handle, msg[1])
+                job = handle.take_pending(msg[1])
                 if job is not None and not job.future.done():
                     job.future.set_exception(msg[2])
             elif kind == "rejected":
                 # The worker is draining: this job never entered an
                 # engine there, so another shard may serve it.
-                job = self._take_pending(handle, msg[1])
+                job = handle.take_pending(msg[1])
                 if job is not None:
                     self._reroute(job, exclude=handle.index)
             elif kind == "draining":
                 handle.draining = True
+                handle.arena.interrupt()
                 self._redistribute_queue(handle)
             elif kind == "probe_result":
                 self._take_probe(handle, msg[1], result=msg[2])
@@ -791,11 +1023,12 @@ class ShardRouter:
                 self._take_probe(handle, msg[1], error=msg[2])
             elif kind == "closed":
                 handle.final_snapshot = msg[1]
-        # EOF: the worker is gone.  Reroute everything it still owed.
+        # EOF: the worker is gone.  Free its slots and reroute
+        # everything it still owed.
         handle.dead = True
+        handle.arena.interrupt()
+        orphans = handle.take_all_pending()
         with handle.lock:
-            orphans = list(handle.pending.values())
-            handle.pending.clear()
             probes = list(handle.probes.values())
             handle.probes.clear()
         for probe in probes:
@@ -805,11 +1038,6 @@ class ShardRouter:
         for job in orphans:
             self._reroute(job, exclude=handle.index)
         self._redistribute_queue(handle)
-
-    def _take_pending(self, handle: _WorkerHandle,
-                      job_id: int) -> Optional[_ShardJob]:
-        with handle.lock:
-            return handle.pending.pop(job_id, None)
 
     def _take_probe(self, handle: _WorkerHandle, probe_id: int,
                     result: Any = None, error: Any = None) -> None:
@@ -959,25 +1187,19 @@ class ShardRouter:
                 time.sleep(0.01)
         for handle in self._handles:
             handle.send(("close",))
+        _stop_processes(self._processes(), grace_s=_EXIT_GRACE_S)
         for handle in self._handles:
-            if handle.process is not None:
-                handle.process.join(timeout=30.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=5.0)
-        for handle in self._handles:
+            handle.arena.interrupt()
             handle.queue.put(_STOP)
         for handle in self._handles:
             if handle.dispatcher is not None:
                 handle.dispatcher.join(timeout=5.0)
             if handle.reader is not None:
                 handle.reader.join(timeout=5.0)
+        self._release_handles()
         # Anything still queued or pending has no worker left.
         for handle in self._handles:
-            with handle.lock:
-                orphans = list(handle.pending.values())
-                handle.pending.clear()
-            for job in orphans:
+            for job in handle.take_all_pending():
                 if not job.future.done():
                     job.future.set_exception(
                         ShardClosed("router closed before scene was served"))

@@ -22,9 +22,17 @@ Covers the multi-process refactor of the serving stack:
   a single-process run of the same workload.
 """
 
+import dataclasses
+import glob
+import hashlib
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 import urllib.request
 
@@ -39,6 +47,7 @@ from repro.data import (
     get_task,
 )
 from repro.data.datasets import num_classes
+from repro.data.scenes import Scene
 from repro.detect import TaskDetector
 from repro.kg import GraphMatcher, SimulatedLLM
 from repro.nn import VisionTransformer, ViTConfig
@@ -132,6 +141,61 @@ class SlowEchoSessionFactory:
 
     def __call__(self, mission: str):
         return SlowEchoSession(self.delay_s)
+
+
+class SlowQuantizedSessionFactory:
+    """The quantized detector behind a fixed delay per batch, so a batch
+    is reliably in flight when a test kills its worker."""
+
+    def __init__(self, delay_s: float) -> None:
+        self.delay_s = delay_s
+
+    def __call__(self, mission: str):
+        return SlowEchoDetectorSession(
+            build_quantized_detector(mission.split(":", 1)[0]), self.delay_s)
+
+
+class SlowEchoDetectorSession(DetectorSession):
+    def __init__(self, detector: TaskDetector, delay_s: float) -> None:
+        super().__init__(detector)
+        self.delay_s = delay_s
+
+    def detect_batch(self, scenes, stride=None):
+        time.sleep(self.delay_s)
+        return super().detect_batch(scenes, stride=stride)
+
+
+class InspectSession:
+    """Reports what the worker received: the image's digest, shape and
+    dtype, whether the array is writeable, and whether a write was
+    refused."""
+
+    def detect_batch(self, scenes, stride=None):
+        reports = []
+        for scene in scenes:
+            image = scene.image
+            try:
+                image.flat[0] = 0
+                refused = False
+            except ValueError:
+                refused = True
+            reports.append([{
+                "sha": hashlib.sha256(image.tobytes()).hexdigest(),
+                "shape": image.shape,
+                "dtype": image.dtype.str,
+                "writeable": bool(image.flags.writeable),
+                "write_refused": refused,
+            }])
+        return reports
+
+
+class InspectSessionFactory:
+    def __call__(self, mission: str):
+        return InspectSession()
+
+
+def digest(scene) -> str:
+    return hashlib.sha256(scene.image.tobytes()).hexdigest()
 
 
 def mission_for_shard(target: int, num_shards: int,
@@ -403,13 +467,18 @@ class TestLifecycle:
             # front-end before the draining announcement arrived.  The
             # worker must reject it (engine.rejected) and the router
             # must reroute it to a live shard instead of dropping it.
+            # The draining worker rejects before it reads the slot, so
+            # the message may name any slot of the arena.
             handle = router._handles[0]
             raced = _ShardJob(1_000_000, mission, scenes[0], None, None,
                               0, None)
+            image = scenes[0].image
             with handle.lock:
                 handle.pending[raced.job_id] = raced
-            assert handle.send(("job", raced.job_id, mission, scenes[0],
-                                None, None))
+            assert handle.send((
+                "job", raced.job_id, mission,
+                (0, handle.arena.slot_bytes, image.shape, image.dtype.str),
+                dataclasses.replace(scenes[0], image=None), None, None))
 
             # New submits route around the draining shard.
             later = [router.submit(scenes[i % len(scenes)], mission)
@@ -443,9 +512,10 @@ class TestLifecycle:
         shed_before = registry.counters.get("shard.rejected")
         shed_before = shed_before.value if shed_before else 0
         # One shard, depth-1 queues everywhere, slow batches, and fat
-        # payloads so the pipe buffer fills: backpressure must surface
-        # as ShardRejected on a non-blocking submit, not as loss.
-        payload = np.zeros(100_000, dtype=np.uint8)
+        # scenes: once the worker's slots are taken the dispatcher
+        # waits, the front-end queue fills, and backpressure must
+        # surface as ShardRejected on a non-blocking submit, not as loss.
+        payload = Scene(np.zeros(100_000, dtype=np.uint8), [], 1, 1)
         engine = EngineConfig(max_batch=1, flush_ms=1.0, workers=1,
                               queue_size=1)
         accepted, shed = [], False
@@ -489,6 +559,434 @@ class TestLifecycle:
         assert router.closed
         with pytest.raises(ShardClosed):
             router.submit(scenes[0], TASK)
+
+
+# ----------------------------------------------------------------------
+# Scene slots: shared-memory transport
+# ----------------------------------------------------------------------
+def script_env() -> dict:
+    """Environment of a child interpreter that imports ``repro`` and
+    this module."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_script(script: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], env=script_env(),
+                          capture_output=True, text=True, **kwargs)
+
+
+SPAWN_SCRIPT = textwrap.dedent("""
+    from repro.data import SceneConfig, SceneGenerator
+    from test_serve_shard import TASK, digest, inspect_router
+
+    scenes = SceneGenerator(SceneConfig(grid=2), seed=11).generate_batch(2)
+    with inspect_router(start_method="spawn") as router:
+        reports = router.detect_many(scenes, TASK)
+    print("served")
+    if [r[0]["sha"] for r in reports] == [digest(s) for s in scenes]:
+        print("bit-equal")
+""")
+
+
+def inspect_router(**overrides) -> ShardRouter:
+    config = ShardConfig(
+        num_shards=overrides.pop("num_shards", 1),
+        engine=EngineConfig(max_batch=2, flush_ms=1.0, workers=1,
+                            queue_size=2),
+        start_method=overrides.pop("start_method", "fork"), **overrides)
+    return ShardRouter(InspectSessionFactory(), config)
+
+
+class TestSlotArena:
+    """The front-end half of the arena, driven in-process."""
+
+    def test_concurrent_holders_never_share_a_slot(self):
+        from repro.serve.shard import _SlotArena
+
+        arena = _SlotArena(3)
+        problems = []
+
+        def hold(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                # Mixed sizes: a larger one waits until every slot is
+                # free, then grows them.
+                nbytes = int(rng.choice([64, 9000, 20000]))
+                slot = arena.acquire(nbytes)
+                mine = np.full(nbytes, seed, np.uint8)
+                arena.write(slot, mine)
+                time.sleep(0)
+                seen = np.frombuffer(arena._map, np.uint8, nbytes,
+                                     slot * arena.slot_bytes)
+                if not np.array_equal(seen, mine):
+                    problems.append((seed, slot))
+                del seen
+                arena.release(slot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold, args=(seed,))
+                       for seed in range(1, 7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert problems == []
+        assert arena.held == 0
+        assert arena.slot_bytes >= 20000
+        arena.close()
+
+    def test_most_recently_freed_slot_is_reused_first(self):
+        from repro.serve.shard import _SlotArena
+
+        arena = _SlotArena(4)
+        slots = [arena.acquire(10) for _ in range(3)]
+        assert slots == [0, 1, 2]
+        arena.release(1)
+        arena.release(0)
+        assert arena.acquire(10) == 0
+        assert arena.acquire(10) == 1
+        arena.close()
+
+    def test_interrupt_wakes_a_blocked_acquire(self):
+        from repro.serve.shard import _SlotArena
+
+        arena = _SlotArena(1)
+        assert arena.acquire(10) == 0
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(arena.acquire(10)))
+        waiter.start()
+        time.sleep(0.05)
+        assert waiter.is_alive()
+        arena.interrupt()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert got == [None]
+        arena.close()
+
+
+@fork_only
+class TestSceneSlots:
+    def test_slot_count_is_derived_from_the_engine_config(self):
+        with inspect_router() as router:
+            # queue_size + max_batch * workers: the most one worker holds.
+            assert router._handles[0].arena.count == 2 + 2 * 1
+
+    def test_worker_view_is_read_only_and_bit_equal(self, scenes):
+        with inspect_router() as router:
+            reports = router.detect_many(scenes, TASK)
+        for scene, [report] in zip(scenes, reports):
+            assert report["sha"] == digest(scene)
+            assert report["shape"] == scene.image.shape
+            assert report["dtype"] == scene.image.dtype.str
+            assert not report["writeable"]
+            assert report["write_refused"]
+
+    def test_larger_scene_grows_the_slots(self, scenes):
+        large = SceneGenerator(SceneConfig(grid=4), seed=12).generate_batch(2)
+        with inspect_router() as router:
+            arena = router._handles[0].arena
+            router.detect_many(scenes, TASK)
+            small_bytes = arena.slot_bytes
+            assert small_bytes >= scenes[0].image.nbytes
+            reports = router.detect_many(large + scenes, TASK)
+            assert arena.slot_bytes >= large[0].image.nbytes > small_bytes
+            assert arena.held == 0
+        assert [r[0]["sha"] for r in reports] == [
+            digest(scene) for scene in large + scenes]
+
+    def test_larger_scene_is_served_bit_equal_to_sequential(
+            self, quantized_router, scenes, reference_detector):
+        large = SceneGenerator(SceneConfig(grid=3), seed=13).generate_batch(2)
+        arena = quantized_router._handles[quantized_router.shard_for(TASK)].arena
+        quantized_router.detect_many(scenes, TASK)
+        small_bytes = arena.slot_bytes
+        results = quantized_router.detect_many(large, TASK)
+        assert arena.slot_bytes > small_bytes
+        reference = [reference_detector.detect(scene) for scene in large]
+        assert any(len(dets) > 0 for dets in reference)
+        assert_detections_bit_equal(reference, results)
+
+    def test_in_flight_scenes_never_exceed_the_slot_count(self, scenes):
+        engine = EngineConfig(max_batch=2, flush_ms=1.0, workers=1,
+                              queue_size=2)
+        with echo_router(0.1, engine=engine, num_shards=1,
+                         queue_size=32) as router:
+            handle = router._handles[0]
+            futures = [router.submit(scenes[i % len(scenes)], TASK)
+                       for i in range(16)]
+            most = 0
+            while not all(future.done() for future in futures):
+                with handle.lock:
+                    most = max(most, len(handle.pending))
+                time.sleep(0.002)
+            assert all(future.result() == [] for future in futures)
+            # The cap binds: the worker held exactly as many scenes as
+            # it has slots, never more.
+            assert most == handle.arena.count == 4
+            assert handle.arena.held == 0
+
+    def test_spawned_worker_receives_its_arena(self):
+        # In a child interpreter: spawning starts multiprocessing's
+        # resource_tracker, which must not outlive this test.
+        done = run_script(SPAWN_SCRIPT, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["served", "bit-equal"]
+
+    def test_submit_rejects_a_scene_without_an_image(self):
+        with echo_router() as router:
+            with pytest.raises(TypeError):
+                router.submit(np.zeros(4), TASK)
+
+    def test_empty_image_is_served(self):
+        empty = SceneGenerator(SceneConfig(grid=0), seed=1).generate()
+        assert empty.image.nbytes == 0
+        with inspect_router() as router:
+            [[report]] = router.detect_many([empty], TASK)
+        assert report["shape"] == empty.image.shape
+
+    def test_unwritable_image_fails_its_future_and_dispatch_goes_on(
+            self, scenes):
+        bad = Scene(np.array([object()], dtype=object), [], 1, 1)
+        with echo_router() as router:
+            with pytest.raises(ValueError):
+                router.submit(bad, TASK).result(timeout=30.0)
+            assert router.detect_many(scenes, TASK) == [[]] * len(scenes)
+
+    def test_transport_timers_reach_the_merged_snapshot(self, scenes):
+        from repro.obs import request_context
+
+        registry = get_registry()
+        before = {name: registry.timer(name).calls
+                  for name in ("shard.slot_wait", "shard.dispatch")}
+        with echo_router() as router:
+            with request_context(name="test.request", tenant="t"):
+                router.detect_many(scenes, TASK)
+            workers = router.aggregate_snapshot()
+        for name, calls in before.items():
+            assert registry.timer(name).calls == calls + len(scenes)
+        assert workers["timers"]["shard.receive"]["calls"] == len(scenes)
+        traced = [span for span in registry.spans
+                  if span.name == "shard.dispatch" and span.trace_id]
+        assert traced, "dispatch spans carry the request's trace id"
+
+    def test_untraced_runs_record_no_transport_timers(self, scenes):
+        registry = get_registry()
+        before = {name: registry.timer(name).calls
+                  for name in ("shard.slot_wait", "shard.dispatch")}
+        registry.enabled = False
+        try:
+            with ShardRouter(DisabledRegistryFactory(), ShardConfig(
+                    num_shards=1, start_method="fork")) as router:
+                # The first job builds the session, which turns the
+                # worker's registry off.
+                router.detect_many(scenes[:1], TASK)
+                warm = router.aggregate_snapshot()["timers"]
+                router.detect_many(scenes, TASK)
+                workers = router.aggregate_snapshot()["timers"]
+        finally:
+            registry.enabled = True
+        for name, calls in before.items():
+            assert registry.timer(name).calls == calls
+        assert workers["shard.receive"] == warm["shard.receive"]
+
+
+class DisabledRegistryFactory:
+    """Turns the worker's registry off, as an untraced benchmark run does."""
+
+    def __call__(self, mission: str):
+        get_registry().enabled = False
+        return SlowEchoSession(0.0)
+
+
+# ----------------------------------------------------------------------
+# Faults: a killed worker, a stuck worker, and what close() leaves behind
+# ----------------------------------------------------------------------
+def child_pids() -> set:
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as children:
+            pids.update(int(pid) for pid in children.read().split())
+    return pids
+
+
+def memfd_descriptors() -> set:
+    found = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("/memfd:"):
+            found.add((fd, target))
+    return found
+
+
+class Residue:
+    """What a router could leave behind in this process: children,
+    memfd descriptors, /dev/shm entries, and resource_tracker use."""
+
+    def __init__(self, monkeypatch) -> None:
+        from multiprocessing import resource_tracker
+
+        self.children = child_pids()
+        self.memfds = memfd_descriptors()
+        self.shm = set(os.listdir("/dev/shm"))
+        self.tracker_calls = []
+        for name in ("ensure_running", "register", "getfd"):
+            original = getattr(resource_tracker, name)
+
+            def record(*args, name=name, original=original):
+                self.tracker_calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(resource_tracker, name, record)
+
+    def assert_clean(self) -> None:
+        assert child_pids() <= self.children
+        assert memfd_descriptors() <= self.memfds
+        assert set(os.listdir("/dev/shm")) <= self.shm
+        assert self.tracker_calls == []
+
+
+needs_proc = pytest.mark.skipif(
+    not glob.glob("/proc/self/task/*/children")
+    or not os.path.isdir("/dev/shm"),
+    reason="needs /proc/<pid>/task/<tid>/children and /dev/shm")
+
+
+@fork_only
+@needs_proc
+class TestWorkerFaults:
+    def test_close_leaves_nothing_behind(self, scenes, monkeypatch):
+        residue = Residue(monkeypatch)
+        with echo_router() as router:
+            assert child_pids() - residue.children
+            assert memfd_descriptors() - residue.memfds
+            router.detect_many(scenes, mission_for_shard(0, 2))
+            router.detect_many(scenes, mission_for_shard(1, 2))
+        residue.assert_clean()
+
+    def test_sigkill_mid_batch_reroutes_bit_equal(
+            self, scenes, reference_detector, monkeypatch):
+        residue = Residue(monkeypatch)
+        engine = EngineConfig(max_batch=2, flush_ms=1.0, workers=1,
+                              queue_size=2)
+        config = ShardConfig(num_shards=2, engine=engine, queue_size=16,
+                             base_seed=BASE_SEED, start_method="fork")
+        victim_mission = mission_for_shard(0, 2)
+        other_mission = mission_for_shard(1, 2)
+        router = ShardRouter(SlowQuantizedSessionFactory(0.3), config)
+        try:
+            # Warm both shards so the kill lands mid-batch, not mid-build.
+            router.detect_many(scenes[:1], victim_mission)
+            router.detect_many(scenes[:1], other_mission)
+            victim = router._handles[0]
+
+            resolved = []
+            futures, expected = [], []
+            for i in range(12):
+                mission = victim_mission if i < 8 else other_mission
+                future = router.submit(scenes[i % len(scenes)], mission)
+                future.add_done_callback(
+                    lambda _fut, i=i: resolved.append(i))
+                futures.append(future)
+                expected.append(scenes[i % len(scenes)])
+
+            # Every victim slot is taken (a batch runs, the engine queue
+            # is full) and its dispatcher waits for a slot: kill it now.
+            deadline = time.monotonic() + 30.0
+            while victim.arena.held < victim.arena.count:
+                assert time.monotonic() < deadline, "victim never filled"
+                time.sleep(0.005)
+            assert not futures[0].done()
+            os.kill(victim.info["pid"], signal.SIGKILL)
+
+            results = [future.result(timeout=60.0) for future in futures]
+            # The dead shard's slots are free, and its dispatcher keeps
+            # rerouting instead of blocking on them.
+            assert victim.arena.held == 0
+            later = router.submit(scenes[0], victim_mission)
+            results.append(later.result(timeout=60.0))
+            expected.append(scenes[0])
+            assert victim.dispatcher.is_alive()
+        finally:
+            started = time.monotonic()
+            router.close()
+            assert time.monotonic() - started < 20.0
+        assert sorted(resolved) == list(range(12))
+        reference = [reference_detector.detect(scene) for scene in expected]
+        assert any(len(dets) > 0 for dets in reference)
+        assert_detections_bit_equal(reference, results)
+        assert "D" in repr(router)
+        residue.assert_clean()
+
+
+STUCK_WORKER_SCRIPT = textwrap.dedent("""
+    import json, sys, threading, time
+    import numpy as np
+    from repro.data.scenes import Scene
+    from repro.serve import EngineConfig, ShardConfig, ShardRouter
+    import repro.serve.shard as shard
+
+    # Shorter grace periods keep the test quick; the escalation path is
+    # the same as with the defaults.
+    shard._EXIT_GRACE_S = 1.0
+    shard._TERM_GRACE_S = 1.0
+
+    class Stuck:
+        def detect_batch(self, scenes, stride=None):
+            threading.Event().wait()
+
+    router = ShardRouter(lambda mission: Stuck(), ShardConfig(
+        num_shards=2, start_method="fork",
+        engine=EngineConfig(max_batch=1, workers=1, queue_size=1)))
+    print(json.dumps([info["pid"] for info in router.shard_info()]),
+          flush=True)
+    scene = Scene(np.zeros((3, 8, 8), np.float32), [], 1, 8)
+    futures = [router.submit(scene, f"m{i}") for i in range(4)]
+    time.sleep(0.5)
+    router.close(wait=False)
+    print("closed", flush=True)
+""")
+
+
+@fork_only
+def test_stuck_worker_does_not_outlive_close():
+    # Popen, not run_script: the worker pids come first, so the test can
+    # still kill them if the interpreter hangs.
+    child = subprocess.Popen([sys.executable, "-c", STUCK_WORKER_SCRIPT],
+                             env=script_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    pids = json.loads(child.stdout.readline() or "[]")
+    try:
+        # The interpreter must exit: multiprocessing joins daemonic
+        # children at exit with no timeout, so a surviving worker would
+        # hang it.
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        for pid in [child.pid] + pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        child.communicate()
+        pytest.fail("the interpreter did not exit within 60 s of close()")
+    assert child.returncode == 0, err
+    assert out.splitlines()[-1] == "closed"
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # ----------------------------------------------------------------------
