@@ -1,11 +1,10 @@
 """Window scanning and task-conditioned detection.
 
-Both model configurations plug in through one adapter,
-:func:`predict_windows`, which normalizes the float ViT
+Both model configurations — the float ViT
 (:class:`repro.nn.VisionTransformer`) and the integer one
-(:class:`repro.quant.QuantizedVisionTransformer`) to the same output
-contract: softmaxed class probabilities and per-family attribute
-distributions as plain numpy arrays.
+(:class:`repro.quant.QuantizedVisionTransformer`) — expose the same
+``infer(images)`` contract, and :func:`predict_windows` turns it into
+softmaxed class probabilities and per-family attribute distributions.
 
 :class:`TaskDetector` then scans a scene's windows, computes
 
@@ -35,7 +34,6 @@ from repro.nn import VisionTransformer
 from repro.obs import get_registry
 from repro.obs.context import current_context
 from repro.quant.vit import QuantizedVisionTransformer
-from repro.tensor import Tensor, no_grad
 
 ModelLike = Union[VisionTransformer, QuantizedVisionTransformer]
 
@@ -106,24 +104,13 @@ def predict_windows(model: ModelLike, windows: np.ndarray,
     attr_chunks: Dict[str, List[np.ndarray]] = {}
     task_chunks: List[np.ndarray] = []
     for start in range(0, windows.shape[0], batch_size):
-        chunk = np.asarray(windows[start:start + batch_size], dtype=np.float32)
         with obs.time("detect.model_forward"):
-            if isinstance(model, QuantizedVisionTransformer):
-                out = model(chunk)
-                class_logits = out["class_logits"]
-                attrs = out["attributes"]
-                task_logits = out.get("task_logits")
-            else:
-                with no_grad():
-                    out = model(Tensor(chunk))
-                class_logits = out["class_logits"].data
-                attrs = {k: v.data for k, v in out["attributes"].items()}
-                task_logits = out["task_logits"].data if "task_logits" in out else None
-        class_chunks.append(_softmax_np(class_logits))
-        for family, logits in attrs.items():
+            out = model.infer(windows[start:start + batch_size])
+        class_chunks.append(_softmax_np(out["class_logits"]))
+        for family, logits in out["attributes"].items():
             attr_chunks.setdefault(family, []).append(_softmax_np(logits))
-        if task_logits is not None:
-            task_chunks.append(_softmax_np(task_logits))
+        if "task_logits" in out:
+            task_chunks.append(_softmax_np(out["task_logits"]))
     result: Dict[str, np.ndarray] = {
         "class_probs": np.concatenate(class_chunks, axis=0),
         "attribute_probs": {

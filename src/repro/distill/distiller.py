@@ -120,6 +120,23 @@ class Distiller:
             return None
         return total * (self.config.attention_weight / len(self._layer_map()))
 
+    def _teacher_targets(self, images: np.ndarray) -> Dict[str, object]:
+        """The teacher's outputs as numpy arrays.
+
+        They come from the inference forward, except under attention
+        transfer: only the autograd modules capture the attention maps
+        that :meth:`_attention_loss` reads.
+        """
+        if self.config.attention_weight == 0.0:
+            return self.teacher.infer(images)
+        with no_grad():
+            out = self.teacher(Tensor(images))
+        return {
+            "class_logits": out["class_logits"].data,
+            "cls_embedding": out["cls_embedding"].data,
+            "attributes": {k: v.data for k, v in out["attributes"].items()},
+        }
+
     # ------------------------------------------------------------------
     @traced("distill.fit")
     def distill(self, dataset: WindowDataset,
@@ -147,15 +164,13 @@ class Distiller:
             epoch_loss, epoch_acc, batches = 0.0, 0.0, 0
             for batch in batch_iterator(dataset, cfg.batch_size,
                                         seed=cfg.seed + epoch):
-                images = Tensor(batch.images)
-                with no_grad():
-                    teacher_out = self.teacher(images)
+                teacher_out = self._teacher_targets(batch.images)
                 schedule.apply(optimizer, step)
-                student_out = self.student(images)
+                student_out = self.student(Tensor(batch.images))
 
                 kd = kl_divergence(
                     student_out["class_logits"],
-                    teacher_out["class_logits"].data,
+                    teacher_out["class_logits"],
                     temperature=cfg.temperature,
                 )
                 ce = cross_entropy(student_out["class_logits"], batch.class_labels)
@@ -164,7 +179,7 @@ class Distiller:
                 if cfg.feature_weight > 0.0:
                     hint = mse_loss(
                         self.hint_projection(student_out["cls_embedding"]),
-                        teacher_out["cls_embedding"].data,
+                        teacher_out["cls_embedding"],
                     )
                     loss = loss + hint * cfg.feature_weight
 
@@ -173,7 +188,7 @@ class Distiller:
                     for family in shared_attrs:
                         term = kl_divergence(
                             student_out["attributes"][family],
-                            teacher_out["attributes"][family].data,
+                            teacher_out["attributes"][family],
                             temperature=cfg.temperature,
                         )
                         attr_total = term if attr_total is None else attr_total + term

@@ -18,7 +18,7 @@ from repro.nn import VisionTransformer, cross_entropy
 from repro.nn.losses import accuracy
 from repro.obs import get_registry
 from repro.optim import AdamW, WarmupCosineSchedule, clip_grad_norm
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 
 
 @dataclasses.dataclass
@@ -121,26 +121,22 @@ class ModelTrainer:
 def evaluate_model(model: VisionTransformer, dataset: WindowDataset,
                    batch_size: int = 64) -> Dict[str, float]:
     """Class accuracy plus mean attribute accuracy over labelled rows."""
-    was_training = model.training
-    model.eval()
     correct, total = 0, 0
     attr_correct: Dict[str, int] = {}
     attr_total: Dict[str, int] = {}
-    with get_registry().span("train.evaluate", examples=len(dataset)), no_grad():
+    with get_registry().span("train.evaluate", examples=len(dataset)):
         for batch in batch_iterator(dataset, batch_size, shuffle=False):
-            out = model(Tensor(batch.images))
-            pred = out["class_logits"].data.argmax(axis=-1)
+            out = model.infer(batch.images)
+            pred = out["class_logits"].argmax(axis=-1)
             correct += int((pred == batch.class_labels).sum())
             total += len(batch)
             for family, logits in out["attributes"].items():
                 labels = batch.attribute_labels[family]
                 valid = labels >= 0
                 if valid.any():
-                    hits = (logits.data.argmax(axis=-1)[valid] == labels[valid])
+                    hits = (logits.argmax(axis=-1)[valid] == labels[valid])
                     attr_correct[family] = attr_correct.get(family, 0) + int(hits.sum())
                     attr_total[family] = attr_total.get(family, 0) + int(valid.sum())
-    if was_training:
-        model.train()
     metrics = {"val_accuracy": correct / max(total, 1)}
     if attr_total:
         per_family = [attr_correct[f] / attr_total[f] for f in attr_total]

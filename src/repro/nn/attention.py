@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor, is_grad_enabled, softmax
+from repro.tensor import Tensor, softmax
 
 
 class MultiHeadSelfAttention(Module):
@@ -62,30 +62,6 @@ class MultiHeadSelfAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         batch, tokens, dim = x.shape
         qkv = self.qkv(x)  # (B, T, 3*D)
-        if not is_grad_enabled():
-            # Inference fast path: q/k/v as strided views (no contiguous
-            # copies), scale and softmax in place on the fresh scores
-            # buffer.  Same operations on the same values — bit-identical
-            # to the autograd path below.
-            parts = np.transpose(
-                qkv.data.reshape(batch, tokens, 3, self.num_heads, self.head_dim),
-                (2, 0, 3, 1, 4))  # (3, B, H, T, hd)
-            q, k, v = parts[0], parts[1], parts[2]
-            scores = q @ np.swapaxes(k, -2, -1)  # fresh (B, H, T, T)
-            scores *= np.asarray(self.scale, dtype=scores.dtype)
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            attn = Tensor(scores)
-            if self.store_attention:
-                self.last_attention = attn.data.copy()
-                self.last_attention_tensor = attn
-            attn = self.attn_drop(attn)
-            context = attn.data @ v  # (B, H, T, hd)
-            context = np.swapaxes(context, 1, 2).reshape(batch, tokens, dim)
-            out = self.proj(Tensor(context))
-            return self.proj_drop(out)
-
         qkv = qkv.reshape(batch, tokens, 3, self.num_heads, self.head_dim)
         qkv = qkv.permute(2, 0, 3, 1, 4)  # (3, B, H, T, hd)
         q, k, v = qkv[0], qkv[1], qkv[2]

@@ -1,0 +1,277 @@
+"""The Vision Transformer's one inference forward.
+
+Both model configurations are the same network with different GEMM
+kernels, so one numpy forward (:func:`_vit_forward`) runs over a table
+of per-site projection kernels and serves all three inference uses:
+
+* float inference (:meth:`repro.nn.VisionTransformer.infer`) — float
+  projections and exact-erf GELU, the activation the float models are
+  trained with;
+* calibration (:func:`repro.quant.calibrate_observers`) — float
+  projections, observers at every GEMM input, and tanh GELU;
+* quantized inference (:class:`repro.quant.QuantizedVisionTransformer`)
+  — integer projections and tanh GELU, matching the hardware vector
+  unit's LUT.
+
+The calibration points therefore cannot drift from the deployed graph.
+The autograd modules in :mod:`repro.nn` are for training only; their
+forward is this module's test oracle.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
+
+import numpy as np
+from scipy import special as _special
+
+if TYPE_CHECKING:
+    from repro.nn.layers import Linear
+    from repro.nn.vit import VisionTransformer
+    from repro.quant.observers import Observer
+
+_SQRT_2 = float(np.sqrt(2.0))
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+
+ProjFn = Callable[[np.ndarray], np.ndarray]
+ActFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _row_sum(flat: np.ndarray) -> np.ndarray:
+    # Row sums over a short trailing axis.  ``einsum`` is within 2x of a
+    # BLAS matvec here and — unlike GEMV, whose accumulation order
+    # changes with the row *count* — reduces each row in an order that
+    # depends only on the row length, so fused batches stay bit-identical
+    # to per-scene execution (asserted by the batch-invariance tests).
+    # Native ``sum(axis=-1)`` pays one C call per row: ~4x slower.
+    return np.einsum("ij->i", flat)
+
+
+def _layernorm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+               eps: float = 1e-5) -> np.ndarray:
+    # In-place on the fresh ``centered`` temporary; all reductions are
+    # row-wise (batch-invariant), with 1-D/column broadcasts — several
+    # times faster than ``keepdims`` reductions over a short trailing
+    # axis.
+    dim = x.shape[-1]
+    flat = x.reshape(-1, dim)
+    mean = _row_sum(flat) / dim
+    centered = flat - mean[:, None]
+    # einsum contracts the squares without materialising centered²
+    # (row-local reduction order, so still batch-invariant).
+    var = np.einsum("ij,ij->i", centered, centered) / dim
+    centered /= np.sqrt(var + eps)[:, None]
+    centered *= weight
+    centered += bias
+    return centered.reshape(x.shape)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the trailing axis, computed **in place** on ``x``
+    (callers here always pass a fresh scores buffer that is dead after
+    the call)."""
+    # Row-wise with 1-D/column broadcasts (several times faster than
+    # ``keepdims`` reductions over a short trailing axis); the max
+    # reduce and the ``_row_sum`` normalizer are both row-local, keeping
+    # fused batches bit-identical to per-scene runs.
+    flat = x.reshape(-1, x.shape[-1])
+    flat -= flat.max(axis=1)[:, None]
+    np.exp(flat, out=flat)
+    flat /= _row_sum(flat)[:, None]
+    return flat.reshape(x.shape)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh-approximated GELU — matches the hardware vector unit's LUT."""
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _SQRT_2_OVER_PI
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    inner *= x
+    inner *= 0.5
+    return inner
+
+
+def _gelu_erf(x: np.ndarray) -> np.ndarray:
+    """Exact-erf GELU — the activation the float models are trained with
+    (:func:`repro.tensor.gelu`'s elementwise operations, in place on one
+    temporary)."""
+    out = x / _SQRT_2
+    _special.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x
+    return out
+
+
+def gemm_sites(depth: int, attribute_names: List[str],
+               with_task_head: bool = False) -> List[str]:
+    """Names of every GEMM input site, in execution order."""
+    sites = ["patch_proj"]
+    for i in range(depth):
+        sites += [f"block{i}.qkv", f"block{i}.proj", f"block{i}.fc1", f"block{i}.fc2"]
+    sites.append("head")
+    sites += [f"attr_head_{name}" for name in attribute_names]
+    if with_task_head:
+        sites += ["task_head.fc1", "task_head.fc2"]
+    return sites
+
+
+def _model_sites(model: "VisionTransformer") -> List[str]:
+    return gemm_sites(model.config.depth, model.attribute_names,
+                      with_task_head=model.task_head is not None)
+
+
+def _site_linear(model: "VisionTransformer", site: str) -> "Linear":
+    """Resolve a GEMM site name to the model's Linear layer."""
+    if site == "patch_proj":
+        return model.patch_embed.proj
+    if site == "head":
+        return model.head
+    if site.startswith("task_head."):
+        if model.task_head is None:
+            raise KeyError("model has no task head")
+        return getattr(model.task_head, site.split(".", 1)[1])
+    if site.startswith("attr_head_"):
+        return model._modules[site]
+    block_name, layer = site.split(".")
+    block = model.encoder._modules[block_name]
+    if layer == "qkv":
+        return block.attn.qkv
+    if layer == "proj":
+        return block.attn.proj
+    if layer in ("fc1", "fc2"):
+        return getattr(block.mlp, layer)
+    raise KeyError(f"unknown GEMM site {site!r}")
+
+
+def _float_proj(linear: "Linear") -> ProjFn:
+    # Prepack the transposed weight contiguously once — calibration runs
+    # many batches through every site, and a C-contiguous operand keeps
+    # each GEMM on the fastest BLAS route.
+    weight_t = np.ascontiguousarray(linear.weight.data.T)
+    bias = None if linear.bias is None else linear.bias.data
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        # One 2-D GEMM over all rows.  A stacked ``(batch, tokens, in)``
+        # matmul is slower, and beside a busy Python thread it waits
+        # out a GIL switch interval per call (EXPERIMENTS.md, "One
+        # inference forward").
+        y = x.reshape(-1, x.shape[-1]) @ weight_t
+        if bias is not None:
+            y += bias
+        return y.reshape(*x.shape[:-1], y.shape[-1])
+
+    return apply
+
+
+def float_projections(model: "VisionTransformer") -> Dict[str, ProjFn]:
+    """A float kernel for every GEMM site of ``model``, read from its
+    current weights."""
+    return {site: _float_proj(_site_linear(model, site))
+            for site in _model_sites(model)}
+
+
+def _attention(qkv: np.ndarray, num_heads: int, cls_only: bool) -> np.ndarray:
+    """Multi-head attention over a ``(batch, seq, 3·dim)`` qkv
+    projection; ``(batch, seq, dim)`` context, or ``(batch, 1, dim)``
+    for the CLS row alone when ``cls_only``."""
+    batch, seq, width = qkv.shape
+    head_dim = width // (3 * num_heads)
+    scale = 1.0 / np.sqrt(head_dim)
+    q, k, v = qkv.reshape(batch, seq, 3, num_heads, head_dim).transpose(2, 0, 3, 1, 4)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    if cls_only:
+        # Both attention GEMMs keep their full-sequence shapes (a 1-row
+        # product may take another BLAS route and round differently),
+        # and row 0 of a product reads only row 0 of its left operand.
+        # So scale and softmax (row-local) just the CLS row; the raw
+        # rows below it are never read.
+        cls = scores[:, :, :1]
+        cls *= scale
+        scores[:, :, :1] = _softmax(cls)
+        context = (scores @ v)[:, :, :1]
+    else:
+        scores *= scale
+        context = _softmax(scores) @ v
+    return context.transpose(0, 2, 1, 3).reshape(batch, -1, num_heads * head_dim)
+
+
+def _vit_forward(
+    model: "VisionTransformer",
+    images: np.ndarray,
+    projections: Mapping[str, ProjFn],
+    observers: Optional[Mapping[str, "Observer"]] = None,
+    gelu: ActFn = _gelu_tanh,
+) -> Dict[str, np.ndarray]:
+    """Shared ViT inference over pluggable projection kernels and GELU.
+
+    The heads read only the CLS token, so at inference (no
+    ``observers``) the last encoder block attends from the CLS row
+    alone over every token's keys and values, and its
+    ``proj``/``fc1``/``fc2`` GEMMs see ``batch`` rows instead of
+    ``batch × num_tokens``.  Every op after the attention is row-wise;
+    with the exact integer kernels the outputs are bit-identical to the
+    full-sequence forward, and with float kernels (whose 1-row-per-image
+    GEMMs may round differently) they agree within a few ulps.
+    Calibration (``observers`` given — an empty mapping runs the
+    full-sequence forward unobserved) keeps every token, so activation
+    ranges are observed over the whole sequence.
+    """
+    cfg = model.config
+    batch = images.shape[0]
+    grid = cfg.image_size // cfg.patch_size
+
+    def project(site: str, x: np.ndarray) -> np.ndarray:
+        if observers is not None and site in observers:
+            observers[site].observe(x)
+        return projections[site](x)
+
+    # Every temporary dies once consumed (nested calls, ``_attention``'s
+    # locals): the peak, not the total, decides whether the allocator
+    # hands the heap back to the OS after each forward and page-faults
+    # it in again on the next.
+    tokens = project("patch_proj", images.reshape(
+        batch, cfg.in_channels, grid, cfg.patch_size, grid, cfg.patch_size
+    ).transpose(0, 2, 4, 1, 3, 5).reshape(batch, grid * grid, cfg.patch_dim))
+    x = np.empty((batch, cfg.num_tokens, cfg.dim), dtype=tokens.dtype)
+    x[:, :1] = model.cls_token.data.reshape(1, 1, cfg.dim)
+    x[:, 1:] = tokens
+    del tokens
+    x += model.pos_embed.data
+
+    blocks = model.encoder.blocks
+    cls_only_block = len(blocks) - 1 if observers is None else -1
+    for i, block in enumerate(blocks):
+        cls_only = i == cls_only_block
+        context = _attention(
+            project(f"block{i}.qkv", _layernorm(
+                x, block.norm1.weight.data, block.norm1.bias.data)),
+            cfg.num_heads, cls_only)
+        if cls_only:
+            x = x[:, :1]
+        x += project(f"block{i}.proj", context)
+        del context
+        x += project(f"block{i}.fc2", gelu(project(f"block{i}.fc1", _layernorm(
+            x, block.norm2.weight.data, block.norm2.bias.data))))
+
+    # Only the CLS token feeds the heads: normalize that row alone
+    # (LayerNorm is row-wise, so this is bit-identical to normalizing
+    # the full sequence and slicing afterwards).
+    cls_embedding = _layernorm(x[:, 0], model.norm.weight.data,
+                               model.norm.bias.data)
+    out: Dict[str, np.ndarray] = {
+        "class_logits": project("head", cls_embedding),
+        "cls_embedding": cls_embedding,
+    }
+    out["attributes"] = {
+        name: project(f"attr_head_{name}", cls_embedding)
+        for name in model.attribute_names
+    }
+    if model.task_head is not None:
+        hidden = gelu(project("task_head.fc1", cls_embedding))
+        out["task_logits"] = project("task_head.fc2", hidden)
+    return out

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, dropout_mask, is_grad_enabled, sqrt
+from repro.tensor import Tensor, dropout_mask, sqrt
 from repro.tensor.ops import embedding as embedding_op
 
 
@@ -47,22 +47,6 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Inference fast path: bias adds in place on the fresh GEMM
-            # output, and batched inputs flatten to one big 2D GEMM —
-            # np.matmul on (N, T, in) is a stack of N tiny BLAS calls, ~3x
-            # slower than the single (N*T, in) call.  2D sgemm is row-wise
-            # deterministic regardless of row count, so results do not
-            # depend on batch size (sequential == fused detection).
-            data = x.data
-            if data.ndim > 2:
-                flat = data.reshape(-1, data.shape[-1]) @ self.weight.data.T
-                out = flat.reshape(data.shape[:-1] + (self.out_features,))
-            else:
-                out = data @ self.weight.data.T
-            if self.bias is not None:
-                out += self.bias.data
-            return Tensor(out, dtype=x.dtype)
         out = x @ self.weight.T
         if self.bias is not None:
             out = out + self.bias
@@ -86,19 +70,6 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Inference fast path mirroring the autograd form operation by
-            # operation (Tensor.mean is ``sum * (1/n)``, so replicate that
-            # exactly); scale/shift run in place on the fresh temporary.
-            inv_n = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
-            data = x.data
-            mean = data.sum(axis=-1, keepdims=True) * inv_n
-            centered = data - mean
-            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-            centered /= np.sqrt(var + np.asarray(self.eps, dtype=x.dtype))
-            centered *= self.weight.data
-            centered += self.bias.data
-            return Tensor(centered, dtype=x.dtype)
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)

@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor, gelu, is_grad_enabled
+from repro.tensor import Tensor, gelu
 
 
 class FeedForward(Module):
@@ -60,26 +60,13 @@ class TransformerBlock(Module):
         self.mlp = FeedForward(dim, int(dim * mlp_ratio), dropout=dropout, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Residuals accumulate in place into the branch outputs (fresh
-            # projection results) — addition commutes, so bit-identical.
-            attn_out = self.attn(self.norm1(x))
-            attn_out.data += x.data
-            mlp_out = self.mlp(self.norm2(attn_out))
-            mlp_out.data += attn_out.data
-            return mlp_out
         x = x + self.attn(self.norm1(x))
         x = x + self.mlp(self.norm2(x))
         return x
 
 
 class TransformerEncoder(Module):
-    """A stack of :class:`TransformerBlock`.
-
-    ``hidden_states`` from the most recent forward pass are retained
-    (detached) when ``store_hidden=True`` — consumed by the feature-hint
-    distillation loss.
-    """
+    """A stack of :class:`TransformerBlock`."""
 
     def __init__(
         self,
@@ -91,13 +78,10 @@ class TransformerEncoder(Module):
         attn_dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         store_attention: bool = False,
-        store_hidden: bool = False,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
         self.depth = depth
-        self.store_hidden = store_hidden
-        self.hidden_states: List = []
         for i in range(depth):
             setattr(
                 self,
@@ -118,9 +102,6 @@ class TransformerEncoder(Module):
         return [self._modules[f"block{i}"] for i in range(self.depth)]
 
     def forward(self, x: Tensor) -> Tensor:
-        self.hidden_states = []
         for block in self.blocks:
             x = block(x)
-            if self.store_hidden:
-                self.hidden_states.append(x)
         return x

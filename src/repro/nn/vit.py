@@ -16,10 +16,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import init
+from repro.nn.inference import _gelu_erf, _vit_forward, float_projections
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import TransformerEncoder
-from repro.tensor import Tensor, cat, gelu, is_grad_enabled
+from repro.tensor import Tensor, cat, gelu
 
 
 class TaskHead(Module):
@@ -146,11 +147,13 @@ class PatchEmbedding(Module):
 class VisionTransformer(Module):
     """ViT classifier with auxiliary attribute heads.
 
-    ``forward`` returns a dict::
+    ``forward`` (autograd, for training) returns a dict of Tensors, and
+    ``infer`` the same dict of numpy arrays::
 
         {"class_logits": (B, num_classes),
          "attributes": {name: (B, cardinality), ...},
-         "cls_embedding": (B, dim)}
+         "cls_embedding": (B, dim),
+         "task_logits": (B, 2)}   # with a task head only
     """
 
     def __init__(self, config: ViTConfig, rng: Optional[np.random.Generator] = None) -> None:
@@ -191,21 +194,9 @@ class VisionTransformer(Module):
         """Everything before the heads: returns normalized CLS embedding."""
         tokens = self.patch_embed(images)  # (B, P, D)
         batch = tokens.shape[0]
-        if not is_grad_enabled():
-            # Inference fast path: assemble [cls | tokens] + pos directly
-            # into one buffer instead of broadcast + cat + add temporaries.
-            cfg = self.config
-            buf = np.empty((batch, cfg.num_tokens, cfg.dim),
-                           dtype=tokens.data.dtype)
-            pos = self.pos_embed.data
-            np.add(self.cls_token.data.reshape(1, 1, cfg.dim), pos[:, :1],
-                   out=buf[:, :1])
-            np.add(tokens.data, pos[:, 1:], out=buf[:, 1:])
-            x = Tensor(buf)
-        else:
-            cls = self.cls_token.reshape(1, 1, self.config.dim)
-            cls = cls + Tensor(np.zeros((batch, 1, self.config.dim), dtype=np.float32))
-            x = cat([cls, tokens], axis=1) + self.pos_embed
+        cls = self.cls_token.reshape(1, 1, self.config.dim)
+        cls = cls + Tensor(np.zeros((batch, 1, self.config.dim), dtype=np.float32))
+        x = cat([cls, tokens], axis=1) + self.pos_embed
         x = self.drop(x)
         x = self.encoder(x)
         x = self.norm(x)
@@ -225,13 +216,21 @@ class VisionTransformer(Module):
             out["task_logits"] = self.task_head(cls_embedding)
         return out
 
-    def classify(self, images: Tensor) -> np.ndarray:
-        """Hard class predictions (inference helper)."""
-        from repro.tensor import no_grad
+    def infer(self, images: np.ndarray) -> Dict[str, np.ndarray]:
+        """Float inference: :meth:`forward`'s outputs as numpy arrays,
+        computed by the shared numpy forward
+        (:func:`repro.nn.inference._vit_forward`) with exact-erf GELU.
 
-        with no_grad():
-            logits = self.forward(images)["class_logits"]
-        return logits.data.argmax(axis=-1)
+        The projections are read from the live weights on every call
+        (they are tiny), so no cached copy can go stale while the model
+        trains.
+        """
+        return _vit_forward(self, np.asarray(images, np.float32),
+                            float_projections(self), gelu=_gelu_erf)
+
+    def classify(self, images: np.ndarray) -> np.ndarray:
+        """Hard class predictions (inference helper)."""
+        return self.infer(images)["class_logits"].argmax(axis=-1)
 
     def flops_per_image(self) -> int:
         """Approximate multiply-accumulate count for one inference.

@@ -21,13 +21,14 @@ import numpy as np
 
 from repro.data.datasets import WindowDataset, batch_iterator
 from repro.nn import Linear, VisionTransformer, cross_entropy
+from repro.nn.inference import _model_sites, _site_linear
 from repro.nn.module import Module
 from repro.optim import AdamW, clip_grad_norm
 from repro.quant.fake_quant import FakeQuantize, fake_quantize
 from repro.quant.linear import QuantizedLinear
 from repro.quant.observers import MinMaxObserver, MovingAverageObserver
 from repro.quant.qparams import QuantSpec, channel_minmax, compute_qparams
-from repro.quant.vit import QuantizedVisionTransformer, _model_sites, _site_linear
+from repro.quant.vit import QuantizedVisionTransformer
 from repro.tensor import Tensor, no_grad
 
 

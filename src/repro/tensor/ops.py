@@ -18,7 +18,6 @@ from repro.tensor.tensor import (
     Tensor,
     TensorLike,
     _ensure_tensor,
-    is_grad_enabled,
 )
 
 _SQRT_2 = float(np.sqrt(2.0))
@@ -175,16 +174,6 @@ def gelu(x: Tensor, approximate: bool = False) -> Tensor:
         out = Tensor.from_op(data.astype(x.dtype, copy=False), (x,), backward)
         return out
 
-    if not is_grad_enabled():
-        # Inference fast path: one temporary instead of four.  Same
-        # elementwise operations in the same order — bit-identical.
-        buf = x.data / _SQRT_2
-        _special.erf(buf, out=buf)
-        buf += 1.0
-        buf *= 0.5
-        buf *= x.data
-        return Tensor(buf.astype(x.dtype, copy=False), dtype=x.dtype)
-
     cdf = 0.5 * (1.0 + _special.erf(x.data / _SQRT_2))
     data = x.data * cdf
 
@@ -242,14 +231,6 @@ def minimum(a: TensorLike, b: TensorLike) -> Tensor:
 # normalizing ops
 # ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not is_grad_enabled():
-        # Inference fast path: exp and divide run in place on the shifted
-        # copy — bit-identical to the out-of-place form below.
-        buf = x.data - x.data.max(axis=axis, keepdims=True)
-        np.exp(buf, out=buf)
-        buf /= buf.sum(axis=axis, keepdims=True)
-        return Tensor(buf.astype(x.dtype, copy=False), dtype=x.dtype)
-
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp_x = np.exp(shifted)
     data = exp_x / exp_x.sum(axis=axis, keepdims=True)

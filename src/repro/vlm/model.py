@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.nn import Embedding, LayerNorm, Linear, TransformerEncoder, VisionTransformer, ViTConfig
 from repro.nn import init as nn_init
+from repro.nn.inference import _float_proj
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, no_grad, sqrt
 from repro.vlm.tokenizer import Tokenizer
@@ -136,15 +137,21 @@ class TwoTowerVLM(Module):
 
     def score_windows(self, windows: np.ndarray, mission_text: str,
                       batch_size: int = 64) -> np.ndarray:
-        """Cosine similarity of each window to the mission, in [-1, 1]."""
+        """Cosine similarity of each window to the mission, in [-1, 1].
+
+        The image tower runs the backbone's inference forward, then
+        :meth:`encode_images`' projection and L2 normalization in numpy.
+        """
         text_emb = self.mission_embedding(mission_text)
+        backbone = self.image_encoder.backbone
+        proj = _float_proj(self.image_encoder.proj)
         scores = []
-        with no_grad():
-            for start in range(0, windows.shape[0], batch_size):
-                chunk = Tensor(np.asarray(windows[start:start + batch_size],
-                                          np.float32))
-                image_emb = self.encode_images(chunk).data
-                scores.append(image_emb @ text_emb)
+        for start in range(0, windows.shape[0], batch_size):
+            chunk = windows[start:start + batch_size]
+            image_emb = proj(backbone.infer(chunk)["cls_embedding"])
+            image_emb /= np.sqrt(
+                (image_emb * image_emb).sum(axis=-1, keepdims=True) + 1e-8)
+            scores.append(image_emb @ text_emb)
         return np.concatenate(scores)
 
     def flops_per_query(self) -> int:

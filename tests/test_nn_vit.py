@@ -103,13 +103,6 @@ class TestTransformerBlocks:
         enc = TransformerEncoder(3, 16, 4, rng=np.random.default_rng(0))
         assert len(enc.blocks) == 3
 
-    def test_encoder_hidden_capture(self):
-        enc = TransformerEncoder(2, 8, 2, rng=np.random.default_rng(0),
-                                 store_hidden=True)
-        x = randn(1, 3, 8, rng=np.random.default_rng(1))
-        enc(x)
-        assert len(enc.hidden_states) == 2
-
 
 class TestVisionTransformer:
     def test_forward_contract(self, tiny_vit):
@@ -130,7 +123,7 @@ class TestVisionTransformer:
 
     def test_classify(self, tiny_vit):
         x = randn(4, 3, 16, 16, rng=np.random.default_rng(0))
-        preds = tiny_vit.classify(x)
+        preds = tiny_vit.classify(x.data)
         assert preds.shape == (4,)
         assert preds.dtype.kind == "i"
 
