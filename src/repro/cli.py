@@ -241,6 +241,7 @@ def _parse_fraction(text: str) -> float:
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import load_telemetry
+    from repro.obs.registry import render_report
 
     doc = load_telemetry(args.file)
     manifest = doc.get("manifest", {})
@@ -251,36 +252,8 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     dirty = " (dirty)" if manifest.get("git_dirty") else ""
     print(f"commit   : {sha[:12]}{dirty}  branch={manifest.get('git_branch')}  "
           f"seed={manifest.get('seed')}")
-    timers = doc.get("obs", {}).get("timers", {})
-    if timers:
-        width = max(len(name) for name in timers)
-        print(f"\n{'stage'.ljust(width)} | {'calls':>6} | {'total ms':>10} | "
-              f"{'p50 ms':>9} | {'p90 ms':>9} | {'p99 ms':>9} | {'max ms':>9}")
-        for name, stats in sorted(timers.items(),
-                                  key=lambda kv: -kv[1].get("total_s", 0.0)):
-            print(f"{name.ljust(width)} | {stats.get('calls', 0):>6} | "
-                  f"{stats.get('total_s', 0.0) * 1e3:>10.3f} | "
-                  f"{stats.get('p50_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('p90_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('p99_s', 0.0) * 1e3:>9.3f} | "
-                  f"{stats.get('max_s', 0.0) * 1e3:>9.3f}")
-    counters = doc.get("obs", {}).get("counters", {})
-    if counters:
-        print("\n-- counters --")
-        width = max(len(name) for name in counters)
-        for name, value in sorted(counters.items()):
-            print(f"{name.ljust(width)} | {value}")
-    distributions = doc.get("obs", {}).get("distributions", {})
-    if distributions:
-        width = max(len(name) for name in distributions)
-        print(f"\n{'distribution'.ljust(width)} | {'count':>6} | {'mean':>8} | "
-              f"{'p50':>8} | {'p90':>8} | {'max':>8}")
-        for name, stats in sorted(distributions.items()):
-            print(f"{name.ljust(width)} | {stats.get('count', 0):>6} | "
-                  f"{stats.get('mean', 0.0):>8.2f} | "
-                  f"{stats.get('p50', 0.0):>8.2f} | "
-                  f"{stats.get('p90', 0.0):>8.2f} | "
-                  f"{stats.get('max', 0.0):>8.2f}")
+    print()
+    print(render_report(doc.get("obs", {}), str(doc.get("bench"))))
     spans = doc.get("obs", {}).get("spans", [])
     rows = doc.get("rows", [])
     tables = doc.get("tables", {}) or {}
@@ -449,8 +422,8 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         "grid": args.grid,
         "repeats": args.repeats,
         "detections": detections,
-        "p50_ms": total.p50_s * 1e3,
-        "p99_ms": total.p99_s * 1e3,
+        "p50_ms": total.percentile(50.0) * 1e3,
+        "p99_ms": total.percentile(99.0) * 1e3,
     }]
     doc = build_telemetry("obs_export", registry=registry, rows=rows,
                           seed=args.scene_seed)

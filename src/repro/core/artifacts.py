@@ -112,7 +112,7 @@ class ArtifactBuilder:
             status = self.registry.validate(key)
             if status.ok:
                 try:
-                    with obs.time("artifacts.load"):
+                    with obs.span("artifacts.load"):
                         model = self.registry.load(key)
                 except CorruptArtifactError as exc:
                     # validate() passed but deep load checks did not
@@ -136,7 +136,7 @@ class ArtifactBuilder:
             else:
                 obs.count("artifacts.cache.miss")
             obs.count("artifacts.cache.rebuild")
-            with obs.time("artifacts.train"):
+            with obs.span("artifacts.train"):
                 model = build()
             self.registry.save(key, model, extra=extra)
             return model

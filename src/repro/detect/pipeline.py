@@ -104,7 +104,7 @@ def predict_windows(model: ModelLike, windows: np.ndarray,
     attr_chunks: Dict[str, List[np.ndarray]] = {}
     task_chunks: List[np.ndarray] = []
     for start in range(0, windows.shape[0], batch_size):
-        with obs.time("detect.model_forward"):
+        with obs.span("detect.model_forward"):
             out = model.infer(windows[start:start + batch_size])
         class_chunks.append(_softmax_np(out["class_logits"]))
         for family, logits in out["attributes"].items():
@@ -299,7 +299,7 @@ class TaskDetector:
         shares the same window placements, returned once as an
         ``(N / len(scenes), 4)`` int box array in scan order.
         """
-        with get_registry().time("detect.window_build"):
+        with get_registry().span("detect.window_build"):
             first = scenes[0]
             size, starts = self._window_starts(first, stride)
             channels = first.image.shape[0]
@@ -344,7 +344,7 @@ class TaskDetector:
         predictions = predict_windows(
             self.model, windows,
             batch_size=forward_chunk(windows.shape[0]))
-        with get_registry().time("detect.kg_match"):
+        with get_registry().span("detect.kg_match"):
             scores = score_predictions(predictions, self.matcher)
         combined = scores[2]
         n = len(boxes)

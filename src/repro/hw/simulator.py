@@ -134,11 +134,11 @@ class Simulator:
         obs = get_registry()
         with obs.span("hw.simulate", program=program.name, batch=program.batch,
                       config=self.config.name) as span:
-            with obs.time("hw.op_model"):
+            with obs.span("hw.op_model"):
                 records = [self._op_record(op) for op in program]
 
             # Latency: serialize within an engine; overlap engine switches.
-            with obs.time("hw.step_loop"):
+            with obs.span("hw.step_loop"):
                 total = 0.0
                 previous_engine: Optional[str] = None
                 previous_cycles = 0

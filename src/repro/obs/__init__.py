@@ -11,8 +11,13 @@ p50/p90/p99 from streaming histograms — instead of one opaque number:
     detector.detect(scene)
     print(get_registry().report("detect"))
 
+Every number lives in one mergeable primitive: a :class:`Distribution`
+(a stage timer when tagged ``unit="s"``, else a value stream) or a
+fixed-point :class:`Counter`, each storing only its merge state and
+deriving its float views from it.
+
 Timed blocks nest: ``registry.span("detect.batch_total")`` around
-``registry.time("detect.nms")`` yields a parent/child trace tree that
+``registry.span("detect.nms")`` yields a parent/child trace tree that
 :mod:`repro.obs.trace` exports as Chrome trace-event JSON (open it in
 Perfetto), and :mod:`repro.obs.telemetry` persists alongside a run
 manifest as ``BENCH_*.json`` for ``repro obs report/trace/compare``.
@@ -49,7 +54,6 @@ from repro.obs.registry import (
     Histogram,
     Registry,
     Span,
-    Timer,
     get_registry,
     install_registry,
     traced,
@@ -101,7 +105,6 @@ __all__ = [
     "Histogram",
     "Registry",
     "Span",
-    "Timer",
     "get_registry",
     "install_registry",
     "traced",

@@ -30,7 +30,14 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.registry import FP_SCALE, Histogram, Registry, get_registry
+from repro.obs.registry import (
+    FP_SCALE,
+    Registry,
+    get_registry,
+    merge_states,
+    state_layout,
+    state_stats,
+)
 from repro.obs.series import merge_series_states
 
 __all__ = [
@@ -55,14 +62,7 @@ def mergeable_snapshot(registry: Optional[Registry] = None,
     registry = registry or get_registry()
     if series is None:
         series = registry.series
-    doc: Dict[str, Any] = {
-        "schema": MERGE_SCHEMA,
-        "timers": {n: t.merge_state() for n, t in registry.timers.items()},
-        "counters": {n: c.merge_state() for n, c in registry.counters.items()},
-        "distributions": {n: d.merge_state()
-                          for n, d in registry.distributions.items()},
-        "dropped_spans": registry.dropped_spans,
-    }
+    doc: Dict[str, Any] = {"schema": MERGE_SCHEMA, **registry.merge_state()}
     if series is not None:
         doc["series"] = series.merge_state()
     return doc
@@ -74,40 +74,6 @@ def _check_schema(doc: Dict[str, Any]) -> None:
         raise ValueError(
             f"not a mergeable snapshot (schema={schema!r}, "
             f"expected {MERGE_SCHEMA!r})")
-
-
-def _merge_hist_states(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    return Histogram.from_state(a).merge_in(b).merge_state()
-
-
-def _merge_timer_states(a: Optional[Dict[str, Any]],
-                        b: Dict[str, Any]) -> Dict[str, Any]:
-    if a is None:
-        return b
-    mins = [m for m in (a["min_s"], b["min_s"]) if m is not None]
-    maxs = [m for m in (a["max_s"], b["max_s"]) if m is not None]
-    return {
-        "calls": a["calls"] + b["calls"],
-        "total_ns": a["total_ns"] + b["total_ns"],
-        "min_s": min(mins) if mins else None,
-        "max_s": max(maxs) if maxs else None,
-        "hist": _merge_hist_states(a["hist"], b["hist"]),
-    }
-
-
-def _merge_dist_states(a: Optional[Dict[str, Any]],
-                       b: Dict[str, Any]) -> Dict[str, Any]:
-    if a is None:
-        return b
-    mins = [m for m in (a["min"], b["min"]) if m is not None]
-    maxs = [m for m in (a["max"], b["max"]) if m is not None]
-    return {
-        "count": a["count"] + b["count"],
-        "total_fp": a["total_fp"] + b["total_fp"],
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
-        "hist": _merge_hist_states(a["hist"], b["hist"]),
-    }
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -129,15 +95,13 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     }
     series_states: List[Dict[str, Any]] = []
     for doc in snapshots:
-        for name, state in doc["timers"].items():
-            out["timers"][name] = _merge_timer_states(
-                out["timers"].get(name), state)
+        for table in ("timers", "distributions"):
+            states = out[table]
+            for name, state in doc[table].items():
+                states[name] = merge_states(states.get(name), state)
         for name, state in doc["counters"].items():
             merged = out["counters"].setdefault(name, {"value_fp": 0})
             merged["value_fp"] += state["value_fp"]
-        for name, state in doc["distributions"].items():
-            out["distributions"][name] = _merge_dist_states(
-                out["distributions"].get(name), state)
         out["dropped_spans"] += doc.get("dropped_spans", 0)
         if doc.get("series") is not None:
             series_states.append(doc["series"])
@@ -146,50 +110,36 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
-def timer_state_stats(state: Dict[str, Any]) -> Dict[str, float]:
-    """Derive calls/total/mean/p50/p90/p99 from a merged timer state."""
-    hist = Histogram.from_state(state["hist"])
-    calls = state["calls"]
-    total_s = state["total_ns"] / FP_SCALE
-    return {
-        "calls": calls,
-        "total_s": total_s,
-        "mean_s": total_s / calls if calls else 0.0,
-        "min_s": state["min_s"] if state["min_s"] is not None else 0.0,
-        "max_s": state["max_s"] if state["max_s"] is not None else 0.0,
-        "p50_s": hist.percentile(50.0),
-        "p90_s": hist.percentile(90.0),
-        "p99_s": hist.percentile(99.0),
-    }
-
-
-def dist_state_stats(state: Dict[str, Any]) -> Dict[str, float]:
-    """Derive count/total/mean/percentiles from a merged distribution."""
-    hist = Histogram.from_state(state["hist"])
-    count = state["count"]
-    total = state["total_fp"] / FP_SCALE
-    return {
-        "count": count,
-        "total": total,
-        "mean": total / count if count else 0.0,
-        "min": state["min"] if state["min"] is not None else 0.0,
-        "max": state["max"] if state["max"] is not None else 0.0,
-        "p50": hist.percentile(50.0),
-        "p90": hist.percentile(90.0),
-        "p99": hist.percentile(99.0),
-    }
+# One stats derivation for both layouts; the names say which table a
+# caller reads.
+timer_state_stats = dist_state_stats = state_stats
 
 
 def _delta_hist(cur: Dict[str, Any], prev: Dict[str, Any]) -> Dict[str, Any]:
     counts = {int(i): c for i, c in cur["buckets"]}
     for index, count in prev["buckets"]:
         counts[int(index)] = counts.get(int(index), 0) - count
-    buckets = [[i, max(0, c)] for i, c in sorted(counts.items()) if c > 0]
+    buckets = [[i, c] for i, c in sorted(counts.items()) if c > 0]
     delta_count = max(0, cur["count"] - prev["count"])
-    # min/max of the delta interval are unknowable from endpoints; keep
-    # the current observed envelope so percentile clamping stays sane.
     return {"count": delta_count, "buckets": buckets,
             "min": cur["min"], "max": cur["max"]}
+
+
+def _delta_state(cur: Dict[str, Any],
+                 prev: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    if prev is None:
+        return cur  # first seen mid-interval: all of it is new
+    keys = state_layout(cur)
+    low, high = "min" + keys.suffix, "max" + keys.suffix
+    # min/max of the delta interval are unknowable from endpoints; keep
+    # the current observed envelope so percentile clamping stays sane.
+    return {
+        keys.count: max(0, cur[keys.count] - prev[keys.count]),
+        keys.total_fp: max(0, cur[keys.total_fp] - prev[keys.total_fp]),
+        low: cur[low],
+        high: cur[high],
+        "hist": _delta_hist(cur["hist"], prev["hist"]),
+    }
 
 
 def snapshot_delta(current: Dict[str, Any],
@@ -211,34 +161,13 @@ def snapshot_delta(current: Dict[str, Any],
         "dropped_spans": max(
             0, current.get("dropped_spans", 0) - previous.get("dropped_spans", 0)),
     }
-    for name, cur in current["timers"].items():
-        prev = previous["timers"].get(name)
-        if prev is None:
-            out["timers"][name] = cur
-            continue
-        out["timers"][name] = {
-            "calls": max(0, cur["calls"] - prev["calls"]),
-            "total_ns": max(0, cur["total_ns"] - prev["total_ns"]),
-            "min_s": cur["min_s"],
-            "max_s": cur["max_s"],
-            "hist": _delta_hist(cur["hist"], prev["hist"]),
-        }
+    for table in ("timers", "distributions"):
+        for name, cur in current[table].items():
+            out[table][name] = _delta_state(cur, previous[table].get(name))
     for name, cur in current["counters"].items():
         prev = previous["counters"].get(name, {"value_fp": 0})
         out["counters"][name] = {
             "value_fp": max(0, cur["value_fp"] - prev["value_fp"])}
-    for name, cur in current["distributions"].items():
-        prev = previous["distributions"].get(name)
-        if prev is None:
-            out["distributions"][name] = cur
-            continue
-        out["distributions"][name] = {
-            "count": max(0, cur["count"] - prev["count"]),
-            "total_fp": max(0, cur["total_fp"] - prev["total_fp"]),
-            "min": cur["min"],
-            "max": cur["max"],
-            "hist": _delta_hist(cur["hist"], prev["hist"]),
-        }
     return out
 
 
@@ -261,6 +190,24 @@ def _metric_name(name: str) -> str:
     return metric
 
 
+def _summary_lines(lines: List[str], states: Dict[str, Any], metric: str,
+                   label_key: str, help_text: str) -> None:
+    """A summary family: p50/p90/p99 from the log-bucket histogram
+    (~12 % relative error), then the exact sum and count."""
+    lines.append(f"# HELP {metric} {help_text}")
+    lines.append(f"# TYPE {metric} summary")
+    for name in sorted(states):
+        keys = state_layout(states[name])
+        stats = state_stats(states[name])
+        label = f'{label_key}="{_escape_label(name)}"'
+        for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
+            lines.append(f'{metric}{{{label},quantile="{q}"}} '
+                         f'{stats[key + keys.suffix]:.9g}')
+        lines.append(f'{metric}_sum{{{label}}} '
+                     f'{stats["total" + keys.suffix]:.9g}')
+        lines.append(f'{metric}_count{{{label}}} {stats[keys.count]}')
+
+
 def prometheus_text(registry: Optional[Registry] = None, *,
                     snapshot: Optional[Dict[str, Any]] = None,
                     series: Any = None,
@@ -279,18 +226,9 @@ def prometheus_text(registry: Optional[Registry] = None, *,
         series = registry.series
     lines: List[str] = []
 
-    timer_metric = f"{namespace}_stage_duration_seconds"
-    lines.append(f"# HELP {timer_metric} Stage wall-clock duration summary.")
-    lines.append(f"# TYPE {timer_metric} summary")
-    for name in sorted(snapshot["timers"]):
-        stats = timer_state_stats(snapshot["timers"][name])
-        label = f'stage="{_escape_label(name)}"'
-        for q, key in ((0.5, "p50_s"), (0.9, "p90_s"), (0.99, "p99_s")):
-            lines.append(
-                f'{timer_metric}{{{label},quantile="{q}"}} {stats[key]:.9g}')
-        lines.append(f'{timer_metric}_sum{{{label}}} {stats["total_s"]:.9g}')
-        lines.append(f'{timer_metric}_count{{{label}}} {stats["calls"]}')
-
+    _summary_lines(lines, snapshot["timers"],
+                   f"{namespace}_stage_duration_seconds", "stage",
+                   "Stage wall-clock duration summary.")
     counter_metric = f"{namespace}_events_total"
     lines.append(f"# HELP {counter_metric} Accumulated event counters.")
     lines.append(f"# TYPE {counter_metric} counter")
@@ -299,19 +237,9 @@ def prometheus_text(registry: Optional[Registry] = None, *,
         lines.append(
             f'{counter_metric}{{name="{_escape_label(name)}"}} {value:.9g}')
 
-    dist_metric = f"{namespace}_value_summary"
-    lines.append(f"# HELP {dist_metric} Value-stream summary "
-                 f"(batch sizes, queue depths, ...).")
-    lines.append(f"# TYPE {dist_metric} summary")
-    for name in sorted(snapshot["distributions"]):
-        stats = dist_state_stats(snapshot["distributions"][name])
-        label = f'name="{_escape_label(name)}"'
-        for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
-            lines.append(
-                f'{dist_metric}{{{label},quantile="{q}"}} {stats[key]:.9g}')
-        lines.append(f'{dist_metric}_sum{{{label}}} {stats["total"]:.9g}')
-        lines.append(f'{dist_metric}_count{{{label}}} {stats["count"]}')
-
+    _summary_lines(lines, snapshot["distributions"],
+                   f"{namespace}_value_summary", "name",
+                   "Value-stream summary (batch sizes, queue depths, ...).")
     dropped = f"{namespace}_dropped_spans_total"
     lines.append(f"# HELP {dropped} Spans dropped by the bounded buffer.")
     lines.append(f"# TYPE {dropped} counter")

@@ -2,20 +2,22 @@
 
 Three layers, all stdlib-only:
 
-* **Timers/counters/distributions** — a :class:`Timer` accumulates
-  wall-clock durations per named stage (count/total/min/max plus a
-  streaming log-bucket :class:`Histogram` for p50/p90/p99); a
-  :class:`Counter` accumulates event counts; a :class:`Distribution`
-  accumulates a stream of plain values (engine batch sizes, queue
-  depths) behind the same percentile histogram.
+* **Distributions and counters** — one mergeable primitive: a
+  :class:`Distribution` summarizes a stream of samples by a fixed-point
+  total plus a streaming log-bucket :class:`Histogram` (count, exact
+  min and max, p50/p90/p99).  Tagged ``unit="s"`` it is a stage timer
+  (wall-clock durations per named stage); untagged it summarizes plain
+  values (engine batch sizes, queue depths).  A :class:`Counter`
+  accumulates fixed-point event counts.  Each stores only the state the
+  cross-process merge needs, and every float view (``total_s``,
+  ``mean``, ``p99``...) is derived from it, so a single-process
+  :meth:`Registry.snapshot` equals the stats of its own merged document.
 * **Spans** — ``with registry.span("detect.batch_total", task="...") as sp:``
   opens a hierarchical span.  Spans nest through a thread-local stack, so
   a stage timed inside another stage becomes its child automatically;
-  every completed span both feeds the stage's Timer and is appended to a
+  every completed span both feeds the stage's timer and is appended to a
   bounded in-memory event list that :mod:`repro.obs.trace` can export as
   Chrome trace-event JSON (viewable in Perfetto / ``chrome://tracing``).
-  ``registry.time(name)`` is the attribute-less alias, so the historical
-  call sites participate in the tree for free.
 * **Telemetry** — :meth:`Registry.telemetry_snapshot` is the
   serialization-ready view (strict JSON: no ``Infinity``) that
   :mod:`repro.obs.telemetry` embeds in ``BENCH_*.json`` files.
@@ -30,8 +32,8 @@ returns before touching a clock, a lock, or the span stack; with it
 enabled, the get-or-create accessors are lock-free on the hit path
 (plain dict reads are atomic under the GIL) and only take the registry
 lock to *create* a stage or append a completed span.  Per-stage mutation
-uses a per-Timer/per-Counter lock so concurrent recordings never lose
-updates (totals stay exact across threads).
+uses a per-metric lock so concurrent recordings never lose updates
+(totals stay exact across threads).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import itertools
 import math
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.obs.context import current_context
 
@@ -54,8 +56,13 @@ __all__ = [
     "Histogram",
     "Registry",
     "Span",
-    "Timer",
+    "counter_value",
     "get_registry",
+    "merge_states",
+    "render_report",
+    "snapshot_stats",
+    "state_layout",
+    "state_stats",
     "traced",
 ]
 
@@ -86,12 +93,12 @@ _LOG_GROWTH = math.log(_HIST_GROWTH)
 
 
 class Histogram:
-    """Streaming fixed-bucket (log-scale) histogram of durations.
+    """Streaming fixed-bucket (log-scale) histogram of samples.
 
     Constant memory, O(1) :meth:`record`, percentile queries by walking
-    the cumulative counts.  Representative values are clamped to the
-    observed ``[min, max]`` so extreme percentiles never overshoot the
-    data.
+    the cumulative counts.  It also holds the exact count, min, and max.
+    Representative values are clamped to the observed ``[min, max]`` so
+    extreme percentiles never overshoot the data.
     """
 
     __slots__ = ("counts", "count", "_min", "_max")
@@ -100,7 +107,7 @@ class Histogram:
         self.counts = [0] * _HIST_BUCKETS
         self.count = 0
         self._min = math.inf
-        self._max = 0.0
+        self._max = -math.inf
 
     @staticmethod
     def bucket_index(seconds: float) -> int:
@@ -163,178 +170,237 @@ class Histogram:
 
 
 # ----------------------------------------------------------------------
-# Timers and counters
+# The mergeable primitive: distributions (timers are unit="s") and counters
 # ----------------------------------------------------------------------
-@dataclasses.dataclass
-class Timer:
-    """Accumulated wall-clock statistics for one named stage."""
+class _Layout(NamedTuple):
+    """Key names of one distribution's merge and stats dicts.
 
-    name: str
-    calls: int = 0
-    total_s: float = 0.0
-    min_s: float = math.inf
-    max_s: float = 0.0
-    last_s: float = 0.0
-    # Integer-nanosecond twin of total_s: the order-independent
-    # accumulator the mergeable snapshot protocol exports.
-    total_ns: int = 0
-    histogram: Histogram = dataclasses.field(default_factory=Histogram,
-                                             repr=False, compare=False)
-    _lock: threading.Lock = dataclasses.field(default_factory=threading.Lock,
-                                              repr=False, compare=False)
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self.calls += 1
-            self.total_s += seconds
-            self.total_ns += fixed_point(seconds)
-            self.min_s = min(self.min_s, seconds)
-            self.max_s = max(self.max_s, seconds)
-            self.last_s = seconds
-            self.histogram.record(seconds)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
-
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p90_s(self) -> float:
-        return self.percentile(90.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile(99.0)
-
-    def stats(self) -> Dict[str, float]:
-        """Strict-JSON stats dict (never emits ``Infinity``)."""
-        return {
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            # A created-but-never-recorded timer keeps min_s = inf
-            # internally; exporting that breaks strict JSON consumers.
-            "min_s": self.min_s if self.calls else 0.0,
-            "max_s": self.max_s,
-            "last_s": self.last_s,
-            "p50_s": self.p50_s,
-            "p90_s": self.p90_s,
-            "p99_s": self.p99_s,
-        }
-
-    def merge_state(self) -> Dict[str, Any]:
-        """Order-independent state for cross-process merging.
-
-        ``last_s`` is deliberately absent: "last" depends on arrival
-        order, which a merge of concurrent shards cannot define.
-        """
-        with self._lock:
-            return {
-                "calls": self.calls,
-                "total_ns": self.total_ns,
-                "min_s": self.min_s if self.calls else None,
-                "max_s": self.max_s if self.calls else None,
-                "hist": self.histogram.merge_state(),
-            }
-
-
-@dataclasses.dataclass
-class Counter:
-    """Accumulated event count (windows scanned, ops simulated, ...)."""
-
-    name: str
-    value: float = 0
-    # Fixed-point twin of value (value * FP_SCALE, rounded per add) so
-    # shard merges are bit-exact regardless of order.
-    value_fp: int = 0
-    _lock: threading.Lock = dataclasses.field(default_factory=threading.Lock,
-                                              repr=False, compare=False)
-
-    def add(self, amount: float = 1) -> None:
-        with self._lock:
-            self.value += amount
-            self.value_fp += fixed_point(amount)
-
-    def merge_state(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"value_fp": self.value_fp}
-
-
-@dataclasses.dataclass
-class Distribution:
-    """Accumulated statistics of a dimensionless value stream.
-
-    Where a :class:`Timer` summarizes durations, a Distribution
-    summarizes *values* the hot path observes — engine batch sizes,
-    queue depths, candidate counts — with the same constant-memory
-    log-bucket :class:`Histogram` behind p50/p90/p99.  The bucket grid
-    spans roughly ``[1e-7, 1e2]``; values outside saturate the edge
-    buckets, but ``min``/``max`` stay exact and percentiles are clamped
-    to them, so small-integer streams (the intended use) lose at most
-    the histogram's ~12 % bucket error.
+    A stage timer names its fields after seconds (``calls``,
+    ``total_ns``, ``min_s``, ``p99_s``...); a value stream, and every
+    sliding-window series cell, uses the bare names (``count``,
+    ``total_fp``, ``min``, ``p99``...).  The numbers are the same.
     """
 
-    name: str
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = 0.0
-    last: float = 0.0
-    total_fp: int = 0
-    histogram: Histogram = dataclasses.field(default_factory=Histogram,
-                                             repr=False, compare=False)
-    _lock: threading.Lock = dataclasses.field(default_factory=threading.Lock,
-                                              repr=False, compare=False)
+    unit: str
+    count: str
+    total_fp: str
+    suffix: str
+
+
+_TIMER_LAYOUT = _Layout("s", "calls", "total_ns", "_s")
+_VALUE_LAYOUT = _Layout("", "count", "total_fp", "")
+
+
+def state_layout(state: Dict[str, Any]) -> _Layout:
+    """Which layout a distribution merge state is keyed in."""
+    return _TIMER_LAYOUT if "calls" in state else _VALUE_LAYOUT
+
+
+class Distribution:
+    """Mergeable summary of one named sample stream.
+
+    Its only state is what a cross-process merge needs: the fixed-point
+    total (each sample rounded onto the ``FP_SCALE`` grid, so totals sum
+    bit-exactly in any order) and the :class:`Histogram`, which holds
+    the count, the log buckets behind p50/p90/p99, and the exact min and
+    max.  Every float view is derived from that state.
+
+    ``unit="s"`` tags a stage timer (wall-clock durations), whose dicts
+    use the seconds layout (``calls``, ``total_ns``, ``total_s``...);
+    ``unit=""`` summarizes plain values — engine batch sizes, queue
+    depths, candidate counts.  The bucket grid spans roughly
+    ``[1e-7, 1e2]``; values outside saturate the edge buckets, but
+    min/max stay exact and percentiles are clamped to them, so
+    small-integer streams lose at most the ~12 % bucket error.
+    """
+
+    __slots__ = ("name", "unit", "total_fp", "histogram", "_lock")
+
+    def __init__(self, name: str = "", unit: str = "") -> None:
+        self.name = name
+        self.unit = unit
+        self.total_fp = 0
+        self.histogram = Histogram()
+        self._lock = threading.Lock()
 
     def record(self, value: float) -> None:
-        value = float(value)
+        scaled = fixed_point(value)
         with self._lock:
-            self.count += 1
-            self.total += value
-            self.total_fp += fixed_point(value)
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-            self.last = value
+            self.total_fp += scaled
             self.histogram.record(value)
+
+    def merge_in(self, state: Dict[str, Any]) -> "Distribution":
+        """Add another distribution's merge state (either layout)."""
+        with self._lock:
+            self.total_fp += state[state_layout(state).total_fp]
+            self.histogram.merge_in(state["hist"])
+        return self
+
+    def merge_state(self) -> Dict[str, Any]:
+        """Order-independent state for cross-process merging."""
+        with self._lock:
+            total_fp = self.total_fp
+            hist = self.histogram.merge_state()
+        keys = _TIMER_LAYOUT if self.unit == "s" else _VALUE_LAYOUT
+        return {
+            keys.count: hist["count"],
+            keys.total_fp: total_fp,
+            "min" + keys.suffix: hist["min"],
+            "max" + keys.suffix: hist["max"],
+            "hist": hist,
+        }
+
+    # -- derived float views --------------------------------------------
+    @property
+    def count(self) -> int:
+        return self.histogram.count
+
+    @property
+    def total(self) -> float:
+        return self.total_fp / FP_SCALE
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
+
+    @property
+    def min(self) -> float:
+        return self.histogram._min if self.count else 0.0
+
+    @property
+    def max(self) -> float:
+        return self.histogram._max if self.count else 0.0
+
+    # A timer reads the same views under its seconds names.
+    calls, total_s, mean_s, min_s, max_s = count, total, mean, min, max
 
     def percentile(self, q: float) -> float:
         return self.histogram.percentile(q)
 
-    def stats(self) -> Dict[str, float]:
-        """Strict-JSON stats dict (never emits ``Infinity``)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "last": self.last,
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
-        }
+
+def state_stats(state: Dict[str, Any]) -> Dict[str, float]:
+    """Derive count/total/mean/min/max/p50/p90/p99 from a distribution
+    merge state, keyed in the state's own layout.
+
+    Strict JSON: an empty state reads as zeros, never ``Infinity``.
+    """
+    keys = state_layout(state)
+    suffix = keys.suffix
+    hist = Histogram.from_state(state["hist"])
+    count = state[keys.count]
+    total = state[keys.total_fp] / FP_SCALE
+    low, high = state["min" + suffix], state["max" + suffix]
+    return {
+        keys.count: count,
+        "total" + suffix: total,
+        "mean" + suffix: total / count if count else 0.0,
+        "min" + suffix: 0.0 if low is None else low,
+        "max" + suffix: 0.0 if high is None else high,
+        "p50" + suffix: hist.percentile(50.0),
+        "p90" + suffix: hist.percentile(90.0),
+        "p99" + suffix: hist.percentile(99.0),
+    }
+
+
+def merge_states(a: Optional[Dict[str, Any]],
+                 b: Dict[str, Any]) -> Dict[str, Any]:
+    """Merge two distribution states of one layout (``a=None`` is empty).
+
+    Integer sums plus exact min/max: associative, commutative, and
+    bit-exact in any order.
+    """
+    if a is None:
+        return b
+    merged = Distribution(unit=state_layout(a).unit).merge_in(a).merge_in(b)
+    return merged.merge_state()
+
+
+class Counter:
+    """Accumulated event count (windows scanned, ops simulated, ...).
+
+    Kept only as a fixed-point integer (``amount * FP_SCALE``, rounded
+    per add) so shard merges are bit-exact regardless of order;
+    :attr:`value` is derived from it.
+    """
+
+    __slots__ = ("name", "value_fp", "_lock")
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self.value_fp = 0
+        self._lock = threading.Lock()
+
+    def add(self, amount: float = 1) -> None:
+        scaled = fixed_point(amount)
+        with self._lock:
+            self.value_fp += scaled
+
+    @property
+    def value(self) -> float:
+        return counter_value(self.merge_state())
 
     def merge_state(self) -> Dict[str, Any]:
-        """Order-independent state for cross-process merging (no
-        ``last`` — see :meth:`Timer.merge_state`)."""
-        with self._lock:
-            return {
-                "count": self.count,
-                "total_fp": self.total_fp,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None,
-                "hist": self.histogram.merge_state(),
-            }
+        return {"value_fp": self.value_fp}
+
+
+def counter_value(state: Dict[str, Any]) -> float:
+    """A counter state's value: an int when it is whole, else a float."""
+    whole, fraction = divmod(state["value_fp"], FP_SCALE)
+    return state["value_fp"] / FP_SCALE if fraction else whole
+
+
+def snapshot_stats(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """The plain-stats view of a merge document: per-timer and
+    per-distribution :func:`state_stats`, per-counter value.  A
+    :meth:`Registry.snapshot` is this view of the registry's own merge
+    state, so it equals the view of any merge that reproduces it."""
+    return {
+        "timers": {n: state_stats(s) for n, s in doc["timers"].items()},
+        "counters": {n: counter_value(s) for n, s in doc["counters"].items()},
+        "distributions": {n: state_stats(s)
+                          for n, s in doc["distributions"].items()},
+    }
+
+
+def render_report(stats: Dict[str, Any], title: str) -> str:
+    """Per-stage latency table (sorted by total time), counters, and
+    distributions of a :meth:`Registry.snapshot`-shaped dict: the live
+    registry's, or the ``obs`` block of a ``BENCH_*.json`` file."""
+    lines = [f"== {title}: per-stage timings =="]
+    timers = stats.get("timers", {})
+    if timers:
+        width = max(len(name) for name in timers)
+        columns = ("total", "mean", "p50", "p90", "p99", "max")
+        lines.append(f"{'stage'.ljust(width)} | {'calls':>6} | "
+                     + " | ".join(f"{c + ' ms':>10}" for c in columns))
+        for name, t in sorted(timers.items(),
+                              key=lambda kv: -kv[1].get("total_s", 0.0)):
+            lines.append(
+                f"{name.ljust(width)} | {t.get('calls', 0):>6} | "
+                + " | ".join(f"{t.get(c + '_s', 0.0) * 1e3:>10.3f}"
+                             for c in columns))
+    else:
+        lines.append("(no timers recorded)")
+    counters = stats.get("counters", {})
+    if counters:
+        width = max(len(name) for name in counters)
+        lines.append("-- counters --")
+        for name, value in sorted(counters.items()):
+            amount = int(value) if float(value).is_integer() else value
+            lines.append(f"{name.ljust(width)} | {amount}")
+    distributions = stats.get("distributions", {})
+    if distributions:
+        width = max(len(name) for name in distributions)
+        columns = ("mean", "p50", "p90", "p99", "min", "max")
+        lines.append("-- distributions --")
+        lines.append(f"{'name'.ljust(width)} | {'count':>6} | "
+                     + " | ".join(f"{c:>8}" for c in columns))
+        for name, d in sorted(distributions.items()):
+            lines.append(
+                f"{name.ljust(width)} | {d.get('count', 0):>6} | "
+                + " | ".join(f"{d.get(c, 0.0):>8.2f}" for c in columns))
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -394,13 +460,17 @@ _NULL_SPAN = _NullSpan()
 DEFAULT_MAX_SPANS = 100_000
 
 
-class Registry:
-    """Named collection of timers, counters, and completed spans.
+def _new_timer(name: str) -> Distribution:
+    return Distribution(name, unit="s")
 
-    Thread-safe for concurrent ``span``/``time``/``count`` calls;
-    detection servers can share one registry across worker threads.  Each
-    thread keeps its own span stack, so parent/child links never cross
-    threads.
+
+class Registry:
+    """Named collection of timers, counters, distributions, and spans.
+
+    Thread-safe for concurrent ``span``/``count``/``observe`` calls;
+    detection servers can share one registry across worker threads.
+    Each thread keeps its own span stack, so parent/child links never
+    cross threads.
     """
 
     def __init__(self, name: str = "obs",
@@ -408,7 +478,7 @@ class Registry:
         self.name = name
         self.enabled = True
         self.max_spans = max_spans
-        self._timers: Dict[str, Timer] = {}
+        self._timers: Dict[str, Distribution] = {}
         self._counters: Dict[str, Counter] = {}
         self._distributions: Dict[str, Distribution] = {}
         self._spans: List[Span] = []
@@ -424,37 +494,29 @@ class Registry:
         self._series: Optional[Any] = None
 
     # -- accessors ------------------------------------------------------
-    def timer(self, name: str) -> Timer:
+    def _get(self, table: Dict[str, Any], name: str,
+             factory: Callable[[str], Any]) -> Any:
         # Lock-free hit path: dict reads are atomic under the GIL, and
         # entries are never deleted outside reset().
-        timer = self._timers.get(name)
-        if timer is None:
+        metric = table.get(name)
+        if metric is None:
             with self._lock:
-                timer = self._timers.get(name)
-                if timer is None:
-                    timer = self._timers[name] = Timer(name)
-        return timer
+                metric = table.get(name)
+                if metric is None:
+                    metric = table[name] = factory(name)
+        return metric
+
+    def timer(self, name: str) -> Distribution:
+        return self._get(self._timers, name, _new_timer)
 
     def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter(name)
-        return counter
+        return self._get(self._counters, name, Counter)
 
     def distribution(self, name: str) -> Distribution:
-        dist = self._distributions.get(name)
-        if dist is None:
-            with self._lock:
-                dist = self._distributions.get(name)
-                if dist is None:
-                    dist = self._distributions[name] = Distribution(name)
-        return dist
+        return self._get(self._distributions, name, Distribution)
 
     @property
-    def timers(self) -> Dict[str, Timer]:
+    def timers(self) -> Dict[str, Distribution]:
         with self._lock:
             return dict(self._timers)
 
@@ -490,8 +552,8 @@ class Registry:
 
         Yields the :class:`Span` so the block can ``set_attr(...)``
         values it only learns mid-flight.  On exit the duration feeds the
-        stage's :class:`Timer` (so percentiles aggregate across calls)
-        and the completed span joins the trace buffer.
+        stage's timer (so percentiles aggregate across calls) and the
+        completed span joins the trace buffer.
         """
         if not self.enabled:
             yield _NULL_SPAN
@@ -523,17 +585,7 @@ class Registry:
         finally:
             elapsed = time.perf_counter() - start
             stack.pop()
-            span.start_us = (start - self._epoch) * 1e6
-            span.dur_us = elapsed * 1e6
-            self.timer(name).record(elapsed)
-            series = self._series
-            if series is not None:
-                series.record_timer(name, elapsed)
-            with self._lock:
-                if len(self._spans) < self.max_spans:
-                    self._spans.append(span)
-                else:
-                    self._dropped_spans += 1
+            self._finish(span, start, elapsed)
 
     def record_span(self, name: str, start_s: float, end_s: float, *,
                     trace_id: Optional[str] = None,
@@ -546,37 +598,36 @@ class Registry:
         worker's flush — no ``with`` block can wrap them, so the caller
         passes the two ``time.perf_counter()`` readings (and the
         captured request's ``trace_id``/``parent_id``) directly.  The
-        interval feeds the stage Timer and series exactly like a
+        interval feeds the stage timer and series exactly like a
         :meth:`span` block.
         """
         if not self.enabled:
             return None
-        elapsed = max(0.0, end_s - start_s)
         span = Span(
             name=name,
             span_id=next(self._span_ids),
             parent_id=parent_id,
             tid=threading.get_ident(),
-            start_us=(start_s - self._epoch) * 1e6,
-            dur_us=elapsed * 1e6,
             attrs=dict(attrs) if attrs else {},
             trace_id=trace_id,
         )
-        self.timer(name).record(elapsed)
+        self._finish(span, start_s, max(0.0, end_s - start_s))
+        return span
+
+    def _finish(self, span: Span, start_s: float, elapsed: float) -> None:
+        """Stamp a completed span, feed its stage timer (and series),
+        and buffer it — or count it dropped once the buffer is full."""
+        span.start_us = (start_s - self._epoch) * 1e6
+        span.dur_us = elapsed * 1e6
+        self.timer(span.name).record(elapsed)
         series = self._series
         if series is not None:
-            series.record_timer(name, elapsed)
+            series.record_timer(span.name, elapsed)
         with self._lock:
             if len(self._spans) < self.max_spans:
                 self._spans.append(span)
             else:
                 self._dropped_spans += 1
-        return span
-
-    def time(self, name: str) -> "contextlib.AbstractContextManager[Span]":
-        """Attribute-less :meth:`span` — kept for the historical call
-        sites; timed blocks still join the span tree."""
-        return self.span(name)
 
     def count(self, name: str, amount: float = 1) -> None:
         if self.enabled:
@@ -588,7 +639,9 @@ class Registry:
     def observe(self, name: str, value: float) -> None:
         """Record one sample of a value stream (queue depth, batch size)."""
         if self.enabled:
-            self.distribution(name).record(value)
+            # The registry's value streams hold floats; the series cell
+            # keeps the sample as given.
+            self.distribution(name).record(float(value))
             series = self._series
             if series is not None:
                 series.record_value(name, value)
@@ -628,20 +681,31 @@ class Registry:
         return decorate
 
     # -- inspection -----------------------------------------------------
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Plain-dict view of all stats (stable for serialization/tests).
-
-        Strict-JSON safe: never-recorded timers report ``min_s = 0.0``
-        rather than leaking ``Infinity``.
-        """
+    def merge_state(self) -> Dict[str, Any]:
+        """The order-independent tables of a ``repro.obs.merge/1``
+        document (:func:`repro.obs.export.mergeable_snapshot` adds the
+        schema tag and the series)."""
         with self._lock:
-            return {
-                "timers": {n: t.stats() for n, t in self._timers.items()},
-                "counters": {n: c.value for n, c in self._counters.items()},
-                "distributions": {
-                    n: d.stats() for n, d in self._distributions.items()
-                },
-            }
+            timers = dict(self._timers)
+            counters = dict(self._counters)
+            distributions = dict(self._distributions)
+        return {
+            "timers": {n: t.merge_state() for n, t in timers.items()},
+            "counters": {n: c.merge_state() for n, c in counters.items()},
+            "distributions": {n: d.merge_state()
+                              for n, d in distributions.items()},
+            "dropped_spans": self._dropped_spans,
+        }
+
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Plain-dict stats view (stable for serialization/tests).
+
+        Derived from :meth:`merge_state` (see :func:`snapshot_stats`), so
+        it equals the stats of any bit-exact merge of this registry's
+        shards.  Strict-JSON safe: never-recorded timers report
+        ``min_s = 0.0`` rather than leaking ``Infinity``.
+        """
+        return snapshot_stats(self.merge_state())
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """Snapshot plus the span buffer — the ``obs`` block that
@@ -665,49 +729,7 @@ class Registry:
 
     def report(self, title: Optional[str] = None) -> str:
         """Human-readable per-stage latency table, sorted by total time."""
-        lines = [f"== {title or self.name}: per-stage timings =="]
-        timers = sorted(self.timers.values(), key=lambda t: -t.total_s)
-        if timers:
-            width = max(len(t.name) for t in timers)
-            lines.append(
-                f"{'stage'.ljust(width)} | {'calls':>6} | {'total ms':>10} | "
-                f"{'mean ms':>10} | {'p50 ms':>10} | {'p99 ms':>10} | "
-                f"{'max ms':>10}"
-            )
-            for t in timers:
-                lines.append(
-                    f"{t.name.ljust(width)} | {t.calls:>6d} | "
-                    f"{t.total_s * 1e3:>10.3f} | {t.mean_s * 1e3:>10.3f} | "
-                    f"{t.p50_s * 1e3:>10.3f} | {t.p99_s * 1e3:>10.3f} | "
-                    f"{t.max_s * 1e3:>10.3f}"
-                )
-        else:
-            lines.append("(no timers recorded)")
-        counters = sorted(self.counters.values(), key=lambda c: c.name)
-        if counters:
-            width = max(len(c.name) for c in counters)
-            lines.append("-- counters --")
-            for c in counters:
-                amount = int(c.value) if float(c.value).is_integer() else c.value
-                lines.append(f"{c.name.ljust(width)} | {amount}")
-        distributions = sorted(self.distributions.values(),
-                               key=lambda d: d.name)
-        if distributions:
-            width = max(len(d.name) for d in distributions)
-            lines.append("-- distributions --")
-            lines.append(
-                f"{'name'.ljust(width)} | {'count':>6} | {'mean':>8} | "
-                f"{'p50':>8} | {'p99':>8} | {'min':>8} | {'max':>8}"
-            )
-            for d in distributions:
-                stats = d.stats()
-                lines.append(
-                    f"{d.name.ljust(width)} | {d.count:>6d} | "
-                    f"{stats['mean']:>8.2f} | {stats['p50']:>8.2f} | "
-                    f"{stats['p99']:>8.2f} | {stats['min']:>8.2f} | "
-                    f"{stats['max']:>8.2f}"
-                )
-        return "\n".join(lines)
+        return render_report(self.snapshot(), title or self.name)
 
     def reset(self) -> None:
         with self._lock:
@@ -720,6 +742,7 @@ class Registry:
         series = self._series
         if series is not None:
             series.reset()
+
 
 
 _GLOBAL = Registry("repro")

@@ -3,8 +3,9 @@
 The registry's timers answer "how has this stage behaved since process
 start"; an operator watching a serving tier needs "how is it behaving
 *right now*".  This module keeps, per metric, a ring of per-second
-cells — each cell a count/total/min/max plus the same constant-memory
-log-bucket :class:`~repro.obs.registry.Histogram` — so windowed rate,
+cells — each cell the registry's own mergeable
+:class:`~repro.obs.registry.Distribution` (fixed-point total plus a
+constant-memory log-bucket histogram) — so windowed rate,
 p50, and p99 over the last N seconds are one walk over at most
 ``buckets`` cells, with total memory fixed at ring size regardless of
 traffic.
@@ -30,7 +31,13 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.obs.registry import FP_SCALE, Histogram, fixed_point
+from repro.obs.registry import (
+    FP_SCALE,
+    Distribution,
+    fixed_point,
+    merge_states,
+    state_stats,
+)
 
 __all__ = [
     "SeriesRecorder",
@@ -45,41 +52,10 @@ DEFAULT_BUCKET_S = 1.0
 DEFAULT_BUCKETS = 120
 
 
-class _ValueCell:
-    __slots__ = ("index", "count", "total_fp", "min", "max", "hist")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.count = 0
-        self.total_fp = 0
-        self.min = math.inf
-        self.max = -math.inf
-        self.hist = Histogram()
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total_fp += fixed_point(value)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.hist.record(value)
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_fp": self.total_fp,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "hist": self.hist.merge_state(),
-        }
-
-
 class _CountCell:
-    __slots__ = ("index", "events", "amount_fp")
+    __slots__ = ("events", "amount_fp")
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.events = 0
         self.amount_fp = 0
 
@@ -87,18 +63,19 @@ class _CountCell:
         self.events += 1
         self.amount_fp += fixed_point(amount)
 
-    def state(self) -> Dict[str, Any]:
+    def merge_state(self) -> Dict[str, Any]:
         return {"events": self.events, "amount_fp": self.amount_fp}
 
 
 class _Ring:
     """Fixed-size ring of cells addressed by absolute bucket index."""
 
-    __slots__ = ("bucket_s", "slots", "make_cell", "_lock")
+    __slots__ = ("bucket_s", "indices", "slots", "make_cell", "_lock")
 
     def __init__(self, bucket_s: float, buckets: int,
-                 make_cell: Callable[[int], Any]) -> None:
+                 make_cell: Callable[[], Any]) -> None:
         self.bucket_s = bucket_s
+        self.indices: List[Optional[int]] = [None] * buckets
         self.slots: List[Any] = [None] * buckets
         self.make_cell = make_cell
         self._lock = threading.Lock()
@@ -107,83 +84,63 @@ class _Ring:
         index = int(now // self.bucket_s)
         slot = index % len(self.slots)
         with self._lock:
-            cell = self.slots[slot]
-            if cell is None or cell.index != index:
+            if self.indices[slot] != index:
                 # Lazy eviction: a stale cell is overwritten only when
                 # its slot is claimed by a new wall-clock bucket.
-                cell = self.slots[slot] = self.make_cell(index)
-            cell.record(*args)
+                self.indices[slot] = index
+                self.slots[slot] = self.make_cell()
+            self.slots[slot].record(*args)
 
     def cells_in_window(self, window_s: float, now: float) -> List[Any]:
         now_index = int(now // self.bucket_s)
         span = max(1, int(math.ceil(window_s / self.bucket_s)))
         first = now_index - span + 1
         with self._lock:
-            return [c for c in self.slots
-                    if c is not None and first <= c.index <= now_index]
+            return [c for i, c in zip(self.indices, self.slots)
+                    if i is not None and first <= i <= now_index]
 
-    def live_cells(self) -> List[Any]:
+    def merge_state(self) -> Dict[str, Any]:
         with self._lock:
-            return [c for c in self.slots if c is not None]
+            cells = [(i, c) for i, c in zip(self.indices, self.slots)
+                     if i is not None]
+        return {"cells": {str(i): c.merge_state() for i, c in cells}}
 
 
 class WindowedSeries:
-    """Sliding-window stats for a value stream (durations or sizes)."""
+    """Sliding-window stats for a value stream (durations or sizes).
+
+    Each cell is a :class:`~repro.obs.registry.Distribution` in the bare
+    layout, so a window is the merge of its cells.
+    """
 
     def __init__(self, name: str, bucket_s: float = DEFAULT_BUCKET_S,
                  buckets: int = DEFAULT_BUCKETS) -> None:
         self.name = name
-        self._ring = _Ring(bucket_s, buckets, _ValueCell)
+        self._ring = _Ring(bucket_s, buckets, Distribution)
 
     def record(self, value: float, now: Optional[float] = None) -> None:
         self._ring.record(time.time() if now is None else now, value)
 
     def window_stats(self, window_s: float,
                      now: Optional[float] = None) -> Dict[str, float]:
-        now = time.time() if now is None else now
-        cells = self._ring.cells_in_window(window_s, now)
-        count = sum(c.count for c in cells)
-        if not count:
-            return {"window_s": window_s, "count": 0, "rate_per_s": 0.0,
-                    "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p90": 0.0, "p99": 0.0}
-        merged = Histogram()
-        for c in cells:
-            merged.merge_in(c.hist.merge_state())
-        total = sum(c.total_fp for c in cells) / FP_SCALE
-        return {
-            "window_s": window_s,
-            "count": count,
-            "rate_per_s": count / window_s,
-            "mean": total / count,
-            "min": min(c.min for c in cells if c.count),
-            "max": max(c.max for c in cells if c.count),
-            "p50": merged.percentile(50.0),
-            "p90": merged.percentile(90.0),
-            "p99": merged.percentile(99.0),
-        }
+        stats = state_stats(self.window_state(window_s, now))
+        del stats["total"]
+        count = stats.pop("count")
+        return {"window_s": window_s, "count": count,
+                "rate_per_s": count / window_s, **stats}
 
     def window_state(self, window_s: float,
                      now: Optional[float] = None) -> Dict[str, Any]:
         """Merged cell state over the window (for SLO burn math: the
         histogram gives the fraction of samples above a threshold)."""
         now = time.time() if now is None else now
-        cells = self._ring.cells_in_window(window_s, now)
-        hist = Histogram()
-        for c in cells:
-            hist.merge_in(c.hist.merge_state())
-        counted = [c for c in cells if c.count]
-        return {
-            "count": sum(c.count for c in cells),
-            "total_fp": sum(c.total_fp for c in cells),
-            "min": min((c.min for c in counted), default=None),
-            "max": max((c.max for c in counted), default=None),
-            "hist": hist.merge_state(),
-        }
+        window = Distribution()
+        for cell in self._ring.cells_in_window(window_s, now):
+            window.merge_in(cell.merge_state())
+        return window.merge_state()
 
     def merge_state(self) -> Dict[str, Any]:
-        return {"cells": {str(c.index): c.state()
-                          for c in self._ring.live_cells()}}
+        return self._ring.merge_state()
 
 
 class WindowedCounter:
@@ -211,8 +168,7 @@ class WindowedCounter:
         }
 
     def merge_state(self) -> Dict[str, Any]:
-        return {"cells": {str(c.index): c.state()
-                          for c in self._ring.live_cells()}}
+        return self._ring.merge_state()
 
 
 class SeriesRecorder:
@@ -308,22 +264,6 @@ class SeriesRecorder:
             self._values.clear()
 
 
-def _merge_value_cells(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    if a is None:
-        return b
-    hist = Histogram.from_state(a["hist"])
-    hist.merge_in(b["hist"])
-    mins = [m for m in (a["min"], b["min"]) if m is not None]
-    maxs = [m for m in (a["max"], b["max"]) if m is not None]
-    return {
-        "count": a["count"] + b["count"],
-        "total_fp": a["total_fp"] + b["total_fp"],
-        "min": min(mins) if mins else None,
-        "max": max(maxs) if maxs else None,
-        "hist": hist.merge_state(),
-    }
-
-
 def _merge_count_cells(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     if a is None:
         return b
@@ -361,9 +301,9 @@ def merge_series_states(states: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "schema": SERIES_SCHEMA,
         "bucket_s": states[0]["bucket_s"],
         "timers": _merge_tables([s["timers"] for s in states],
-                                _merge_value_cells),
+                                merge_states),
         "counters": _merge_tables([s["counters"] for s in states],
                                   _merge_count_cells),
         "values": _merge_tables([s["values"] for s in states],
-                                _merge_value_cells),
+                                merge_states),
     }

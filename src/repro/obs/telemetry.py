@@ -10,8 +10,8 @@ Every benchmark run produces one schema-versioned JSON document:
       "manifest": {git sha, branch, dirty, python, platform, numpy, seed,
                    argv, timestamp_utc, hostname, pid},
       "obs": {"timers": {stage: {calls, total_s, mean_s, min_s, max_s,
-                                 last_s, p50_s, p90_s, p99_s}},
-              "counters": {...},
+                                 p50_s, p90_s, p99_s}},
+              "counters": {...}, "distributions": {...},
               "spans": [...], "dropped_spans": n},
       "rows": [...],          # the experiment's primary table
       "tables": {label: [...]}  # any secondary tables

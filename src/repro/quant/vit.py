@@ -41,7 +41,7 @@ def _traced_proj(site: str, kernel: ProjFn) -> ProjFn:
     stage = f"quant.forward.{site}"
 
     def apply(x: np.ndarray) -> np.ndarray:
-        with get_registry().time(stage):
+        with get_registry().span(stage):
             return kernel(x)
 
     return apply

@@ -199,7 +199,7 @@ class StreamingDetector:
         per_frame: List[List[_CellCache]] = []
         counts: List[Tuple[int, int, int]] = []  # cells, recomputed, carried
         registry = get_registry()
-        with registry.time("stream.gate") if gated else nullcontext():
+        with registry.span("stream.gate") if gated else nullcontext():
             for offset, (cells, windows) in enumerate(frames):
                 frame = self._frame + 1 + offset  # the index _advance stamps
                 # Ungated, every cell is re-scored (and nothing cached).

@@ -1,6 +1,7 @@
 """Observability: timers, counters, histograms, spans, telemetry."""
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from repro.obs import (
     Counter,
+    Distribution,
     Histogram,
     Registry,
-    Timer,
     build_telemetry,
     chrome_trace,
     compare_telemetry,
@@ -30,7 +31,7 @@ def registry():
 
 class TestTimer:
     def test_record_accumulates(self):
-        timer = Timer("t")
+        timer = Distribution("t", unit="s")
         timer.record(0.5)
         timer.record(1.5)
         assert timer.calls == 2
@@ -38,17 +39,16 @@ class TestTimer:
         assert timer.mean_s == pytest.approx(1.0)
         assert timer.min_s == pytest.approx(0.5)
         assert timer.max_s == pytest.approx(1.5)
-        assert timer.last_s == pytest.approx(1.5)
 
     def test_mean_of_untouched_timer_is_zero(self):
-        assert Timer("t").mean_s == 0.0
+        assert Distribution("t", unit="s").mean_s == 0.0
 
 
 class TestRegistry:
     def test_time_context_manager(self, registry):
-        with registry.time("stage"):
+        with registry.span("stage"):
             pass
-        with registry.time("stage"):
+        with registry.span("stage"):
             pass
         timer = registry.timer("stage")
         assert timer.calls == 2
@@ -56,7 +56,7 @@ class TestRegistry:
 
     def test_time_records_on_exception(self, registry):
         with pytest.raises(RuntimeError):
-            with registry.time("boom"):
+            with registry.span("boom"):
                 raise RuntimeError("x")
         assert registry.timer("boom").calls == 1
 
@@ -71,7 +71,7 @@ class TestRegistry:
 
     def test_disabled_registry_is_noop(self, registry):
         registry.enabled = False
-        with registry.time("stage"):
+        with registry.span("stage"):
             pass
         registry.count("events")
         snap = registry.snapshot()
@@ -95,7 +95,7 @@ class TestRegistry:
         assert len(names) == 1 and "helper" in names[0]
 
     def test_snapshot_and_report(self, registry):
-        with registry.time("alpha"):
+        with registry.span("alpha"):
             pass
         registry.count("widgets", 3)
         snap = registry.snapshot()
@@ -108,7 +108,7 @@ class TestRegistry:
         assert "no timers" in registry.report()
 
     def test_reset(self, registry):
-        with registry.time("stage"):
+        with registry.span("stage"):
             pass
         registry.count("events")
         registry.reset()
@@ -236,6 +236,15 @@ class TestHistogram:
         assert hist.percentile(0.0) >= 1e-5
         assert hist.percentile(100.0) <= 4e-5
 
+    def test_min_and_max_are_exact_below_zero(self):
+        dist = Distribution("d")
+        for value in (-3.0, -1.0):
+            dist.record(value)
+        assert (dist.min, dist.max) == (-3.0, -1.0)
+        assert dist.percentile(100.0) == -1.0
+        state = dist.merge_state()
+        assert (state["min"], state["max"]) == (-3.0, -1.0)
+
     def test_out_of_range_percentile_raises(self):
         with pytest.raises(ValueError):
             Histogram().percentile(101.0)
@@ -258,7 +267,7 @@ class TestTimerPercentiles:
         json.dumps(snapshot, allow_nan=False)
 
     def test_report_includes_percentile_columns(self, registry):
-        with registry.time("stage"):
+        with registry.span("stage"):
             pass
         report = registry.report()
         assert "p50 ms" in report and "p99 ms" in report
@@ -273,13 +282,6 @@ class TestSpans:
         assert spans["child"].parent_id == spans["parent"].span_id
         assert spans["parent"].parent_id is None
         assert parent.dur_us >= child.dur_us
-
-    def test_time_joins_the_span_tree(self, registry):
-        with registry.span("outer"):
-            with registry.time("inner"):
-                pass
-        spans = {s.name: s for s in registry.spans}
-        assert spans["inner"].parent_id == spans["outer"].span_id
 
     def test_attrs_and_set_attr(self, registry):
         with registry.span("s", task="patrol") as span:
@@ -347,7 +349,7 @@ class TestSpans:
 
 
 class TestConcurrency:
-    """Concurrent span()/time()/count() from many threads stays exact."""
+    """Concurrent span()/count()/observe() from many threads stays exact."""
 
     THREADS = 8
     ITERATIONS = 200
@@ -360,19 +362,27 @@ class TestConcurrency:
             barrier.wait()
             for _ in range(self.ITERATIONS):
                 with registry.span("outer"):
-                    with registry.time("inner"):
+                    with registry.span("inner"):
                         registry.count("events")
+                        registry.observe("depth", 2)
 
         threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside record()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         expected = self.THREADS * self.ITERATIONS
         assert registry.timer("outer").calls == expected
         assert registry.timer("inner").calls == expected
         assert registry.counter("events").value == expected
-        assert registry.timer("outer").histogram.count == expected
+        depth = registry.distribution("depth")
+        assert (depth.count, depth.total) == (expected, 2.0 * expected)
 
     def test_no_torn_parent_child_links(self):
         registry = Registry("mt", max_spans=10 * self.THREADS * self.ITERATIONS)

@@ -13,6 +13,7 @@ import threading
 import time
 import types
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from repro.obs.context import (
 from repro.obs.export import (
     MERGE_SCHEMA,
     MetricsServer,
+    dist_state_stats,
     merge_snapshots,
     mergeable_snapshot,
     prometheus_text,
@@ -253,6 +255,16 @@ class TestMergeProtocol:
                 reg.distribution("size").record(value)
         merged = merge_snapshots([mergeable_snapshot(r) for r in shards])
         assert merged == merge_snapshots([mergeable_snapshot(single)])
+        # the local float views are the merged document's, bit for bit
+        local = single.snapshot()
+        assert local["timers"] == {
+            n: timer_state_stats(s) for n, s in merged["timers"].items()}
+        assert local["distributions"] == {
+            n: dist_state_stats(s)
+            for n, s in merged["distributions"].items()}
+        assert local["counters"] == {
+            n: s["value_fp"] / FP_SCALE
+            for n, s in merged["counters"].items()}
 
     @settings(max_examples=25, deadline=None)
     @given(entries=st.lists(
@@ -275,6 +287,39 @@ class TestMergeProtocol:
         merged = merge_series_states([s.merge_state() for s in shards])
         assert merged == merge_series_states([single.merge_state()])
 
+    def test_merge_document_is_pinned(self):
+        """The repro.obs.merge/1 wire format, byte for byte: shards, the
+        committed baselines and `repro obs slo` all read it."""
+        reg = Registry("golden")
+        reg.timer("never.recorded")
+        for value in (0.0123456789, 0.25, 1e-8, 0.0, 3.5):
+            reg.timer("detect.batch").record(value)
+        reg.timer("engine.queue_wait").record(0.002)
+        reg.count("engine.scenes", 3)
+        reg.count("engine.scenes")
+        reg.count("engine.rejected", 0)
+        for value in (4, 1, 0, 2.5, 130):
+            reg.observe("engine.batch_size", value)
+        series = SeriesRecorder(bucket_s=1.0, buckets=8)
+        for now, value in ((1000.2, 0.01), (1000.7, 0.03), (1002.1, 0.5)):
+            series.record_timer("detect.batch", value, now=now)
+        series.record_counter("engine.scenes", 2, now=1000.5)
+        series.record_counter("engine.scenes", 1, now=1003.0)
+        for now, value in ((1001.0, 4), (1001.9, 0), (1011.5, 2)):
+            series.record_value("engine.batch_size", value, now=now)
+        doc = mergeable_snapshot(reg, series=series)
+        assert json.dumps(doc, sort_keys=True) == _PINNED_MERGE_DOCUMENT
+
+        for path in sorted(BASELINES.glob("BENCH_*.json")):
+            merge = json.loads(path.read_text())["merge"]
+            assert merge_snapshots([merge]) == merge, path.name
+            empty = snapshot_delta(merge, merge)
+            assert merge_snapshots([empty, merge]) == merge, path.name
+            for state in merge["timers"].values():
+                assert timer_state_stats(state)["calls"] == state["calls"]
+            for state in merge["distributions"].values():
+                assert dist_state_stats(state)["count"] == state["count"]
+
     def test_merge_rejects_foreign_documents(self):
         with pytest.raises(ValueError, match="mergeable snapshot"):
             merge_snapshots([{"timers": {}}])
@@ -294,17 +339,65 @@ class TestMergeProtocol:
     def test_snapshot_delta_is_the_interval(self, registry):
         registry.timer("stage").record(0.010)
         registry.count("events", 2)
+        registry.observe("size", 8)
         before = mergeable_snapshot(registry)
         for _ in range(3):
             registry.timer("stage").record(0.020)
         registry.count("events", 5)
         registry.timer("fresh").record(0.5)
+        registry.observe("size", 2)
+        registry.observe("size", 4)
         delta = snapshot_delta(mergeable_snapshot(registry), before)
         assert delta["timers"]["stage"]["calls"] == 3
         assert delta["timers"]["stage"]["hist"]["count"] == 3
         assert delta["counters"]["events"]["value_fp"] == 5 * FP_SCALE
         # a stage that first appears mid-interval is all-new
         assert delta["timers"]["fresh"]["calls"] == 1
+        size = delta["distributions"]["size"]
+        assert size["count"] == size["hist"]["count"] == 2
+        assert size["total_fp"] == 6 * FP_SCALE
+        assert dist_state_stats(size)["mean"] == 3.0
+        # the delta's envelope is the current document's
+        assert (size["min"], size["max"]) == (2.0, 8.0)
+
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+
+# json.dumps(..., sort_keys=True) of the document recorded by
+# TestMergeProtocol.test_merge_document_is_pinned.
+_PINNED_MERGE_DOCUMENT = (
+    '{"counters": {"engine.rejected": {"value_fp": 0}, '
+    '"engine.scenes": {"value_fp": 4000000000}}, '
+    '"distributions": {"engine.batch_size": {"count": 5, '
+    '"hist": {"buckets": [[0, 1], [72, 1], [76, 1], [78, 1], [92, 1]], '
+    '"count": 5, "max": 130.0, "min": 0.0}, "max": 130.0, "min": 0.0, '
+    '"total_fp": 137500000000}}, "dropped_spans": 0, '
+    '"schema": "repro.obs.merge/1", "series": {"bucket_s": 1.0, '
+    '"counters": {"engine.scenes": {"cells": {"1000": {"amount_fp": 2000000000, '
+    '"events": 1}, "1003": {"amount_fp": 1000000000, "events": 1}}}}, '
+    '"schema": "repro.obs.series/1", '
+    '"timers": {"detect.batch": {"cells": {"1000": {"count": 2, '
+    '"hist": {"buckets": [[51, 1], [56, 1]], "count": 2, "max": 0.03, '
+    '"min": 0.01}, "max": 0.03, "min": 0.01, "total_fp": 40000000}, '
+    '"1002": {"count": 1, "hist": {"buckets": [[69, 1]], "count": 1, '
+    '"max": 0.5, "min": 0.5}, "max": 0.5, "min": 0.5, '
+    '"total_fp": 500000000}}}}, '
+    '"values": {"engine.batch_size": {"cells": {"1001": {"count": 2, '
+    '"hist": {"buckets": [[0, 1], [78, 1]], "count": 2, "max": 4, '
+    '"min": 0}, "max": 4, "min": 0, "total_fp": 4000000000}, '
+    '"1011": {"count": 1, "hist": {"buckets": [[75, 1]], "count": 1, '
+    '"max": 2, "min": 2}, "max": 2, "min": 2, '
+    '"total_fp": 2000000000}}}}}, '
+    '"timers": {"detect.batch": {"calls": 5, "hist": {"buckets": [[0, '
+    '2], [52, 1], [66, 1], [77, 1]], "count": 5, "max": 3.5, '
+    '"min": 0.0}, "max_s": 3.5, "min_s": 0.0, "total_ns": 3762345689}, '
+    '"engine.queue_wait": {"calls": 1, "hist": {"buckets": [[44, 1]], '
+    '"count": 1, "max": 0.002, "min": 0.002}, "max_s": 0.002, '
+    '"min_s": 0.002, "total_ns": 2000000}, '
+    '"never.recorded": {"calls": 0, "hist": {"buckets": [], '
+    '"count": 0, "max": null, "min": null}, "max_s": null, '
+    '"min_s": null, "total_ns": 0}}}'
+)
 
 
 # ----------------------------------------------------------------------
@@ -814,3 +907,32 @@ class TestObsV2Cli:
         path.write_text(json.dumps(doc))
         assert main(["obs", "report", str(path)]) == 0
         assert "17 span(s) dropped" in capsys.readouterr().out
+
+    def test_top_renders_interval_rows(self, registry, capsys):
+        """`repro obs top` polls /snapshot twice and renders the delta:
+        HTTP, snapshot_delta and timer_state_stats end to end."""
+        from repro.cli import main
+
+        stop = threading.Event()
+
+        def traffic():
+            while not stop.is_set():
+                registry.timer("detect.batch_total").record(0.002)
+                registry.count("engine.scenes")
+                time.sleep(0.001)
+
+        worker = threading.Thread(target=traffic, daemon=True)
+        with MetricsServer(registry, host="127.0.0.1", port=0) as server:
+            worker.start()
+            try:
+                assert main(["obs", "top", "--url", server.url,
+                             "--frames", "1", "--interval", "0.05"]) == 0
+            finally:
+                stop.set()
+                worker.join()
+        out = capsys.readouterr().out
+        [row] = [line for line in out.splitlines()
+                 if line.startswith("detect.batch_total")]
+        calls = int(row.split("|")[1])
+        assert calls >= 1
+        assert "engine.scenes" in out and "p99 ms" in out
