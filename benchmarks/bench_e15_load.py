@@ -19,8 +19,10 @@ always pay session construction), and spreads requests over a zipf-ish
 Submission never blocks: when a queue is full the request is shed and
 counted, which is what "open loop at 4x capacity" means operationally.
 
-**Reported per tier**: served scenes/sec, shed fraction, and the
-p50/p99 of served-request latency (submit to completed future).
+**Reported per tier**: served scenes/sec, shed fraction, the
+p50/p99 of served-request latency (submit to completed future), and
+the peak count of threads the run added (the smoke bounds the
+baseline's: it keeps a warm engine per warm mission plus one cold).
 
 **Floor gate** (both modes, every host): the sharded tier must serve
 at least as many scenes/sec as the single-process baseline — sharding
@@ -60,6 +62,7 @@ import sys
 import threading
 import time
 import urllib.request
+from collections import OrderedDict
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -131,31 +134,43 @@ class SingleProcessTier:
 
     Mirrors the :class:`ShardRouter` submit surface (mission-keyed,
     non-blocking shed) so the open-loop driver is tier-agnostic.
+    Keeps at most ``MAX_ENGINES`` engines — one per warm mission plus
+    the newest cold one — and closes the least recently used beyond
+    that, so the tier measures a few engines, not one worker thread per
+    cold mission ever seen.
     """
+
+    MAX_ENGINES = len(WARM_TASKS) + 1
 
     def __init__(self, factory: SessionFactory,
                  engine_config: EngineConfig) -> None:
         self.factory = factory
         self.engine_config = engine_config
-        self._engines = {}
+        self._engines = OrderedDict()
+        self._created = []
         self._lock = threading.Lock()
 
     def _engine_for(self, mission: str):
         with self._lock:
             engine = self._engines.get(mission)
-            if engine is None:
-                from repro.serve import DetectionEngine
+            if engine is not None:
+                self._engines.move_to_end(mission)
+                return engine
+            from repro.serve import DetectionEngine
 
-                engine = DetectionEngine(self.factory(mission),
-                                         self.engine_config)
-                self._engines[mission] = engine
+            engine = DetectionEngine(self.factory(mission), self.engine_config)
+            self._engines[mission] = engine
+            self._created.append(engine)
+            if len(self._engines) > self.MAX_ENGINES:
+                # Its queued jobs still run; the worker exits after them.
+                self._engines.popitem(last=False)[1].close(wait=False)
             return engine
 
     def submit(self, scene, mission, *, block=False):
         return self._engine_for(mission).submit(scene, block=block)
 
     def close(self) -> None:
-        for engine in self._engines.values():
+        for engine in self._created:
             engine.close(wait=True)
 
 
@@ -196,11 +211,13 @@ def run_open_loop(tier, scenes, schedule, label: str):
     latencies = []
     futures = []
     shed = 0
+    start_threads = peak_threads = threading.active_count()
     start = time.perf_counter()
     for index, (offset, mission, tenant) in enumerate(schedule):
         delay = (start + offset) - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
+        peak_threads = max(peak_threads, threading.active_count())
         scene = scenes[index % len(scenes)]
         with request_context(name=f"{label}.request", tenant=tenant,
                              mission=mission):
@@ -237,6 +254,8 @@ def run_open_loop(tier, scenes, schedule, label: str):
         "served_per_s": served / elapsed if elapsed > 0 else 0.0,
         "p50_ms": pct(50) * 1e3,
         "p99_ms": pct(99) * 1e3,
+        # The most threads alive at once beyond those at the start.
+        "added_threads_peak": peak_threads - start_threads,
     }
 
 
@@ -391,6 +410,10 @@ def test_e15_load(benchmark):
     assert rows["baseline"]["served"] > 0
     # Open loop at 4x capacity must actually shed somewhere.
     assert rows["baseline"]["shed"] > 0
+    # The baseline's live engines, plus evicted ones still draining
+    # their queues — not one worker thread per cold mission (hundreds).
+    assert (rows["baseline"]["added_threads_peak"]
+            <= 8 * SingleProcessTier.MAX_ENGINES)
     # The merged snapshot saw every scene the shards served.
     from repro.obs.registry import FP_SCALE
 

@@ -1,17 +1,23 @@
 """Compiler: quantized ViT → accelerator program.
 
-Lowering strategy (batch-1 oriented, as the paper's edge deployment):
+The work to lower is :func:`repro.nn.inference.site_plan`: the ordered
+GEMMs and vector passes of the CPU inference forward, with the shapes
+that forward runs (the last encoder block on the CLS row only).  The
+simulator therefore prices the work the CPU does, and the compiler
+derives no shapes of its own.  Lowering strategy (batch-1 oriented, as
+the paper's edge deployment):
 
 1. all integer weights are DMA-loaded once per inference if they do not
    fit in the weight SRAM, or pinned across inferences if they do — the
    compiler emits the load only in the streaming case;
-2. the input image is DMA-loaded, and patches are formed on the fly by
-   the activation SRAM's addressing (no cost op);
-3. each ViT stage becomes GEMM ops on the systolic array plus vector ops
-   (LayerNorm, softmax, GELU, residual adds, requantization);
-4. attention's ``QK^T`` and ``AV`` products are GEMMs too (per head), at
-   activation precision;
-5. logits are DMA-stored at the end.
+2. the plan's input image is DMA-loaded (8-bit pixels), and patches are
+   formed on the fly by the activation SRAM's addressing (no cost op);
+3. every plan GEMM runs on the systolic array — weight GEMMs at their
+   site's weight width, attention's per-head ``QK^T`` and ``AV``
+   products at activation precision;
+4. LayerNorm, softmax, GELU, residual adds and the per-site input
+   requantization run on the vector unit;
+5. the fp32 logits are DMA-stored at the end.
 
 The emitted :class:`~repro.hw.isa.Program` is purely shape-based; the
 functional equivalence of the integer kernels is established separately
@@ -22,7 +28,7 @@ functional equivalence of the integer kernels is established separately
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.hw.config import AcceleratorConfig
 from repro.hw.isa import (
@@ -35,12 +41,11 @@ from repro.hw.isa import (
 )
 from repro.hw.memory import MemoryModel
 from repro.hw.vector_unit import default_passes
+from repro.nn.inference import site_plan
 from repro.quant.vit import QuantizedVisionTransformer
 
-
-def _vector(name: str, kind: VectorKind, elements: int) -> VectorOp:
-    return VectorOp(name=name, kind=kind, elements=elements,
-                    passes=default_passes(kind))
+# Bytes per element the plan's input load and output store move.
+_DMA_BYTES = {"load": 1, "store": 4}
 
 
 @dataclasses.dataclass
@@ -51,10 +56,8 @@ class Compiler:
 
     def compile(self, model: QuantizedVisionTransformer, batch: int = 1,
                 pin_weights: bool = True) -> Program:
-        if batch <= 0:
-            raise ValueError("batch must be positive")
         cfg = model.config
-        memory = MemoryModel(self.config)
+        plan = site_plan(cfg, batch)
         program = Program(name=f"{cfg.depth}x{cfg.dim}-vit-b{batch}", batch=batch)
 
         # Packed footprint: sub-byte weights round up to whole bytes per
@@ -63,92 +66,28 @@ class Compiler:
             (layer.weight_q.size * layer.weight_bits + 7) // 8
             for layer in model.layers.values()
         )
-        weights_resident = pin_weights and memory.weights_fit(total_weight_bytes)
-        if not weights_resident:
+        if not (pin_weights
+                and MemoryModel(self.config).weights_fit(total_weight_bytes)):
             program.append(DmaOp("load_weights", DmaDirection.LOAD,
                                  total_weight_bytes))
 
-        tokens = cfg.num_tokens
-        dim = cfg.dim
-        heads = cfg.num_heads
-        head_dim = dim // heads
         act_bits = next(iter(model.layers.values())).act_bits
-
-        def gemm(site: str, m: int, k: int, n: int,
-                 name: Optional[str] = None) -> None:
-            layer = model.layers.get(site)
-            weight_bits = layer.weight_bits if layer is not None else act_bits
-            program.append(GemmOp(
-                name=name or site, m=m * batch, k=k, n=n,
-                weight_bits=weight_bits, act_bits=act_bits,
-                site=site if layer is not None else None,
-            ))
-
-        # --- input ---
-        image_bytes = batch * cfg.in_channels * cfg.image_size ** 2
-        program.append(DmaOp("load_image", DmaDirection.LOAD, image_bytes))
-        program.append(_vector("quantize_input", VectorKind.QUANTIZE,
-                               batch * cfg.num_patches * cfg.patch_dim))
-
-        # --- patch embedding ---
-        gemm("patch_proj", m=cfg.num_patches, k=cfg.patch_dim, n=dim)
-        program.append(_vector("add_pos_embed", VectorKind.ADD,
-                               batch * tokens * dim))
-
-        # --- encoder blocks ---
-        for i in range(cfg.depth):
-            prefix = f"block{i}"
-            seq_elems = batch * tokens * dim
-            program.append(_vector(f"{prefix}.ln1", VectorKind.LAYERNORM, seq_elems))
-            program.append(_vector(f"{prefix}.quant_qkv", VectorKind.QUANTIZE, seq_elems))
-            gemm(f"{prefix}.qkv", m=tokens, k=dim, n=3 * dim)
-            # attention products per head, at activation precision
-            for h in range(heads):
+        for op in plan:
+            if op.kind == "gemm":
+                weight_bits = (act_bits if op.site is None
+                               else model.layers[op.site].weight_bits)
                 program.append(GemmOp(
-                    name=f"{prefix}.scores.h{h}", m=batch * tokens,
-                    k=head_dim, n=tokens,
-                    weight_bits=act_bits, act_bits=act_bits, site=None,
+                    name=op.name, m=op.m, k=op.k, n=op.n,
+                    weight_bits=weight_bits, act_bits=act_bits, site=op.site,
                 ))
-            program.append(_vector(f"{prefix}.softmax", VectorKind.SOFTMAX,
-                                   batch * heads * tokens * tokens))
-            for h in range(heads):
-                program.append(GemmOp(
-                    name=f"{prefix}.context.h{h}", m=batch * tokens,
-                    k=tokens, n=head_dim,
-                    weight_bits=act_bits, act_bits=act_bits, site=None,
-                ))
-            program.append(_vector(f"{prefix}.quant_proj", VectorKind.QUANTIZE, seq_elems))
-            gemm(f"{prefix}.proj", m=tokens, k=dim, n=dim)
-            program.append(_vector(f"{prefix}.residual1", VectorKind.ADD, seq_elems))
-
-            hidden = int(dim * cfg.mlp_ratio)
-            program.append(_vector(f"{prefix}.ln2", VectorKind.LAYERNORM, seq_elems))
-            program.append(_vector(f"{prefix}.quant_fc1", VectorKind.QUANTIZE, seq_elems))
-            gemm(f"{prefix}.fc1", m=tokens, k=dim, n=hidden)
-            program.append(_vector(f"{prefix}.gelu", VectorKind.GELU,
-                                   batch * tokens * hidden))
-            program.append(_vector(f"{prefix}.quant_fc2", VectorKind.QUANTIZE,
-                                   batch * tokens * hidden))
-            gemm(f"{prefix}.fc2", m=tokens, k=hidden, n=dim)
-            program.append(_vector(f"{prefix}.residual2", VectorKind.ADD, seq_elems))
-
-        # --- heads ---
-        program.append(_vector("final_ln", VectorKind.LAYERNORM, batch * tokens * dim))
-        program.append(_vector("quant_head", VectorKind.QUANTIZE, batch * dim))
-        gemm("head", m=1, k=dim, n=cfg.num_classes)
-        logits = cfg.num_classes
-        for name in model.attribute_names:
-            site = f"attr_head_{name}"
-            cardinality = model.layers[site].out_features
-            gemm(site, m=1, k=dim, n=cardinality)
-            logits += cardinality
-        if "task_head.fc1" in model.layers:
-            gemm("task_head.fc1", m=1, k=dim, n=dim)
-            program.append(_vector("task_head.gelu", VectorKind.GELU, batch * dim))
-            gemm("task_head.fc2", m=1, k=dim, n=2)
-            logits += 2
-        program.append(DmaOp("store_logits", DmaDirection.STORE,
-                             max(1, batch * logits * 4)))
+            elif op.kind in _DMA_BYTES:
+                program.append(DmaOp(op.name, DmaDirection(op.kind),
+                                     op.elements * _DMA_BYTES[op.kind]))
+            else:
+                kind = VectorKind(op.kind)
+                program.append(VectorOp(name=op.name, kind=kind,
+                                        elements=op.elements,
+                                        passes=default_passes(kind)))
         return program
 
 

@@ -14,20 +14,25 @@ of per-site projection kernels and serves all three inference uses:
   unit's LUT.
 
 The calibration points therefore cannot drift from the deployed graph.
+:func:`site_plan` lists the forward's work for the accelerator compiler
+and the MAC count.
 The autograd modules in :mod:`repro.nn` are for training only; their
 forward is this module's test oracle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
+import functools
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 from scipy import special as _special
 
 if TYPE_CHECKING:
     from repro.nn.layers import Linear
-    from repro.nn.vit import VisionTransformer
+    from repro.nn.module import Module
+    from repro.nn.vit import ViTConfig, VisionTransformer
     from repro.quant.observers import Observer
 
 _SQRT_2 = float(np.sqrt(2.0))
@@ -107,45 +112,133 @@ def _gelu_erf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gemm_sites(depth: int, attribute_names: List[str],
-               with_task_head: bool = False) -> List[str]:
+class PlanOp(NamedTuple):
+    """One step of the forward: a ``"gemm"`` of ``(m × k)·(k × n)`` (at
+    weight layer ``site``; attention products have none), or a pass over
+    ``elements`` scalars — the input ``"load"``, the output ``"store"``
+    or a vector op: layernorm, softmax, gelu, add, quantize."""
+
+    name: str
+    kind: str
+    elements: int = 0
+    m: int = 0
+    k: int = 0
+    n: int = 0
+    site: Optional[str] = None
+
+    @property
+    def macs(self) -> int:
+        return self.m * self.k * self.n
+
+
+def _cls_only_block(depth: int, calibrate: bool) -> int:
+    """The block that runs past its attention on the CLS row alone (-1:
+    none).  The heads read only the CLS token; calibration keeps every
+    token, so activation ranges cover the whole sequence."""
+    return -1 if calibrate else depth - 1
+
+
+def _quantize_name(site: str) -> str:
+    if site == "patch_proj":
+        return "quantize_input"
+    prefix, dot, layer = site.rpartition(".")
+    return f"{prefix}{dot}quant_{layer}"
+
+
+@functools.lru_cache(maxsize=None)
+def site_plan(config: "ViTConfig", batch: int = 1,
+              calibrate: bool = False) -> Tuple[PlanOp, ...]:
+    """The ordered work of one :func:`_vit_forward` over ``batch`` images.
+
+    Every weight GEMM is preceded by the quantize of its ``m × k`` input
+    (each integer kernel quantizes on its own).  The CLS-only block's
+    ``proj``/``fc1``/``fc2`` and the vector ops around them run at one
+    row per image, and its softmax covers the CLS rows only; its
+    ``scores``/``context`` products keep their full-sequence shapes, as
+    :func:`_attention` does for bit-exactness.  ``calibrate`` plans the
+    calibration forward, which keeps every token.
+    """
+    if batch <= 0:
+        raise ValueError("batch must be positive")
+    tokens, dim, heads = config.num_tokens, config.dim, config.num_heads
+    head_dim = dim // heads
+    hidden = int(dim * config.mlp_ratio)
+    plan: List[PlanOp] = []
+
+    def vector(name: str, kind: str, elements: int) -> None:
+        plan.append(PlanOp(name, kind, batch * elements))
+
+    def gemm(site: str, m: int, k: int, n: int) -> None:
+        vector(_quantize_name(site), "quantize", m * k)
+        plan.append(PlanOp(site, "gemm", m=batch * m, k=k, n=n, site=site))
+
+    vector("load_image", "load",
+           config.in_channels * config.image_size ** 2)
+    gemm("patch_proj", config.num_patches, config.patch_dim, dim)
+    vector("add_pos_embed", "add", tokens * dim)
+    cls_only_block = _cls_only_block(config.depth, calibrate)
+    for i in range(config.depth):
+        prefix = f"block{i}"
+        rows = 1 if i == cls_only_block else tokens
+        vector(f"{prefix}.ln1", "layernorm", tokens * dim)
+        gemm(f"{prefix}.qkv", tokens, dim, 3 * dim)
+        # attention products per head, at activation precision
+        plan += [PlanOp(f"{prefix}.scores.h{h}", "gemm", m=batch * tokens,
+                        k=head_dim, n=tokens) for h in range(heads)]
+        vector(f"{prefix}.softmax", "softmax", heads * rows * tokens)
+        plan += [PlanOp(f"{prefix}.context.h{h}", "gemm", m=batch * tokens,
+                        k=tokens, n=head_dim) for h in range(heads)]
+        gemm(f"{prefix}.proj", rows, dim, dim)
+        vector(f"{prefix}.residual1", "add", rows * dim)
+        vector(f"{prefix}.ln2", "layernorm", rows * dim)
+        gemm(f"{prefix}.fc1", rows, dim, hidden)
+        vector(f"{prefix}.gelu", "gelu", rows * hidden)
+        gemm(f"{prefix}.fc2", rows, hidden, dim)
+        vector(f"{prefix}.residual2", "add", rows * dim)
+
+    vector("final_ln", "layernorm", dim)
+    gemm("head", 1, dim, config.num_classes)
+    logits = config.num_classes
+    for name, cardinality in config.attribute_heads:
+        gemm(f"attr_head_{name}", 1, dim, cardinality)
+        logits += cardinality
+    if config.with_task_head:
+        gemm("task_head.fc1", 1, dim, dim)
+        vector("task_head.gelu", "gelu", dim)
+        gemm("task_head.fc2", 1, dim, 2)
+        logits += 2
+    vector("store_logits", "store", logits)
+    return tuple(plan)
+
+
+def gemm_sites(config: "ViTConfig") -> List[str]:
     """Names of every GEMM input site, in execution order."""
-    sites = ["patch_proj"]
-    for i in range(depth):
-        sites += [f"block{i}.qkv", f"block{i}.proj", f"block{i}.fc1", f"block{i}.fc2"]
-    sites.append("head")
-    sites += [f"attr_head_{name}" for name in attribute_names]
-    if with_task_head:
-        sites += ["task_head.fc1", "task_head.fc2"]
-    return sites
+    return [op.site for op in site_plan(config) if op.site is not None]
 
 
-def _model_sites(model: "VisionTransformer") -> List[str]:
-    return gemm_sites(model.config.depth, model.attribute_names,
-                      with_task_head=model.task_head is not None)
+def _site_owner(model: "VisionTransformer", site: str) -> Tuple["Module", str]:
+    """Resolve a GEMM site name to ``(module, attribute)`` holding its
+    Linear layer."""
+    if site == "patch_proj":
+        return model.patch_embed, "proj"
+    if site == "head" or site.startswith("attr_head_"):
+        return model, site
+    if site.startswith("task_head."):
+        if model.task_head is None:
+            raise KeyError("model has no task head")
+        return model.task_head, site.split(".", 1)[1]
+    block_name, _, layer = site.partition(".")
+    block = model.encoder._modules[block_name]
+    if layer in ("qkv", "proj"):
+        return block.attn, layer
+    if layer in ("fc1", "fc2"):
+        return block.mlp, layer
+    raise KeyError(f"unknown GEMM site {site!r}")
 
 
 def _site_linear(model: "VisionTransformer", site: str) -> "Linear":
     """Resolve a GEMM site name to the model's Linear layer."""
-    if site == "patch_proj":
-        return model.patch_embed.proj
-    if site == "head":
-        return model.head
-    if site.startswith("task_head."):
-        if model.task_head is None:
-            raise KeyError("model has no task head")
-        return getattr(model.task_head, site.split(".", 1)[1])
-    if site.startswith("attr_head_"):
-        return model._modules[site]
-    block_name, layer = site.split(".")
-    block = model.encoder._modules[block_name]
-    if layer == "qkv":
-        return block.attn.qkv
-    if layer == "proj":
-        return block.attn.proj
-    if layer in ("fc1", "fc2"):
-        return getattr(block.mlp, layer)
-    raise KeyError(f"unknown GEMM site {site!r}")
+    return getattr(*_site_owner(model, site))
 
 
 def _float_proj(linear: "Linear") -> ProjFn:
@@ -172,7 +265,7 @@ def float_projections(model: "VisionTransformer") -> Dict[str, ProjFn]:
     """A float kernel for every GEMM site of ``model``, read from its
     current weights."""
     return {site: _float_proj(_site_linear(model, site))
-            for site in _model_sites(model)}
+            for site in gemm_sites(model.config)}
 
 
 def _attention(qkv: np.ndarray, num_heads: int, cls_only: bool) -> np.ndarray:
@@ -209,9 +302,9 @@ def _vit_forward(
 ) -> Dict[str, np.ndarray]:
     """Shared ViT inference over pluggable projection kernels and GELU.
 
-    The heads read only the CLS token, so at inference (no
-    ``observers``) the last encoder block attends from the CLS row
-    alone over every token's keys and values, and its
+    Its work is :func:`site_plan`'s.  At inference (no ``observers``)
+    the CLS-only block (:func:`_cls_only_block`, the last one) attends
+    from the CLS row alone over every token's keys and values, and its
     ``proj``/``fc1``/``fc2`` GEMMs see ``batch`` rows instead of
     ``batch × num_tokens``.  Every op after the attention is row-wise;
     with the exact integer kernels the outputs are bit-identical to the
@@ -244,7 +337,7 @@ def _vit_forward(
     x += model.pos_embed.data
 
     blocks = model.encoder.blocks
-    cls_only_block = len(blocks) - 1 if observers is None else -1
+    cls_only_block = _cls_only_block(len(blocks), observers is not None)
     for i, block in enumerate(blocks):
         cls_only = i == cls_only_block
         context = _attention(

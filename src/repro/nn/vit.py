@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import init
-from repro.nn.inference import _gelu_erf, _vit_forward, float_projections
+from repro.nn.inference import _gelu_erf, _vit_forward, float_projections, site_plan
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import TransformerEncoder
@@ -233,25 +233,6 @@ class VisionTransformer(Module):
         return self.infer(images)["class_logits"].argmax(axis=-1)
 
     def flops_per_image(self) -> int:
-        """Approximate multiply-accumulate count for one inference.
-
-        Used by the hardware compiler for sanity checks and by the GPU
-        roofline model.
-        """
-        cfg = self.config
-        tokens, dim = cfg.num_tokens, cfg.dim
-        hidden = int(dim * cfg.mlp_ratio)
-        macs = cfg.num_patches * cfg.patch_dim * dim  # patch projection
-        per_block = (
-            tokens * dim * 3 * dim          # qkv
-            + 2 * tokens * tokens * dim     # scores + context
-            + tokens * dim * dim            # output proj
-            + 2 * tokens * dim * hidden     # mlp
-        )
-        macs += cfg.depth * per_block
-        macs += dim * cfg.num_classes
-        for _, cardinality in cfg.attribute_heads:
-            macs += dim * cardinality
-        if cfg.with_task_head:
-            macs += dim * dim + dim * 2
-        return int(macs)
+        """Multiply-accumulate count of one inference forward (and of
+        its compiled accelerator program): the site plan's at batch 1."""
+        return sum(op.macs for op in site_plan(self.config))

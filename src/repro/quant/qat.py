@@ -15,13 +15,13 @@ QAT recovers most of it.  The flow mirrors deployment exactly:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.data.datasets import WindowDataset, batch_iterator
 from repro.nn import Linear, VisionTransformer, cross_entropy
-from repro.nn.inference import _model_sites, _site_linear
+from repro.nn.inference import _site_linear, _site_owner, gemm_sites
 from repro.nn.module import Module
 from repro.optim import AdamW, clip_grad_norm
 from repro.quant.fake_quant import FakeQuantize, fake_quantize
@@ -87,37 +87,12 @@ class QATVisionTransformer(Module):
         self.model = model
         self.weight_spec = weight_spec
         self.act_spec = act_spec
-        self._sites = _model_sites(model)
-        self._originals: Dict[str, Linear] = {}
+        self._sites = gemm_sites(model.config)
         for site in self._sites:
-            inner = _site_linear(model, site)
-            self._originals[site] = inner
-            wrapper = QATLinear(
-                inner, weight_spec,
+            setattr(*_site_owner(model, site), QATLinear(
+                _site_linear(model, site), weight_spec,
                 FakeQuantize(MovingAverageObserver(act_spec)),
-            )
-            self._swap(site, wrapper)
-
-    def _swap(self, site: str, layer) -> None:
-        """Replace the model's Linear at ``site`` with ``layer``."""
-        owner, attr = self._resolve(site)
-        setattr(owner, attr, layer)
-
-    def _resolve(self, site: str):
-        model = self.model
-        if site == "patch_proj":
-            return model.patch_embed, "proj"
-        if site == "head":
-            return model, "head"
-        if site.startswith("task_head."):
-            return model.task_head, site.split(".", 1)[1]
-        if site.startswith("attr_head_"):
-            return model, site
-        block_name, layer = site.split(".")
-        block = model.encoder._modules[block_name]
-        if layer in ("qkv", "proj"):
-            return block.attn, layer
-        return block.mlp, layer
+            ))
 
     def forward(self, images: Tensor):
         return self.model(images)
@@ -131,25 +106,21 @@ class QATVisionTransformer(Module):
                                batch_size):
                 self.model(Tensor(images[start:start + batch_size]))
         for site in self._sites:
-            owner, attr = self._resolve(site)
-            wrapper: QATLinear = getattr(owner, attr)
-            wrapper.act_fq.freeze()
+            _site_linear(self.model, site).act_fq.freeze()
 
     def export(self) -> QuantizedVisionTransformer:
         """Unwrap and convert to true-integer inference."""
         wrappers: Dict[str, QATLinear] = {}
         for site in self._sites:
-            owner, attr = self._resolve(site)
-            wrapper: QATLinear = getattr(owner, attr)
+            wrapper: QATLinear = _site_linear(self.model, site)
             if wrapper.act_fq.params is None:
                 raise RuntimeError("export before calibrate()")
             wrappers[site] = wrapper
         layers: Dict[str, QuantizedLinear] = {}
         for site, wrapper in wrappers.items():
-            owner, attr = self._resolve(site)
             layers[site] = QuantizedLinear.from_linear(
                 wrapper.inner, wrapper.act_fq.params, self.weight_spec)
-            setattr(owner, attr, wrapper.inner)  # restore the float layer
+            setattr(*_site_owner(self.model, site), wrapper.inner)  # unwrap
         return QuantizedVisionTransformer(model=self.model, layers=layers)
 
 

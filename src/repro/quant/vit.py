@@ -23,10 +23,10 @@ import numpy as np
 from repro.nn import VisionTransformer
 from repro.nn.inference import (
     ProjFn,
-    _model_sites,
     _site_linear,
     _vit_forward,
     float_projections,
+    gemm_sites,
 )
 from repro.obs import get_registry
 from repro.quant.linear import QuantizedLinear
@@ -56,7 +56,7 @@ def calibrate_observers(
 ) -> Dict[str, QuantParams]:
     """Run float inference over the calibration set, observing every GEMM
     input, and return frozen activation quantization parameters."""
-    sites = _model_sites(model)
+    sites = gemm_sites(model.config)
     with get_registry().span(
         "quant.calibrate", sites=len(sites), observer=observer_kind,
         images=int(calibration_images.shape[0]),
@@ -149,7 +149,7 @@ def quantize_vit(
         model, np.asarray(calibration_images, np.float32),
         act_spec=act_spec, observer_kind=observer_kind,
     )
-    sites = _model_sites(model)
+    sites = gemm_sites(model.config)
     with get_registry().span("quant.convert", sites=len(sites),
                              weight_bits=weight_spec.bits):
         layers = {

@@ -9,8 +9,10 @@ from repro.data import attribute_head_spec
 from repro.data.datasets import num_classes
 from repro.data.scenes import SceneConfig, SceneGenerator
 from repro.nn import VisionTransformer, ViTConfig
+from repro.nn import vit as vit_module
 from repro.nn.inference import (
     _gelu_erf, _site_linear, _vit_forward, float_projections, gemm_sites,
+    site_plan,
 )
 from repro.quant import QuantSpec, calibrate_observers, quantize_vit
 from repro.quant import vit as quant_vit
@@ -26,15 +28,14 @@ def calibration_images():
 
 class TestSites:
     def test_site_enumeration(self, student_vit):
-        sites = gemm_sites(student_vit.config.depth, student_vit.attribute_names)
+        sites = gemm_sites(student_vit.config)
         assert "patch_proj" in sites and "head" in sites
         assert f"block{student_vit.config.depth - 1}.fc2" in sites
         assert len(sites) == 1 + 4 * student_vit.config.depth + 1 + len(
             student_vit.attribute_names)
 
     def test_site_resolution(self, student_vit):
-        for site in gemm_sites(student_vit.config.depth,
-                               student_vit.attribute_names):
+        for site in gemm_sites(student_vit.config):
             layer = _site_linear(student_vit, site)
             assert hasattr(layer, "weight")
 
@@ -118,7 +119,7 @@ class TestFloatPathConsistency:
 class TestCalibration:
     def test_every_site_calibrated(self, student_vit, calibration_images):
         params = calibrate_observers(student_vit, calibration_images)
-        sites = gemm_sites(student_vit.config.depth, student_vit.attribute_names)
+        sites = gemm_sites(student_vit.config)
         assert set(params) == set(sites)
         for p in params.values():
             assert float(np.asarray(p.scale).min()) > 0
@@ -325,21 +326,48 @@ class TestClsOnlyLastBlock:
 
     def test_last_block_kernels_see_one_row_per_image(
             self, scene_quantized, scene_windows, monkeypatch):
-        seen = {}
-        for site, kernel in list(scene_quantized._projections.items()):
-            def record(x, site=site, kernel=kernel):
-                seen[site] = int(np.prod(x.shape[:-1]))
-                return kernel(x)
-            monkeypatch.setitem(scene_quantized._projections, site, record)
-        batch = 9
-        scene_quantized(scene_windows[:batch])
-        tokens = scene_quantized.config.num_tokens
-        last_block = _last_block_sites(scene_quantized)
-        for site in last_block:
-            assert seen[site] == batch
-        for site, rows in seen.items():
-            if site.startswith("block") and site not in last_block:
-                assert rows == batch * tokens, site
+        """Every projection kernel sees the row count the site plan
+        gives it — quantized and float inference and calibration alike
+        — and the plan gives the last block one row per image outside
+        calibration."""
+        model = scene_quantized.model
+        tokens = model.config.num_tokens
+
+        def recording(projections, seen):
+            def wrap(site, kernel):
+                def apply(x):
+                    seen[site] = int(np.prod(x.shape[:-1]))
+                    return kernel(x)
+                return apply
+            return {site: wrap(site, kernel)
+                    for site, kernel in projections.items()}
+
+        runs = {
+            "quantized": scene_quantized,
+            "float": model.infer,
+            "calibrate": lambda images: calibrate_observers(model, images),
+        }
+        for forward, run in runs.items():
+            calibrate = forward == "calibrate"
+            for rows in (1, 9, 36):
+                seen = {}
+                with monkeypatch.context() as patch:
+                    if forward == "quantized":
+                        patch.setattr(scene_quantized, "_projections",
+                                      recording(scene_quantized._projections,
+                                                seen))
+                    else:
+                        module = quant_vit if calibrate else vit_module
+                        patch.setattr(module, "float_projections",
+                                      lambda m, seen=seen: recording(
+                                          float_projections(m), seen))
+                    run(scene_windows[:rows])
+                plan = {op.site: op.m for op in site_plan(
+                    model.config, rows, calibrate=calibrate) if op.site}
+                assert seen == plan, (forward, rows)
+                for site in _last_block_sites(model):
+                    assert plan[site] == (rows * tokens if calibrate
+                                          else rows), (forward, rows, site)
 
     def test_calibration_observes_every_token(self, student_vit,
                                               scene_windows, monkeypatch):
@@ -362,8 +390,7 @@ class TestClsOnlyLastBlock:
         monkeypatch.setattr(quant_vit, "make_observer", recording_observer)
         batch = 9
         calibrate_observers(student_vit, scene_windows[:batch])
-        sites = gemm_sites(student_vit.config.depth,
-                           student_vit.attribute_names)
+        sites = gemm_sites(student_vit.config)
         by_site = dict(zip(sites, created))
         tokens = student_vit.config.num_tokens
         for site in _last_block_sites(student_vit):

@@ -13,7 +13,7 @@ from repro.detect import predict_windows, window_task_accuracy
 from repro.nn import VisionTransformer, ViTConfig
 from repro.nn.vit import TaskHead
 from repro.quant import quantize_vit
-from repro.quant.vit import _model_sites
+from repro.nn.inference import gemm_sites
 from repro.tensor import Tensor, check_gradient, randn
 
 
@@ -115,7 +115,7 @@ class TestDistilledTaskHead:
 
 class TestQuantizedSpecialist:
     def test_sites_include_task_head(self, task_vit):
-        sites = _model_sites(task_vit)
+        sites = gemm_sites(task_vit.config)
         assert "task_head.fc1" in sites and "task_head.fc2" in sites
 
     def test_quantized_specialist_emits_task_logits(self, task_vit):
