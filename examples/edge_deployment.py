@@ -35,7 +35,7 @@ def main() -> None:
           f"{quantized.model_size_bytes() / 1024:.0f} KiB on device")
 
     # Serving layer: prepare the mission once, then micro-batch a stream
-    # of scenes through the engine (flush at max_batch or flush_ms).
+    # of scenes through the engine (each flush takes what is queued).
     task = get_task("roadside_hazards")
     session = pipeline.session(TaskSpec.from_definition(task))
     scenes = SceneGenerator(SceneConfig(grid=3), seed=3).generate_batch(32)

@@ -12,9 +12,10 @@ package is its execution engine, in three layers:
   into one model forward and one knowledge-graph match
   (:meth:`repro.detect.TaskDetector.detect_batch`);
 * :class:`DetectionEngine` — a bounded-queue worker pool that
-  micro-batches individually submitted scenes (flush at ``max_batch``
-  scenes or after ``flush_ms``), applies backpressure when the queue is
-  full, shuts down gracefully, and returns results in submission order;
+  micro-batches individually submitted scenes (each flush takes what is
+  queued, up to ``max_batch`` scenes, with no timed wait), applies
+  backpressure when the queue is full, shuts down gracefully, and
+  returns results in submission order;
 * :class:`ShardRouter` — a multi-process tier over N such engines:
   mission-fingerprint affinity routing, bounded per-shard queues with
   shedding and per-tenant fairness, graceful drain on SIGTERM, and

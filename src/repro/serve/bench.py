@@ -132,18 +132,15 @@ def run_throughput(
     workers: Sequence[int] = (1, 2),
     repeats: int = 3,
     seed: int = 7,
-    flush_ms: float = 20.0,
     configuration: str = "specialist",
 ) -> List[Dict]:
     """Measure scenes/sec for each strategy; returns result rows.
 
     Every row carries ``scenes_per_s`` plus its speedup over the
     ``percall_rebuild`` baseline (the seed's per-call semantics).  The
-    engine rows sweep ``max_batch`` × ``workers``.  ``flush_ms`` is kept
-    high because the benchmark saturates the queue up front — flushes
-    trigger on ``max_batch``, not the timer.  ``configuration`` selects
-    the deployed model (float specialist or the quantized generalist,
-    see :func:`build_workload`).
+    engine rows sweep ``max_batch`` × ``workers``.  ``configuration``
+    selects the deployed model (float specialist or the quantized
+    generalist, see :func:`build_workload`).
     """
     pipeline, spec, scenes = build_workload(num_scenes, grid, seed,
                                             configuration=configuration)
@@ -178,8 +175,7 @@ def run_throughput(
              ("percall_cached", None, None, percall_cached)]
     for nworkers in workers:
         for batch in batch_sizes:
-            config = EngineConfig(max_batch=batch, flush_ms=flush_ms,
-                                  workers=nworkers,
+            config = EngineConfig(max_batch=batch, workers=nworkers,
                                   queue_size=max(64, num_scenes))
             tasks.append(("engine", batch, nworkers, engine_pass(config)))
 

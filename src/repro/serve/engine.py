@@ -10,9 +10,11 @@ share one model forward.  The :class:`DetectionEngine` bridges the two:
   instead of growing an unbounded backlog); ``block=False`` turns the
   same condition into an immediate :class:`EngineRejected` (counted as
   ``engine.rejected``) for callers that would rather drop than wait;
-* worker threads drain the queue into micro-batches, flushing when
-  ``max_batch`` scenes are pending or ``flush_ms`` after the first
-  scene of a batch arrived — the classic latency/throughput knob pair;
+* worker threads drain the queue into micro-batches: a worker takes
+  the head job plus whatever is already queued, up to ``max_batch``
+  scenes, and flushes at once — there is no timer.  Sparse traffic
+  never waits for peers that are not coming; under load, batches form
+  on their own because jobs queue while a batch runs;
 * :meth:`DetectionEngine.detect_many` submits a whole scene list and
   gathers results **in submission order**, independent of how workers
   interleave, so callers see deterministic ordering;
@@ -78,10 +80,10 @@ class EngineConfig:
     """Micro-batching knobs.
 
     ``max_batch``
-        Flush as soon as this many scenes are pending in one batch.
+        Most scenes one flush takes from the queue.
     ``flush_ms``
-        Flush a partial batch this many milliseconds after its first
-        scene arrived (tail-latency bound for sparse traffic).
+        Not read by the engine, which flushes what is queued without a
+        timed wait.  Still validated; kept until its deletion.
     ``workers``
         Worker threads.  More workers overlap batches; on a single core
         they trade latency for fairness rather than adding throughput.
@@ -253,15 +255,13 @@ class DetectionEngine:
             head = self._queue.get()
             if head is _SENTINEL:
                 return
+            # Batch the head with whatever is already queued and flush
+            # at once: under load, peers queue while a batch runs.
             batch: List[_Job] = [head]
-            deadline = time.perf_counter() + cfg.flush_ms / 1e3
             saw_sentinel = False
             while len(batch) < cfg.max_batch:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0.0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SENTINEL:

@@ -28,13 +28,15 @@ module shards the tier across **processes**:
   The shard's dispatcher copies ``scene.image`` into a free slot and
   sends ``(slot, shape, dtype)`` plus the small pickled rest of the
   scene down a one-way :func:`multiprocessing.Pipe`; the worker builds
-  its scene around a read-only view of the slot.  The slot is free
-  again when the job's reply arrives or the worker dies.  Results,
-  probes and snapshots travel the reverse pipe pickled.  Request
-  identity crosses as the :func:`repro.obs.context.context_to_wire`
-  wire format, so spans recorded in the worker join the submitter's
-  trace tree by trace id; ``shard.slot_wait``, ``shard.dispatch`` and
-  ``shard.receive`` split a request's transport into named parts.
+  its scene around a read-only view of the slot.  Ground truth stays
+  with the caller: the shell crosses with ``objects`` emptied, since
+  no serving path reads it.  The slot is free again when the job's
+  reply arrives or the worker dies.  Results, probes and snapshots
+  travel the reverse pipe pickled.  Request identity crosses as the
+  :func:`repro.obs.context.context_to_wire` wire format, so spans
+  recorded in the worker join the submitter's trace tree by trace id;
+  ``shard.slot_wait``, ``shard.dispatch`` and ``shard.receive`` split a
+  request's transport into named parts.
 * Each worker installs a **fresh** :class:`repro.obs.Registry` (a forked
   registry would double-count the parent's history) and can expose its
   own :class:`repro.obs.MetricsServer` on an ephemeral port; the
@@ -968,7 +970,7 @@ class ShardRouter:
                 message = (
                     "job", item.job_id, item.mission,
                     (slot, arena.slot_bytes, image.shape, image.dtype.str),
-                    dataclasses.replace(item.scene, image=None),
+                    dataclasses.replace(item.scene, image=None, objects=[]),
                     item.stride, item.ctx_wire)
             except Exception as exc:  # fail the job, keep dispatching
                 arena.release(slot)

@@ -15,6 +15,7 @@ Covers the three layers of the serving stack:
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -62,13 +63,20 @@ class CountingLLM(SimulatedLLM):
 
 class GatedEchoSession:
     """Model-free session: blocks each batch until ``release`` is set,
-    returns empty detections, and raises for ``fail_stride``."""
+    returns empty detections, and raises for ``fail_stride``.
+
+    ``entered`` is set once a batch is inside ``detect_batch``, and
+    ``batch_sizes`` lists every batch's size in call order."""
 
     def __init__(self, release, fail_stride=None):
         self.release = release
         self.fail_stride = fail_stride
+        self.entered = threading.Event()
+        self.batch_sizes = []
 
     def detect_batch(self, scenes, stride=None):
+        self.batch_sizes.append(len(scenes))
+        self.entered.set()
         self.release.wait(timeout=10.0)
         if stride is not None and stride == self.fail_stride:
             raise ValueError(f"stride {stride} rejected")
@@ -357,12 +365,38 @@ class TestDetectionEngine:
             results = engine.detect_many(scenes)
         assert len(results) == len(scenes)
 
-    def test_partial_batch_flushes_on_timer(self, pipeline, spec, scenes):
-        session = pipeline.session(spec)
-        config = EngineConfig(max_batch=64, flush_ms=5.0)
-        with session.engine(config) as engine:
-            future = engine.submit(scenes[0])
-            assert future.result(timeout=10.0) is not None
+    def test_lone_job_does_not_wait_flush_ms(self):
+        """The engine has no timer: a job with no peers is flushed
+        alone at once, however long ``flush_ms`` reads."""
+        release = threading.Event()
+        release.set()
+        session = GatedEchoSession(release)
+        config = EngineConfig(max_batch=8, flush_ms=5000.0)
+        with DetectionEngine(session, config) as engine:
+            start = time.perf_counter()
+            assert engine.submit("scene").result(timeout=10.0) == []
+            assert time.perf_counter() - start < 1.0
+        assert session.batch_sizes == [1]
+
+    def test_jobs_queued_behind_a_batch_drain_into_capped_batches(self):
+        """Jobs that queue while a batch runs form the next batches,
+        each taking at most ``max_batch`` of them."""
+        registry = get_registry()
+        registry.reset()
+        release = threading.Event()
+        session = GatedEchoSession(release)
+        config = EngineConfig(max_batch=4, queue_size=16)
+        with DetectionEngine(session, config) as engine:
+            first = engine.submit("head")
+            assert session.entered.wait(timeout=10.0)
+            queued = [engine.submit(f"s{i}") for i in range(6)]
+            release.set()
+            assert first.result(timeout=10.0) == []
+            assert [f.result(timeout=10.0) for f in queued] == [[]] * 6
+        assert session.batch_sizes == [1, 4, 2]
+        sizes = registry.distributions["engine.batch_size"]
+        assert (sizes.count, sizes.min, sizes.max) == (3, 1, 4)
+        assert registry.counters["engine.scenes"].value == 7
 
     def test_submit_after_close_raises(self, pipeline, spec, scenes):
         session = pipeline.session(spec)
@@ -417,16 +451,25 @@ class TestDetectionEngine:
         assert seen == [1]
 
     def test_failing_stride_group_keeps_earlier_group_results(self):
+        registry = get_registry()
+        registry.reset()
         release = threading.Event()
         session = GatedEchoSession(release, fail_stride=4)
-        config = EngineConfig(max_batch=2, flush_ms=5000.0)
+        config = EngineConfig(max_batch=2)
         with DetectionEngine(session, config) as engine:
+            gate = engine.submit("gate")
+            assert session.entered.wait(timeout=10.0)
+            # Both queue behind the gated batch, so they share the next.
             good = engine.submit("a")
             bad = engine.submit("b", stride=4)
             release.set()
+            assert gate.result(timeout=10.0) == []
             assert good.result(timeout=10.0) == []
             with pytest.raises(ValueError, match="stride 4"):
                 bad.result(timeout=10.0)
+        # One batch for the gate, one shared by both stride groups.
+        assert registry.counters["engine.batches"].value == 2
+        assert session.batch_sizes == [1, 1, 1]
 
     def test_engine_telemetry(self, pipeline, spec, scenes):
         registry = get_registry()

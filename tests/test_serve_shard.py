@@ -155,6 +155,23 @@ class SlowQuantizedSessionFactory:
             build_quantized_detector(mission.split(":", 1)[0]), self.delay_s)
 
 
+class GroundTruthBlindSession(DetectorSession):
+    """The quantized detector, failing any batch whose scenes carry
+    ground-truth objects into the worker."""
+
+    def detect_batch(self, scenes, stride=None):
+        carried = [len(scene.objects) for scene in scenes]
+        if any(carried):
+            raise AssertionError(f"worker received objects: {carried}")
+        return super().detect_batch(scenes, stride=stride)
+
+
+class GroundTruthBlindSessionFactory:
+    def __call__(self, mission: str):
+        return GroundTruthBlindSession(
+            build_quantized_detector(mission.split(":", 1)[0]))
+
+
 class SlowEchoDetectorSession(DetectorSession):
     def __init__(self, detector: TaskDetector, delay_s: float) -> None:
         super().__init__(detector)
@@ -318,6 +335,24 @@ class TestShardedResults:
         results = quantized_router.detect_many(scenes, TASK)
         assert any(len(dets) > 0 for dets in reference)
         assert_detections_bit_equal(reference, results)
+
+    def test_ground_truth_stays_with_the_caller(self, scenes,
+                                                reference_detector):
+        """Scenes cross to the worker without ``objects``, and serving
+        from that shell is bit-equal to detecting the full scene."""
+        carried = [len(scene.objects) for scene in scenes]
+        assert any(carried)
+        config = ShardConfig(
+            num_shards=1,
+            engine=EngineConfig(max_batch=4, workers=1, queue_size=8),
+            start_method="fork")
+        with ShardRouter(GroundTruthBlindSessionFactory(), config) as router:
+            results = router.detect_many(scenes, TASK)
+        reference = [reference_detector.detect(scene) for scene in scenes]
+        assert any(len(dets) > 0 for dets in reference)
+        assert_detections_bit_equal(reference, results)
+        # The caller's scenes keep their ground truth.
+        assert [len(scene.objects) for scene in scenes] == carried
 
     def test_rng_reseeded_per_worker(self, quantized_router):
         info = quantized_router.shard_info()
