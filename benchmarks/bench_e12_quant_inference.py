@@ -21,8 +21,11 @@ bottom-up:
 Every timed workload asserts **bit-identical outputs** between the BLAS
 kernels and the int64 reference before any clock starts — the speedup
 is free, not bought with accuracy.  Timing rounds are interleaved and
-speedups are medians of per-round ratios, so single-core machine drift
-cancels (see :mod:`repro.serve.bench`).
+each mode is timed in steady state (see
+:func:`benchmarks.common.interleaved_rounds`), so machine drift hits
+both modes alike.  Models are fresh untrained students post-training
+quantized on random images (timing does not depend on weight values),
+so the workloads need no artifact cache.
 
 Run standalone:
 
@@ -38,20 +41,208 @@ manifest, span tree, and all four result tables — to
 
 import os
 import sys
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.common import finalize_benchmark, print_table
-from repro.obs import get_registry
-from repro.quant.bench import (
+from benchmarks.bench_e11_throughput import (
+    build_workload,
     compare_engine_configurations,
-    run_e2e_forward,
-    run_forward_latency,
-    run_kernel_latency,
 )
+from benchmarks.common import finalize_benchmark, interleaved_rounds, print_table
+from repro.data import attribute_head_spec
+from repro.data.datasets import num_classes
+from repro.nn import VisionTransformer, ViTConfig
+from repro.obs import get_registry
+from repro.quant.vit import QuantizedVisionTransformer, quantize_vit
+from repro.reference import forward_integer_reference, int64_kernels
 
 SPEEDUP_TARGET = 5.0
 ENGINE_RATIO_TARGET = 2.0
+
+
+def build_quantized_student(seed: int = 0) -> QuantizedVisionTransformer:
+    """Fresh student ViT, post-training quantized to w8a8.
+
+    Weights are untrained (timing does not depend on values), so the
+    workload is stateless — no artifact cache involved.
+    """
+    config = ViTConfig.student(num_classes(), attribute_head_spec())
+    model = VisionTransformer(config, rng=np.random.default_rng(seed))
+    calibration = np.random.default_rng(seed + 1).random(
+        (32, config.in_channels,
+         config.image_size, config.image_size)).astype(np.float32)
+    return quantize_vit(model, calibration)
+
+
+def run_kernel_latency(
+    rows_per_gemm: int = 4096,
+    repeats: int = 5,
+    seed: int = 0,
+    sites: Optional[List[str]] = None,
+) -> List[Dict]:
+    """Per-site GEMM latency: BLAS fast path vs int64 reference.
+
+    Every site of the quantized student is fed the same pre-quantized
+    activation codes; both kernels must agree **bit for bit** (asserted)
+    before they are timed with interleaved rounds.  Returns one row per
+    site with shapes, the GEMM dtype the exactness bound selected, both
+    latencies, and the speedup.
+    """
+    quantized = build_quantized_student(seed)
+    rng = np.random.default_rng(seed + 2)
+    rows: List[Dict] = []
+    for site, layer in quantized.layers.items():
+        if sites is not None and site not in sites:
+            continue
+        x = rng.standard_normal(
+            (rows_per_gemm, layer.in_features)).astype(np.float32)
+        x_q = layer.quantize_input(x)
+
+        fast = layer.forward_integer(x_q)
+        reference = forward_integer_reference(layer, x_q)
+        assert fast.dtype == reference.dtype == np.float32
+        if not np.array_equal(fast, reference):
+            raise AssertionError(
+                f"{site}: BLAS kernel diverged from int64 reference")
+
+        samples = interleaved_rounds(repeats, [
+            lambda layer=layer, x_q=x_q: layer.forward_integer(x_q),
+            lambda layer=layer, x_q=x_q: forward_integer_reference(layer, x_q),
+        ])
+        fast_s, ref_s = min(samples[0]), min(samples[1])
+        rows.append({
+            "site": site,
+            "m": rows_per_gemm,
+            "k": layer.in_features,
+            "n": layer.out_features,
+            "gemm_dtype": np.dtype(layer._gemm_dtype).name,
+            "fast_ms": fast_s * 1e3,
+            "reference_ms": ref_s * 1e3,
+            "speedup": ref_s / fast_s,
+        })
+    return rows
+
+
+def _outputs_equal(left, right) -> bool:
+    if isinstance(left, dict):
+        return set(left) == set(right) and all(
+            _outputs_equal(left[key], right[key]) for key in left)
+    return np.array_equal(np.asarray(left), np.asarray(right))
+
+
+def run_forward_latency(
+    batch_images: int = 256,
+    repeats: int = 5,
+    seed: int = 11,
+) -> Tuple[List[Dict], float]:
+    """End-to-end quantized network forward, BLAS kernels vs reference.
+
+    One fused batch of ``batch_images`` images through the *whole*
+    quantized model — patch projection, both transformer blocks, and
+    every head — once on the exact BLAS kernels and once on the int64
+    kernels.  Every output head (logits, attributes,
+    CLS embedding) must match **bit for bit** (asserted before timing).
+    Returns (rows, speedup) with the drift-cancelled fast-over-reference
+    speedup (each mode's best steady-state round, rounds interleaved) —
+    the number the E12 acceptance gate checks.
+    """
+    quantized = build_quantized_student(seed)
+    config = quantized.model.config
+    images = np.random.default_rng(seed + 1).random(
+        (batch_images, config.in_channels,
+         config.image_size, config.image_size)).astype(np.float32)
+
+    fast_out = quantized(images)
+    with int64_kernels():
+        ref_out = quantized(images)
+    if not _outputs_equal(fast_out, ref_out):
+        raise AssertionError(
+            "BLAS forward diverged from the int64 reference")
+
+    def run_fast() -> None:
+        quantized(images)
+
+    def run_reference() -> None:
+        with int64_kernels():
+            quantized(images)
+
+    samples = interleaved_rounds(repeats, [run_fast, run_reference],
+                                 inner=2)
+    fast_rounds, ref_rounds = samples
+    # Min over interleaved rounds for each mode (the same estimator
+    # run_kernel_latency uses): the least-noise steady-state latency,
+    # with round-robined rounds exposing both modes to the same drift.
+    speedup = min(ref_rounds) / min(fast_rounds)
+    images_per_s = batch_images / min(fast_rounds)
+    rows = [
+        {"mode": "blas_fast", "batch_images": batch_images,
+         "images_per_s": images_per_s,
+         "ms_per_batch": min(fast_rounds) * 1e3,
+         "speedup_vs_reference": speedup},
+        {"mode": "int64_reference", "batch_images": batch_images,
+         "images_per_s": batch_images / min(ref_rounds),
+         "ms_per_batch": min(ref_rounds) * 1e3,
+         "speedup_vs_reference": 1.0},
+    ]
+    return rows, speedup
+
+
+def _detections_equal(left, right) -> bool:
+    def fields(scenes):
+        return [[(d.bbox, d.score, d.class_id) for d in detections]
+                for detections in scenes]
+    return fields(left) == fields(right)
+
+
+def run_e2e_forward(
+    num_scenes: int = 32,
+    grid: int = 3,
+    repeats: int = 3,
+    seed: int = 7,
+) -> Tuple[List[Dict], float]:
+    """End-to-end quantized detection throughput, BLAS vs reference.
+
+    Streams ``num_scenes`` scenes through the quantized serving pipeline
+    (``MissionSession.detect_batch`` — fused multi-scene forwards) twice:
+    once on the exact BLAS kernels, once on the int64 kernels.
+    Detections must match **bit for bit** (bbox, score, class — asserted
+    before timing).  Returns (rows, speedup): one row per execution mode
+    with scenes/sec, and the drift-cancelled fast-over-reference speedup
+    (each mode's best steady-state round, rounds interleaved).
+    """
+    pipeline, spec, scenes = build_workload(num_scenes, grid, seed,
+                                            configuration="quantized")
+    session = pipeline.session(spec)
+    detect = lambda: session.detect_batch(scenes)  # noqa: E731
+
+    fast_out = detect()
+    with int64_kernels():
+        ref_out = detect()
+    if not _detections_equal(fast_out, ref_out):
+        raise AssertionError(
+            "BLAS detect path diverged from the int64 reference")
+
+    def run_reference() -> None:
+        with int64_kernels():
+            detect()
+
+    samples = interleaved_rounds(repeats, [detect, run_reference], inner=2)
+    fast_rounds, ref_rounds = samples
+    speedup = min(ref_rounds) / min(fast_rounds)
+    rows = [
+        {"mode": "blas_fast", "scenes": num_scenes,
+         "scenes_per_s": num_scenes / min(fast_rounds),
+         "ms_per_scene": min(fast_rounds) / num_scenes * 1e3,
+         "speedup_vs_reference": speedup},
+        {"mode": "int64_reference", "scenes": num_scenes,
+         "scenes_per_s": num_scenes / min(ref_rounds),
+         "ms_per_scene": min(ref_rounds) / num_scenes * 1e3,
+         "speedup_vs_reference": 1.0},
+    ]
+    return rows, speedup
 
 
 def run_experiment(smoke: bool = False):

@@ -7,7 +7,9 @@ forward.  This benchmark drives N independent camera feeds (the
 multi-camera surveillance workload the paper's edge deployment targets)
 through a full-recompute pass and a delta-gated pass over identical
 pre-rendered frames, sweeping motion density from fully static to
-every-cell-changes.
+every-cell-changes.  :func:`run_stream_bench` measures one density; its
+identity check is :func:`repro.stream.bench.compare_snapshots`, the
+streaming contract's oracle.
 
 Four tables:
 
@@ -44,8 +46,11 @@ while still asserting bit-identity; both modes persist telemetry to
 ``BENCH_e14_stream.json`` for the CI share + SLO gates.
 """
 
+import dataclasses
 import os
 import sys
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -56,8 +61,19 @@ from benchmarks.common import (
     task_matcher,
 )
 from repro.data import get_task
+from repro.data.scenes import SceneConfig
+from repro.data.tasks import TaskDefinition
 from repro.obs import get_registry
-from repro.stream import TrackerConfig, run_stream_bench
+from repro.stream import (
+    FrameState,
+    ScriptedSequence,
+    StreamingDetector,
+    Track,
+    TrackerConfig,
+    evaluate_stream,
+    metrics_delta,
+)
+from repro.stream.bench import compare_snapshots, materialize_cameras
 
 TASK = "roadside_hazards"
 
@@ -79,6 +95,138 @@ REPLAY_CHUNK = 8
 CARRYOVER_MOTION_RATE = 0.3
 CARRYOVER_THRESHOLD = 0.05
 CARRYOVER_REFRESH = 8
+
+
+def run_pass(
+    model: Any,
+    matcher: Any,
+    config: TrackerConfig,
+    cameras: Sequence[Sequence[FrameState]],
+    chunk: int = 0,
+) -> Tuple[List[List[List[Track]]], float, List[StreamingDetector]]:
+    """One timed sweep: every camera's frames through its own detector.
+
+    Frame by frame through ``update``, or with ``chunk > 0`` through
+    ``update_many`` in ``chunk``-frame chunks (the replay path).
+    Returns ``(per-camera per-frame track snapshots, elapsed seconds,
+    detectors)`` — the detectors expose ``gate_stats`` afterwards.
+    """
+    detectors = [StreamingDetector(model, matcher, config=config)
+                 for _ in cameras]
+    snapshots: List[List[List[Track]]] = []
+    start = perf_counter()
+    for detector, states in zip(detectors, cameras):
+        scenes = [state.scene for state in states]
+        if chunk > 0:
+            snapshots.append([snapshot
+                              for start in range(0, len(scenes), chunk)
+                              for snapshot in detector.update_many(
+                                  scenes[start:start + chunk])])
+        else:
+            snapshots.append([[dataclasses.replace(t)
+                               for t in detector.update(scene)]
+                              for scene in scenes])
+    elapsed = perf_counter() - start
+    return snapshots, elapsed, detectors
+
+
+def run_stream_bench(
+    model: Any,
+    matcher: Any,
+    task: TaskDefinition,
+    *,
+    num_cameras: int = 2,
+    num_frames: int = 20,
+    grid: int = 6,
+    cell_size: int = 32,
+    motion_rate: float = 0.05,
+    birth_rate: float = 0.02,
+    death_rate: float = 0.01,
+    tracker: TrackerConfig = TrackerConfig(),
+    gate: Optional[TrackerConfig] = None,
+    seed: int = 0,
+    replay_chunk: int = 0,
+) -> Dict[str, Any]:
+    """Full-recompute vs delta-gated sweep over one motion density.
+
+    ``tracker`` carries the EMA/hysteresis knobs; the full pass runs it
+    with ``delta_gate=False`` and the gated pass with ``delta_gate=True``
+    (or ``gate`` verbatim when provided, e.g. to benchmark carryover).
+    Returns one row of results; ``identical``/``mismatch`` report the
+    oracle comparison, bitwise on scores under exact gating.  ``replay_chunk > 0`` adds
+    a gated ``update_many`` pass in chunks of that many frames
+    (``replay_*`` keys, same oracle), run with the registry off so the
+    stage shares stay the per-frame path's.
+    """
+    scene = SceneConfig(grid=grid, cell_size=cell_size, object_density=0.4,
+                        distractor_density=0.15, clutter_density=0.0,
+                        noise_std=0.02)
+    cameras = materialize_cameras(
+        num_cameras, num_frames, scene, motion_rate=motion_rate,
+        birth_rate=birth_rate, death_rate=death_rate, seed=seed)
+
+    full_config = dataclasses.replace(tracker, delta_gate=False)
+    gated_config = (gate if gate is not None
+                    else dataclasses.replace(tracker, delta_gate=True))
+
+    full_snaps, full_s, _ = run_pass(model, matcher, full_config, cameras)
+    gated_snaps, gated_s, gated_detectors = run_pass(
+        model, matcher, gated_config, cameras)
+
+    exact_gate = gated_config.motion_threshold == 0.0
+    mismatch = compare_snapshots(full_snaps, gated_snaps,
+                                 exact_scores=exact_gate)
+    replay: Dict[str, Any] = {}
+    if replay_chunk > 0:
+        registry = get_registry()
+        enabled, registry.enabled = registry.enabled, False
+        try:
+            replay_snaps, replay_s, _ = run_pass(
+                model, matcher, gated_config, cameras, chunk=replay_chunk)
+        finally:
+            registry.enabled = enabled
+        replay_mismatch = compare_snapshots(
+            full_snaps, replay_snaps, exact_scores=exact_gate)
+        replay = {"replay_fps": num_cameras * num_frames / replay_s,
+                  "replay_identical": replay_mismatch is None,
+                  "replay_mismatch": replay_mismatch}
+
+    skipped = sum(d.gate_stats.skipped for d in gated_detectors)
+    recomputed = sum(d.gate_stats.recomputed for d in gated_detectors)
+    carried = sum(d.gate_stats.carried for d in gated_detectors)
+    total_cells = skipped + recomputed
+
+    quality: Dict[str, float] = {}
+    for states in cameras:
+        full_m = evaluate_stream(
+            StreamingDetector(model, matcher, config=full_config),
+            ScriptedSequence(states), task, num_frames=len(states))
+        gated_m = evaluate_stream(
+            StreamingDetector(model, matcher, config=gated_config),
+            ScriptedSequence(states), task, num_frames=len(states))
+        for key, delta in metrics_delta(full_m, gated_m).items():
+            quality[key] = max(quality.get(key, 0.0), delta)
+
+    frames_total = num_cameras * num_frames
+    return {
+        "motion_rate": motion_rate,
+        "cameras": num_cameras,
+        "frames": num_frames,
+        "grid": grid,
+        "full_fps": frames_total / full_s if full_s else float("inf"),
+        "gated_fps": frames_total / gated_s if gated_s else float("inf"),
+        "speedup": full_s / gated_s if gated_s else float("inf"),
+        "hit_rate": skipped / total_cells if total_cells else 0.0,
+        "carried": carried,
+        "skipped": skipped,
+        "recomputed": recomputed,
+        "identical": mismatch is None if exact_gate else None,
+        "mismatch": mismatch,
+        "exact_gate": exact_gate,
+        "max_quality_delta": max(quality.values()) if quality else 0.0,
+        "quality_deltas": quality,
+        **replay,
+    }
 
 
 def run_experiment(smoke: bool = False):

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Dict, List, Optional, Sequence
+import time
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +139,37 @@ def _fmt(value) -> str:
 def geometric_mean(values: Sequence[float]) -> float:
     arr = np.asarray(list(values), dtype=np.float64)
     return float(np.exp(np.log(np.clip(arr, 1e-12, None)).mean()))
+
+
+# ----------------------------------------------------------------------
+# timing
+# ----------------------------------------------------------------------
+def interleaved_rounds(repeats: int, tasks: Sequence[Callable[[], object]],
+                       inner: int = 1) -> List[List[float]]:
+    """Per-task steady-state seconds per call, rounds round-robined.
+
+    Machines drift (thermal, noisy neighbours); timing mode A repeatedly
+    and then mode B confounds their ratio with the drift.  Round robin
+    spreads every mode's samples over the same wall-clock span, so
+    per-round ratios (mode vs baseline measured moments apart) cancel
+    the drift that absolute best-of numbers cannot.
+
+    Each round re-enters a task's cache regime with one untimed call
+    before timing ``inner`` back-to-back calls.  Strict call-by-call
+    alternation would time every mode on the *other* mode's evicted
+    cache, a regime no deployment runs in, and one that understates a
+    fast path whose working set fits where a slow one's cannot.  The
+    first round's untimed call also serves as each task's warm-up.
+    """
+    samples: List[List[float]] = [[] for _ in tasks]
+    for _ in range(repeats):
+        for i, fn in enumerate(tasks):
+            fn()
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn()
+            samples[i].append((time.perf_counter() - start) / inner)
+    return samples
 
 
 # ----------------------------------------------------------------------

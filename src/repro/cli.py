@@ -19,13 +19,9 @@ Commands
     inspect and maintain the checkpoint cache: per-entry integrity
     status, a full verification sweep (non-zero exit on corruption, for
     CI), and garbage collection of quarantined/temp/lock files.
-``engine bench``
-    serving-engine throughput sweep: scenes/sec for per-call rebuild,
-    cached session, and the micro-batching engine (batch x workers).
-``quant bench``
-    quantized-kernel latency: per-site exact BLAS GEMMs vs the int64
-    reference, plus the end-to-end quantized forward — asserting
-    bit-identical outputs before timing.
+``engine serve``
+    sharded serving: N engine worker processes behind a routing
+    front-end, with the merged cross-shard metrics endpoint.
 ``obs {report,export,trace,compare,serve,top,slo}``
     the telemetry family: render a ``BENCH_*.json`` (manifest + per-stage
     p50/p90/p99 + counters), run an instrumented detection workload and
@@ -42,12 +38,10 @@ Commands
     exit + replayable JSON case files on any oracle divergence),
     deterministically replay a recorded case, and re-check the committed
     seed corpus.
-``stream {run,bench}``
+``stream run``
     incremental streaming detection: drive a delta-gated streaming
     detector over a generated multi-frame sequence (per-frame track and
-    gate-hit summary), and benchmark frames/sec for full recompute vs
-    frame-delta gating across motion densities and camera counts —
-    asserting gated tracks bit-identical to the full-recompute oracle.
+    gate-hit summary).
 ``cascade {route,calibrate,show}``
     the adaptive dual-config cascade: route generated scenes through
     quantized-first detection with margin-triggered specialist
@@ -267,28 +261,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import best_engine_speedup, run_throughput
-
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    workers = [int(w) for w in args.workers.split(",")]
-    rows = run_throughput(
-        num_scenes=args.scenes, grid=args.grid, batch_sizes=batch_sizes,
-        workers=workers, repeats=args.repeats, seed=args.seed)
-    print(f"{'mode':<16} | {'batch':>5} | {'workers':>7} | "
-          f"{'scenes/s':>9} | {'ms/scene':>9} | {'speedup':>8}")
-    for row in rows:
-        batch = "-" if row["batch"] is None else str(row["batch"])
-        nworkers = "-" if row["workers"] is None else str(row["workers"])
-        print(f"{row['mode']:<16} | {batch:>5} | {nworkers:>7} | "
-              f"{row['scenes_per_s']:>9.1f} | {row['ms_per_scene']:>9.3f} | "
-              f"{row['speedup_vs_percall']:>7.2f}x")
-    best = best_engine_speedup(rows)
-    print(f"\nbest engine speedup vs per-call rebuild (batch >= 8): "
-          f"{best:.2f}x")
-    return 0
-
-
 def _cmd_engine_serve(args: argparse.Namespace) -> int:
     """Sharded serving: N engine processes behind a routing front-end.
 
@@ -360,32 +332,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
     finally:
         front.stop()
         router.close()
-    return 0
-
-
-def _cmd_quant_bench(args: argparse.Namespace) -> int:
-    from repro.quant.bench import run_forward_latency, run_kernel_latency
-
-    rows = run_kernel_latency(
-        rows_per_gemm=args.rows, repeats=args.repeats,
-        weight_bits=args.weight_bits, act_bits=args.act_bits,
-        seed=args.seed)
-    print(f"{'site':<18} | {'m':>5} | {'k':>4} | {'n':>4} | "
-          f"{'gemm':>7} | {'fast ms':>8} | {'int64 ms':>8} | {'speedup':>8}")
-    for row in rows:
-        print(f"{row['site']:<18} | {row['m']:>5} | {row['k']:>4} | "
-              f"{row['n']:>4} | {row['gemm_dtype']:>7} | "
-              f"{row['fast_ms']:>8.3f} | {row['reference_ms']:>8.3f} | "
-              f"{row['speedup']:>7.2f}x")
-    forward_rows, speedup = run_forward_latency(
-        batch_images=args.batch_images, repeats=args.repeats,
-        weight_bits=args.weight_bits, act_bits=args.act_bits)
-    fast = next(r for r in forward_rows if r["mode"] == "blas_fast")
-    ref = next(r for r in forward_rows if r["mode"] == "int64_reference")
-    print(f"\nend-to-end forward (batch={fast['batch_images']}): "
-          f"fast {fast['ms_per_batch']:.1f} ms vs int64 reference "
-          f"{ref['ms_per_batch']:.1f} ms -> {speedup:.2f}x "
-          f"(outputs bit-identical)")
     return 0
 
 
@@ -719,11 +665,11 @@ def _cmd_fuzz_corpus(args: argparse.Namespace) -> int:
 
 
 def _stream_model_matcher(args: argparse.Namespace):
-    """(model, matcher, task) for the stream commands.
+    """(model, matcher, task) for ``stream run``.
 
     ``--untrained`` builds a fresh random student (hermetic, no artifact
-    cache) — score *reuse* is what the stream commands exercise, and the
-    delta gate's bit-exactness contract is weight-independent.
+    cache) — score *reuse* is what the command exercises, and the delta
+    gate's bit-exactness contract is weight-independent.
     """
     from repro.data import get_task
     from repro.kg import GraphMatcher, SimulatedLLM
@@ -790,47 +736,6 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
               f"({stats.carried} carried) / "
               f"{stats.skipped + stats.recomputed} cells "
               f"-> hit rate {stats.hit_rate:.1%}")
-    return 0
-
-
-def _cmd_stream_bench(args: argparse.Namespace) -> int:
-    from repro.stream import TrackerConfig, run_stream_bench
-
-    model, matcher, task = _stream_model_matcher(args)
-    motion_rates = [float(m) for m in args.motion_rates.split(",")]
-    gate = None
-    if args.motion_threshold > 0.0:
-        gate = TrackerConfig(delta_gate=True,
-                             motion_threshold=args.motion_threshold,
-                             refresh_every=args.refresh_every)
-    rows = []
-    for motion_rate in motion_rates:
-        rows.append(run_stream_bench(
-            model, matcher, task,
-            num_cameras=args.cameras, num_frames=args.frames,
-            grid=args.grid, motion_rate=motion_rate,
-            tracker=TrackerConfig(refresh_every=args.refresh_every),
-            gate=gate, seed=args.scene_seed))
-    print(f"{'motion':>6} | {'full fps':>9} | {'gated fps':>9} | "
-          f"{'speedup':>8} | {'hit rate':>8} | {'identical':>9} | "
-          f"{'quality d':>9}")
-    failed = False
-    for row in rows:
-        identical = ("-" if row["identical"] is None
-                     else ("yes" if row["identical"] else "NO"))
-        if row["exact_gate"] and not row["identical"]:
-            failed = True
-        print(f"{row['motion_rate']:>6.2f} | {row['full_fps']:>9.1f} | "
-              f"{row['gated_fps']:>9.1f} | {row['speedup']:>7.2f}x | "
-              f"{row['hit_rate']:>8.1%} | {identical:>9} | "
-              f"{row['max_quality_delta']:>9.4f}")
-    for row in rows:
-        if row["mismatch"]:
-            print(f"mismatch at motion_rate={row['motion_rate']:g}: "
-                  f"{row['mismatch']}")
-    if failed:
-        print("FAILED: exact delta gating diverged from full recompute")
-        return 1
     return 0
 
 
@@ -1044,21 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine = sub.add_parser(
         "engine", help="serving-engine utilities (micro-batched detection)")
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
-    engine_bench = engine_sub.add_parser(
-        "bench",
-        help="scenes/sec: per-call rebuild vs cached session vs engine")
-    engine_bench.add_argument("--scenes", type=int, default=48,
-                              help="scenes per timed pass")
-    engine_bench.add_argument("--repeats", type=int, default=3,
-                              help="interleaved timing rounds per mode")
-    engine_bench.add_argument("--grid", type=int, default=3)
-    engine_bench.add_argument("--seed", type=int, default=7)
-    engine_bench.add_argument("--batch-sizes", default="1,8,32",
-                              help="comma-separated engine max_batch sweep")
-    engine_bench.add_argument("--workers", default="1,2",
-                              help="comma-separated engine worker sweep")
-    engine_bench.set_defaults(func=_cmd_engine_bench)
-
     engine_serve = engine_sub.add_parser(
         "serve",
         help="sharded serving: N engine processes behind a routing "
@@ -1091,23 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seconds to keep serving metrics "
                                    "after the workload")
     engine_serve.set_defaults(func=_cmd_engine_serve)
-
-    quant = sub.add_parser(
-        "quant", help="quantized-inference utilities (exact BLAS kernels)")
-    quant_sub = quant.add_subparsers(dest="quant_command", required=True)
-    quant_bench = quant_sub.add_parser(
-        "bench",
-        help="per-site and end-to-end latency: exact BLAS vs int64 reference")
-    quant_bench.add_argument("--rows", type=int, default=4096,
-                             help="activation rows per site GEMM")
-    quant_bench.add_argument("--batch-images", type=int, default=256,
-                             help="images in the end-to-end forward batch")
-    quant_bench.add_argument("--repeats", type=int, default=5,
-                             help="interleaved timing rounds")
-    quant_bench.add_argument("--weight-bits", type=int, default=8)
-    quant_bench.add_argument("--act-bits", type=int, default=8)
-    quant_bench.add_argument("--seed", type=int, default=0)
-    quant_bench.set_defaults(func=_cmd_quant_bench)
 
     obs = sub.add_parser(
         "obs", help="telemetry: report, export, trace, compare, serve, "
@@ -1259,27 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="random student instead of the artifact "
                                  "cache (hermetic)")
     stream_run.set_defaults(func=_cmd_stream_run)
-
-    stream_bench = stream_sub.add_parser(
-        "bench", help="frames/sec: full recompute vs delta gating across "
-                      "motion densities; exit 1 if gated tracks are not "
-                      "bit-identical")
-    stream_bench.add_argument("--task", default="roadside_hazards")
-    stream_bench.add_argument("--seed", type=int, default=0)
-    stream_bench.add_argument("--scene-seed", type=int, default=3)
-    stream_bench.add_argument("--cameras", type=int, default=2)
-    stream_bench.add_argument("--frames", type=int, default=16)
-    stream_bench.add_argument("--grid", type=int, default=5)
-    stream_bench.add_argument("--motion-rates", default="0.0,0.05,0.25,1.0",
-                              help="comma-separated motion densities")
-    stream_bench.add_argument("--motion-threshold", type=float, default=0.0,
-                              help="benchmark carryover gating instead of "
-                                   "exact gating")
-    stream_bench.add_argument("--refresh-every", type=int, default=0)
-    stream_bench.add_argument("--untrained", action="store_true",
-                              help="random student instead of the artifact "
-                                   "cache (hermetic)")
-    stream_bench.set_defaults(func=_cmd_stream_bench)
 
     cascade = sub.add_parser(
         "cascade", help="adaptive dual-config cascade (quantized first, "

@@ -28,7 +28,7 @@ from repro.fuzz.runner import (
     run_campaign,
     run_scenario,
 )
-from repro.fuzz.scenario import ModelSpec, ScenarioSpec, ScriptedSequence
+from repro.fuzz.scenario import ModelSpec, ScenarioSpec
 from repro.fuzz.shrinker import candidate_shrinks, shrink_spec
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ModelCache",
     "ModelSpec",
     "ScenarioSpec",
-    "ScriptedSequence",
     "all_operators",
     "build_context",
     "candidate_shrinks",

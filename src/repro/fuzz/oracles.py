@@ -44,9 +44,10 @@ import numpy as np
 
 from repro.data.tasks import TaskDefinition
 from repro.detect.pipeline import Detection, TaskDetector
-from repro.fuzz.scenario import ScenarioSpec, ScriptedSequence
+from repro.fuzz.scenario import ScenarioSpec
 from repro.reference import detect_reference, forward_full_sequence, windows_loop
-from repro.stream.sequence import FrameState
+from repro.stream.bench import TRACK_FIELDS
+from repro.stream.sequence import FrameState, ScriptedSequence
 from repro.stream.tracker import Track
 
 if TYPE_CHECKING:
@@ -149,12 +150,8 @@ def _describe(det: Detection) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # track comparison
 # ----------------------------------------------------------------------
-_TRACK_FIELDS = ("track_id", "cell", "first_frame", "last_frame",
-                 "active", "missed")
-
-
 def _track_tuple(track: Track) -> Tuple:
-    return tuple(getattr(track, f) for f in _TRACK_FIELDS)
+    return tuple(getattr(track, f) for f in TRACK_FIELDS)
 
 
 def compare_track_snapshots(
@@ -197,7 +194,7 @@ def compare_track_snapshots(
 
 
 def _track_dict(track: Track) -> Dict[str, Any]:
-    data = {f: getattr(track, f) for f in _TRACK_FIELDS}
+    data = {f: getattr(track, f) for f in TRACK_FIELDS}
     data["cell"] = list(data["cell"])
     data["score"] = float(track.score)
     return data

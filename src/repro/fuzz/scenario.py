@@ -16,7 +16,7 @@ stand on.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -291,22 +291,3 @@ def shift_deaths_early(states: Sequence[FrameState]) -> List[FrameState]:
             object_ids=list(state.object_ids),
             births=list(state.births), deaths=deaths))
     return shifted
-
-
-class ScriptedSequence:
-    """A pre-materialized frame list behind the ``SceneSequence`` API.
-
-    ``evaluate_stream`` only needs ``.frames(count)``; scripting the
-    states lets the fuzzer (and regression tests) drive metrics with
-    adversarial birth/death timing that the organic generator would
-    never produce.
-    """
-
-    def __init__(self, states: Sequence[FrameState]) -> None:
-        self._states = list(states)
-
-    def frames(self, count: int) -> Iterator[FrameState]:
-        yield from self._states[:count]
-
-    def __len__(self) -> int:
-        return len(self._states)

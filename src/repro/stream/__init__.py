@@ -9,11 +9,16 @@ per-frame accuracy, detection latency in frames, and flicker rate.
 
 Incremental detection (``TrackerConfig.delta_gate``) adds frame-delta
 gating and tracker-prior carryover so per-frame cost scales with scene
-*change*; :mod:`repro.stream.bench` benchmarks it against the
-full-recompute oracle across multi-camera feeds.
+*change*.  :mod:`repro.stream.bench` holds the contract's oracle:
+:func:`compare_snapshots` checks gated tracks against full recompute.
 """
 
-from repro.stream.sequence import FrameState, SceneSequence, SequenceConfig
+from repro.stream.sequence import (
+    FrameState,
+    SceneSequence,
+    ScriptedSequence,
+    SequenceConfig,
+)
 from repro.stream.tracker import (
     GateStats,
     StreamingDetector,
@@ -21,11 +26,12 @@ from repro.stream.tracker import (
     TrackerConfig,
 )
 from repro.stream.metrics import StreamingMetrics, evaluate_stream, metrics_delta
-from repro.stream.bench import compare_snapshots, run_stream_bench
+from repro.stream.bench import compare_snapshots
 
 __all__ = [
     "FrameState",
     "SceneSequence",
+    "ScriptedSequence",
     "SequenceConfig",
     "GateStats",
     "StreamingDetector",
@@ -35,5 +41,4 @@ __all__ = [
     "evaluate_stream",
     "metrics_delta",
     "compare_snapshots",
-    "run_stream_bench",
 ]

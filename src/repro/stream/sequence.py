@@ -6,12 +6,14 @@ jitter (sensor noise, sub-pixel shift, brightness), objects die with a
 small probability, and new objects are born into free cells.  Ground
 truth per frame is the same :class:`~repro.data.ObjectInstance` record
 the static pipeline uses, so all detection metrics carry over.
+:class:`ScriptedSequence` replays stored frames behind the same
+``frames(count)`` API.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,3 +209,22 @@ class SceneSequence:
     def frames(self, count: int) -> Iterator[FrameState]:
         for _ in range(count):
             yield self.step()
+
+
+class ScriptedSequence:
+    """A pre-materialized frame list behind the ``SceneSequence`` API.
+
+    ``evaluate_stream`` only needs ``.frames(count)``.  Replaying stored
+    states lets a benchmark score the frames it already timed, and lets
+    the fuzzer (and regression tests) drive metrics with adversarial
+    birth/death timing that the organic generator would never produce.
+    """
+
+    def __init__(self, states: Sequence[FrameState]) -> None:
+        self._states = list(states)
+
+    def frames(self, count: int) -> Iterator[FrameState]:
+        yield from self._states[:count]
+
+    def __len__(self) -> int:
+        return len(self._states)

@@ -107,12 +107,21 @@ class TestCLI:
         assert main(["models"]) == 0
         assert "empty" in capsys.readouterr().out
 
-    def test_quant_bench_command(self, capsys):
-        assert main(["quant", "bench", "--rows", "64",
-                     "--batch-images", "8", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "patch_proj" in out
-        assert "bit-identical" in out
+    def test_quant_bench_command(self):
+        """E12's kernel and forward workloads; each raises before timing
+        unless its outputs are bit-identical."""
+        from benchmarks.bench_e12_quant_inference import (
+            run_forward_latency,
+            run_kernel_latency,
+        )
+
+        rows = run_kernel_latency(rows_per_gemm=64, repeats=1)
+        assert "patch_proj" in {row["site"] for row in rows}
+        forward_rows, speedup = run_forward_latency(batch_images=8,
+                                                    repeats=1)
+        assert [row["mode"] for row in forward_rows] == [
+            "blas_fast", "int64_reference"]
+        assert speedup > 0
 
 
 class TestArtifactsCLI:
@@ -228,7 +237,15 @@ class TestFuzzCLI:
 
 
 class TestStreamCLI:
-    """`repro stream {run,bench}` — hermetic via --untrained."""
+    """`repro stream run` — hermetic via --untrained — and the E14
+    benchmark on the same model."""
+
+    @pytest.fixture(scope="class")
+    def untrained(self):
+        from repro.cli import _stream_model_matcher
+
+        return _stream_model_matcher(
+            build_parser().parse_args(["stream", "run", "--untrained"]))
 
     def test_stream_run_smoke(self, capsys):
         assert main(["stream", "run", "--untrained", "--frames", "3",
@@ -245,20 +262,24 @@ class TestStreamCLI:
         assert "delta_gate=False" in out
         assert "delta gate:" not in out   # no gate summary when disabled
 
-    def test_stream_bench_smoke(self, capsys):
-        assert main(["stream", "bench", "--untrained", "--cameras", "1",
-                     "--frames", "4", "--grid", "2",
-                     "--motion-rates", "0.0,1.0"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "identical" in out
-        assert "yes" in out and "NO" not in out
+    def test_stream_bench_smoke(self, untrained):
+        from benchmarks.bench_e14_stream import run_stream_bench
 
-    def test_stream_bench_carryover_mode(self, capsys):
-        assert main(["stream", "bench", "--untrained", "--cameras", "1",
-                     "--frames", "3", "--grid", "2",
-                     "--motion-rates", "0.5",
-                     "--motion-threshold", "0.05",
-                     "--refresh-every", "2"]) == 0
-        out = capsys.readouterr().out
-        # approximate gate: identity is not asserted, shown as "-"
-        assert "-" in out and "FAILED" not in out
+        for motion_rate in (0.0, 1.0):
+            row = run_stream_bench(*untrained, num_cameras=1, num_frames=4,
+                                   grid=2, motion_rate=motion_rate, seed=3)
+            assert row["speedup"] > 0
+            assert row["identical"] is True, row["mismatch"]
+
+    def test_stream_bench_carryover_mode(self, untrained):
+        from benchmarks.bench_e14_stream import run_stream_bench
+        from repro.stream import TrackerConfig
+
+        row = run_stream_bench(
+            *untrained, num_cameras=1, num_frames=3, grid=2,
+            motion_rate=0.5, tracker=TrackerConfig(refresh_every=2),
+            gate=TrackerConfig(delta_gate=True, motion_threshold=0.05,
+                               refresh_every=2),
+            seed=3)
+        # approximate gate: identity is not asserted
+        assert row["exact_gate"] is False and row["identical"] is None

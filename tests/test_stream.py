@@ -8,6 +8,7 @@ import pytest
 from repro.data import SceneConfig, get_task
 from repro.stream import (
     SceneSequence,
+    ScriptedSequence,
     SequenceConfig,
     StreamingDetector,
     TrackerConfig,
@@ -151,14 +152,6 @@ class _ScriptedDetector:
         return tracks
 
 
-class _ScriptedFrames:
-    def __init__(self, states):
-        self._states = list(states)
-
-    def frames(self, count):
-        yield from self._states[:count]
-
-
 class TestStreamFixRegressions:
     """One regression test per bug fixed in this PR (see ISSUE 6)."""
 
@@ -294,7 +287,7 @@ class TestStreamFixRegressions:
         task = get_task("stop_control")
         detector = _ScriptedDetector([(0, 0)])
         states = self._one_object_frames(deaths_on_frame0=True)
-        metrics = evaluate_stream(detector, _ScriptedFrames(states), task,
+        metrics = evaluate_stream(detector, ScriptedSequence(states), task,
                                   num_frames=1)
         assert metrics.detected_fraction == 0.0
         assert np.isnan(metrics.mean_detection_latency)
@@ -303,7 +296,7 @@ class TestStreamFixRegressions:
         task = get_task("stop_control")
         detector = _ScriptedDetector([(0, 0)])
         states = self._one_object_frames(deaths_on_frame0=False)
-        metrics = evaluate_stream(detector, _ScriptedFrames(states), task,
+        metrics = evaluate_stream(detector, ScriptedSequence(states), task,
                                   num_frames=1)
         assert metrics.detected_fraction == 1.0
         assert metrics.mean_detection_latency == 0.0
@@ -700,15 +693,18 @@ class TestStreamBenchHelpers:
         rebirth = [[[dataclasses.replace(track, track_id=1)]]]
         assert "track_id" in compare_snapshots(reference, rebirth)
 
+    #: One static 2x2 camera at the fuzz models' 16px cells: every frame
+    #: after the first is a full gate hit.
+    STATIC = dict(num_cameras=1, num_frames=4, grid=2, cell_size=16,
+                  motion_rate=0.0, birth_rate=0.0, death_rate=0.0, seed=6)
+
     def test_run_stream_bench_row_contract(self, fuzz_model_pair):
-        from repro.stream import run_stream_bench
+        from benchmarks.bench_e14_stream import run_stream_bench
 
         _, quantized = fuzz_model_pair
         task = get_task("roadside_hazards")
-        row = run_stream_bench(
-            quantized, None, task, num_cameras=1, num_frames=4, grid=2,
-            cell_size=16, motion_rate=0.0, birth_rate=0.0, death_rate=0.0,
-            seed=6, replay_chunk=3)
+        row = run_stream_bench(quantized, None, task, replay_chunk=3,
+                               **self.STATIC)
         assert row["identical"] is True
         assert row["mismatch"] is None
         assert row["replay_identical"] is True
@@ -716,3 +712,23 @@ class TestStreamBenchHelpers:
         assert row["max_quality_delta"] == 0.0
         assert row["hit_rate"] > 0.5
         assert row["full_fps"] > 0 and row["gated_fps"] > 0
+
+    def test_run_stream_bench_flags_a_wrong_cached_score(
+            self, fuzz_model_pair, monkeypatch):
+        """A gate that reuses a wrong score must read ``identical=False``."""
+        from benchmarks.bench_e14_stream import run_stream_bench
+
+        score_chunk = StreamingDetector._score_chunk
+
+        def corrupting(detector, scenes):
+            raw = score_chunk(detector, scenes)
+            for entry in detector._score_cache.values():
+                entry.score = 1.0 - entry.score
+            return raw
+
+        monkeypatch.setattr(StreamingDetector, "_score_chunk", corrupting)
+        _, quantized = fuzz_model_pair
+        row = run_stream_bench(quantized, None, get_task("roadside_hazards"),
+                               **self.STATIC)
+        assert row["hit_rate"] > 0.5
+        assert row["identical"] is False and row["mismatch"] is not None
