@@ -20,10 +20,13 @@ Run standalone:
     PYTHONPATH=src python benchmarks/bench_e10_pipeline_latency.py
     PYTHONPATH=src python benchmarks/bench_e10_pipeline_latency.py --smoke
 
-``--smoke`` shrinks the scene to 14×14 (CI-friendly, under a second)
-while keeping per-stage shares stable enough for the CI regression gate
-(``repro obs compare --metric share``).  Both modes persist the run — manifest, span tree, per-stage p50/p90/p99 — to
-``BENCH_e10_pipeline_latency.json`` for ``repro obs report/trace/compare``.
+``--smoke`` shrinks the scene to 14×14 (CI-friendly, under a second);
+CI gates its work counters (windows scored, forward MACs, NMS
+candidates and kept boxes) exactly against ``benchmarks/baselines/``
+with ``repro obs compare``.  Both modes persist the run — manifest,
+span tree, per-stage p50/p90/p99, counters — to
+``BENCH_e10_pipeline_latency.json`` for ``repro obs
+report/trace/compare``.
 """
 
 import os
@@ -165,9 +168,7 @@ def test_e10_pipeline_latency(benchmark):
 
 def main():
     smoke = "--smoke" in sys.argv[1:]
-    # Smoke keeps CI fast but uses a scene large enough (and enough
-    # repeats) that hot-path stage *shares* are stable run-to-run —
-    # the regression gate compares them at a 15% threshold.
+    # Smoke keeps CI fast; its work counts are what the CI gate compares.
     summary, stages = run_experiment(grid=14 if smoke else 25,
                                      repeats=5 if smoke else 3)
     _print_results(summary, stages)

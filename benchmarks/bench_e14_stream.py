@@ -19,7 +19,7 @@ Four tables:
   ``update_many`` in ``REPLAY_CHUNK``-frame chunks (each chunk's changed
   cells scored in one forward) against the per-frame gated pass, also
   asserted bit-identical to full recompute.  It runs with the registry
-  off, so the telemetry the share gate reads is the per-frame path's;
+  off, so the telemetry CI gates is the per-frame path's;
 * ``carryover`` — tracker-prior carryover (``motion_threshold > 0``) on
   a jittery feed, reporting carried reuses and the MOTA-style quality
   delta the approximation costs;
@@ -43,7 +43,7 @@ Run standalone:
 ``--smoke`` shrinks cameras/frames/grid (CI-friendly) and skips the
 wall-clock speedup gate (shared CI runners make timing ratios noisy)
 while still asserting bit-identity; both modes persist telemetry to
-``BENCH_e14_stream.json`` for the CI share + SLO gates.
+``BENCH_e14_stream.json`` for the CI work-counter and SLO gates.
 """
 
 import dataclasses
@@ -156,7 +156,7 @@ def run_stream_bench(
     oracle comparison, bitwise on scores under exact gating.  ``replay_chunk > 0`` adds
     a gated ``update_many`` pass in chunks of that many frames
     (``replay_*`` keys, same oracle), run with the registry off so the
-    stage shares stay the per-frame path's.
+    recorded stages and counts stay the per-frame path's.
     """
     scene = SceneConfig(grid=grid, cell_size=cell_size, object_density=0.4,
                         distractor_density=0.15, clutter_density=0.0,
@@ -232,7 +232,7 @@ def run_stream_bench(
 def run_experiment(smoke: bool = False):
     """Sweep motion densities full-vs-gated; returns (tables, gate_row)."""
     registry = get_registry()
-    registry.reset()  # isolate this run's spans for the share gate
+    registry.reset()  # isolate this run's counters for the work gate
     model = quantized_configuration().model
     matcher = task_matcher(TASK)
     task = get_task(TASK)
@@ -327,7 +327,7 @@ def main():
     smoke = "--smoke" in sys.argv[1:]
     tables, gate_row = run_experiment(smoke=smoke)
     _print_results(tables)
-    finalize_benchmark("e14_stream", **tables)
+    finalize_benchmark("e14_stream", keep_spans=False, **tables)
     failed = False
     if gate_row is None:
         print(f"WARNING: no sweep row at motion_rate={GATE_MOTION_RATE}")

@@ -20,7 +20,8 @@ stats with p50/p90/p99, counters, and the experiment rows — to
 ``BENCH_<name>.json`` next to the repository root (override the
 directory with ``REPRO_BENCH_DIR``).  Those files are the durable perf
 trajectory: ``repro obs report/trace/compare`` consume them, and CI
-gates hot-path regressions with ``repro obs compare``.
+gates the work counted in their ``merge`` block exactly against
+``benchmarks/baselines/`` with ``repro obs compare``.
 """
 
 from __future__ import annotations
@@ -185,12 +186,16 @@ def finalize_benchmark(
     rows: Optional[Sequence[Dict]] = None,
     seed: Optional[int] = EVAL_SEED,
     out: Optional[str] = None,
+    *,
+    keep_spans: bool = True,
     **tables: Sequence[Dict],
 ) -> str:
     """Persist one standalone benchmark run as ``BENCH_<name>.json``.
 
     ``rows`` is the experiment's primary table; extra keyword tables are
-    stored under their argument name.  The document also captures the
+    stored under their argument name.  ``keep_spans=False`` leaves the
+    span buffer out (stage stats and counters stay), so a run whose
+    smoke is a committed baseline stays small enough to review.  The document also captures the
     global obs registry (span tree, p50/p90/p99 per stage, counters —
     including the ``artifacts.*`` cache traffic) and a run manifest, so
     every E-row in EXPERIMENTS.md can cite its provenance.  The manifest
@@ -214,6 +219,8 @@ def finalize_benchmark(
             "dropped_spans": dropped,
         },
     )
+    if not keep_spans:
+        doc["obs"]["spans"] = []
     path = out or os.path.join(bench_output_dir(), f"BENCH_{name}.json")
     write_telemetry(path, doc)
     if dropped:

@@ -26,8 +26,8 @@ Commands
     the telemetry family: render a ``BENCH_*.json`` (manifest + per-stage
     p50/p90/p99 + counters), run an instrumented detection workload and
     persist its telemetry, convert a telemetry file's spans to Chrome
-    trace-event JSON for Perfetto, gate one run against a baseline
-    (non-zero exit on hot-path regression, for CI), serve live
+    trace-event JSON for Perfetto, gate one run's work counters
+    against a baseline's (non-zero exit on any change, for CI), serve live
     Prometheus ``/metrics`` + ``/healthz`` + ``/slo`` over stdlib HTTP
     (optionally driving demo engine traffic), watch interval rates and
     percentiles from a running server's ``/snapshot``, and evaluate SLO
@@ -224,15 +224,6 @@ def _cmd_artifacts_gc(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # obs: telemetry report / export / trace / compare
 # ----------------------------------------------------------------------
-def _parse_fraction(text: str) -> float:
-    """Accept ``15%``, ``15``, or ``0.15`` — all meaning fifteen percent."""
-    value = text.strip()
-    if value.endswith("%"):
-        return float(value[:-1]) / 100.0
-    number = float(value)
-    return number / 100.0 if number > 1.0 else number
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import load_telemetry
     from repro.obs.registry import render_report
@@ -401,13 +392,8 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
 def _cmd_obs_compare(args: argparse.Namespace) -> int:
     from repro.obs import compare_telemetry, load_telemetry
 
-    comparison = compare_telemetry(
-        load_telemetry(args.baseline),
-        load_telemetry(args.current),
-        max_regress=_parse_fraction(args.max_regress),
-        metric=args.metric,
-        stages=args.stages.split(",") if args.stages else None,
-    )
+    comparison = compare_telemetry(load_telemetry(args.baseline),
+                                   load_telemetry(args.current))
     print(comparison.summary())
     return 0 if comparison.ok else 1
 
@@ -1012,18 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_compare = obs_sub.add_parser(
         "compare",
-        help="gate a telemetry file against a baseline; exit 1 on regression")
+        help="gate a telemetry file's work counters against a baseline's, "
+             "exactly; exit 1 on any change or missing counter")
     obs_compare.add_argument("baseline")
     obs_compare.add_argument("current")
-    obs_compare.add_argument("--max-regress", default="15%",
-                             help="allowed growth per stage (e.g. 15%%)")
-    obs_compare.add_argument(
-        "--metric", default="p50_s",
-        choices=["p50_s", "mean_s", "total_s", "max_s", "share"],
-        help="share = fraction of the dominant stage's total "
-             "(machine-speed independent)")
-    obs_compare.add_argument("--stages", default=None,
-                             help="comma-separated stage allowlist")
     obs_compare.set_defaults(func=_cmd_obs_compare)
 
     obs_serve = obs_sub.add_parser(

@@ -355,9 +355,12 @@ class TaskDetector:
             hits = np.flatnonzero(scene_scores >= self.score_threshold)
             detections: List[Detection] = []
             if hits.size:
-                with get_registry().span("detect.nms", candidates=int(hits.size)):
+                obs = get_registry()
+                with obs.span("detect.nms", candidates=int(hits.size)):
                     keep = hits[nms(boxes[hits], scene_scores[hits],
                                     iou_threshold=self.nms_iou)]
+                obs.count("detect.nms.candidates", int(hits.size))
+                obs.count("detect.nms.kept", int(keep.size))
                 detections = build_detections(boxes[keep].tolist(),
                                               start + keep, predictions, scores)
             results.append(detections)

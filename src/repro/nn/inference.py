@@ -29,6 +29,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple,
 import numpy as np
 from scipy import special as _special
 
+from repro.obs import get_registry
+
 if TYPE_CHECKING:
     from repro.nn.layers import Linear
     from repro.nn.module import Module
@@ -313,15 +315,24 @@ def _vit_forward(
     Calibration (``observers`` given — an empty mapping runs the
     full-sequence forward unobserved) keeps every token, so activation
     ranges are observed over the whole sequence.
+
+    Each call adds the weight-GEMM multiply-accumulates it ran to the
+    ``nn.forward.macs`` counter.
     """
     cfg = model.config
     batch = images.shape[0]
     grid = cfg.image_size // cfg.patch_size
+    macs = 0
 
     def project(site: str, x: np.ndarray) -> np.ndarray:
+        nonlocal macs
         if observers is not None and site in observers:
             observers[site].observe(x)
-        return projections[site](x)
+        y = projections[site](x)
+        # Counted from the rows this call ran, not from the plan, so a
+        # forward that strays from its plan changes the count.
+        macs += y.size * x.shape[-1]
+        return y
 
     # Every temporary dies once consumed (nested calls, ``_attention``'s
     # locals): the peak, not the total, decides whether the allocator
@@ -367,4 +378,5 @@ def _vit_forward(
     if model.task_head is not None:
         hidden = gelu(project("task_head.fc1", cls_embedding))
         out["task_logits"] = project("task_head.fc2", hidden)
+    get_registry().count("nn.forward.macs", macs)
     return out

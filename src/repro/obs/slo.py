@@ -11,8 +11,9 @@ already records; this module evaluates them two ways:
   fractions come from the sliding-window series layer
   (:mod:`repro.obs.series`), so a burst outside the window ages out.
 * **Offline** (:func:`evaluate_telemetry`) — single-window evaluation
-  over a ``BENCH_*.json`` telemetry document, used by the
-  ``repro obs slo`` CI gate.  Prefer ``ratio`` and
+  over a ``BENCH_*.json`` telemetry document's ``merge`` block, used
+  by the ``repro obs slo`` CI gate; an objective whose data is absent
+  fails rather than passing unchecked.  Prefer ``ratio`` and
   ``relative_latency`` objectives there: they are machine-speed
   independent, so a baseline authored on one machine gates runs on
   another.
@@ -177,8 +178,8 @@ def _hist_bad_fraction(hist_state: Dict[str, Any], threshold_s: float) -> float:
     return bad / count
 
 
-def _latency_status(slo: SLO, hist_state: Optional[Dict[str, Any]],
-                    p_value: Optional[float]) -> SLOStatus:
+def _latency_status(slo: SLO,
+                    hist_state: Optional[Dict[str, Any]]) -> SLOStatus:
     budget = max(1e-9, 1.0 - slo.percentile / 100.0)
     if hist_state is not None and hist_state["count"]:
         bad = _hist_bad_fraction(hist_state, slo.threshold_s)
@@ -188,15 +189,6 @@ def _latency_status(slo: SLO, hist_state: Optional[Dict[str, Any]],
             detail=(f"{bad * 100:.2f}% of samples over "
                     f"{slo.threshold_s * 1e3:g} ms (budget "
                     f"{budget * 100:g}%)"))
-    if p_value is not None:
-        # Stats-only fallback (no histogram shipped): compare the
-        # percentile itself; burn is the latency ratio, not budget math.
-        burn = p_value / slo.threshold_s if slo.threshold_s else 0.0
-        return SLOStatus(
-            slo=slo, ok=burn <= 1.0, value=p_value, limit=slo.threshold_s,
-            burn=burn,
-            detail=(f"p{slo.percentile:g} = {p_value * 1e3:.3f} ms vs "
-                    f"{slo.threshold_s * 1e3:g} ms"))
     return SLOStatus(slo=slo, ok=True, value=0.0,
                      limit=slo.threshold_s or 0.0, burn=0.0,
                      detail=f"stage {slo.stage!r} not recorded")
@@ -236,41 +228,57 @@ def _relative_status(slo: SLO, percentile_of) -> SLOStatus:
 # ----------------------------------------------------------------------
 def evaluate_telemetry(slos: Iterable[SLO],
                        doc: Dict[str, Any]) -> List[SLOStatus]:
-    """Single-window evaluation of a telemetry document (CI gate)."""
-    obs = doc.get("obs", {})
-    merge = doc.get("merge") or {}
-    timers_merge = merge.get("timers", {})
-    timers_stats = obs.get("timers", {})
-    counters_merge = merge.get("counters", {})
-    counters_obs = obs.get("counters", {})
+    """Single-window evaluation of a telemetry document (CI gate).
 
-    def counter_value(name: str) -> float:
-        if name in counters_merge:
-            return counters_merge[name]["value_fp"] / FP_SCALE
-        return float(counters_obs.get(name, 0.0))
+    Reads the document's ``merge`` block only: in a sharded run that is
+    the shards' merged snapshot, while ``obs`` belongs to the front-end
+    process.  An objective cannot pass on data that is not there: a
+    latency or relative objective whose stage (or reference stage) was
+    not recorded fails, and so does a ratio none of whose ``total``
+    counters was.  An absent ``bad`` counter reads 0, since a counter is
+    created on its first increment.
+    """
+    merge = doc.get("merge") or {}
+    timers = merge.get("timers", {})
+    counters = merge.get("counters", {})
+
+    def hist_of(stage: str) -> Optional[Dict[str, Any]]:
+        state = timers.get(stage)
+        if state is None or not state["hist"]["count"]:
+            return None
+        return state["hist"]
 
     def percentile_of(stage: str, q: float) -> Optional[float]:
-        state = timers_merge.get(stage)
-        if state is not None and state["hist"]["count"]:
-            return Histogram.from_state(state["hist"]).percentile(q)
-        stats = timers_stats.get(stage)
-        if stats is None:
-            return None
-        key = f"p{q:g}_s"
-        return stats.get(key, stats.get("p99_s"))
+        return Histogram.from_state(hist_of(stage)).percentile(q)
+
+    def counter_value(name: str) -> float:
+        state = counters.get(name)
+        return 0.0 if state is None else state["value_fp"] / FP_SCALE
+
+    def absent(slo: SLO, detail: str) -> SLOStatus:
+        return SLOStatus(slo=slo, ok=False, value=0.0, limit=0.0,
+                         burn=float("inf"), detail=detail)
 
     statuses = []
     for slo in slos:
-        if slo.kind == LATENCY:
-            state = timers_merge.get(slo.stage)
-            stats = timers_stats.get(slo.stage)
-            p_value = None
-            if stats is not None:
-                p_value = stats.get(f"p{slo.percentile:g}_s")
-            statuses.append(_latency_status(
-                slo, state["hist"] if state else None, p_value))
-        elif slo.kind == RATIO:
-            statuses.append(_ratio_status(slo, counter_value))
+        if slo.kind == RATIO:
+            if not any(name in counters for name in slo.total):
+                statuses.append(absent(
+                    slo, f"no total counter recorded "
+                         f"({', '.join(slo.total)})"))
+            else:
+                statuses.append(_ratio_status(slo, counter_value))
+            continue
+        stages = [slo.stage]
+        if slo.kind == RELATIVE_LATENCY:
+            stages.append(slo.reference_stage)
+        missing = [stage for stage in stages if hist_of(stage) is None]
+        if missing:
+            statuses.append(absent(
+                slo, f"stage {missing[0]!r} not recorded in the merge "
+                     f"block"))
+        elif slo.kind == LATENCY:
+            statuses.append(_latency_status(slo, hist_of(slo.stage)))
         else:
             statuses.append(_relative_status(slo, percentile_of))
     return statuses
@@ -302,7 +310,7 @@ def evaluate_live(slos: Iterable[SLO], registry: Optional[Registry] = None,
                 if series is not None:
                     hist_state = series.timer_series(slo.stage).window_state(
                         window_s, now=now)["hist"]
-                status = _latency_status(slo, hist_state, None)
+                status = _latency_status(slo, hist_state)
             elif slo.kind == RATIO:
                 def counter_value(name: str, _w=window_s) -> float:
                     if series is None:

@@ -19,8 +19,8 @@ Every benchmark run produces one schema-versioned JSON document:
 
 That file is the durable perf trajectory: ``repro obs report`` renders
 it, ``repro obs trace`` converts its spans for Perfetto, and
-``repro obs compare A.json B.json --max-regress 15%`` gates CI on
-hot-path regressions between two of them.
+``repro obs compare BASE.json CUR.json`` gates CI on any change in the
+work counted in its ``merge`` block.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.registry import Registry, get_registry
+from repro.obs.registry import Registry, counter_value, get_registry
 
 SCHEMA_VERSION = 1
 
@@ -161,152 +161,87 @@ def load_telemetry(path: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Regression comparison
+# Work-count comparison
 # ----------------------------------------------------------------------
-#: metric -> how to read it from a timer-stats dict
-_METRICS = ("p50_s", "mean_s", "total_s", "max_s", "share")
-
-
 @dataclasses.dataclass
 class CompareRow:
-    stage: str
-    baseline: float
-    current: float
-    change_pct: float      # +x% means current is x% slower / larger
-    regressed: bool
+    counter: str
+    baseline: int          # fixed-point ``value_fp``
+    current: int
+
+    @property
+    def changed(self) -> bool:
+        return self.current != self.baseline
 
 
 @dataclasses.dataclass
 class Comparison:
-    metric: str
-    max_regress: float
     rows: List[CompareRow]
-    skipped: List[str]     # stages new in the current run (informational)
-    # Stages the baseline recorded but the current run did not: a
-    # renamed or deleted span would otherwise silently escape the gate,
-    # so these fail the comparison outright.
-    missing: List[str] = dataclasses.field(default_factory=list)
+    # Counters the baseline recorded but the current run did not: a
+    # renamed or deleted counter would otherwise escape the gate.
+    missing: List[str]
+    # Counters only the current run recorded (informational).
+    new: List[str]
 
     @property
-    def regressions(self) -> List[CompareRow]:
-        return [row for row in self.rows if row.regressed]
+    def changes(self) -> List[CompareRow]:
+        return [row for row in self.rows if row.changed]
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.missing
+        return bool(self.rows) and not self.changes and not self.missing
 
     def summary(self) -> str:
-        lines = [
-            f"== obs compare (metric={self.metric}, "
-            f"max-regress={self.max_regress * 100:.0f}%) =="
-        ]
+        lines = ["== obs compare (work counters, exact) =="]
         if self.rows:
-            width = max(len(row.stage) for row in self.rows)
-            lines.append(
-                f"{'stage'.ljust(width)} | {'baseline':>12} | "
-                f"{'current':>12} | {'change':>8} |"
-            )
-            for row in sorted(self.rows, key=lambda r: -r.change_pct):
-                verdict = "REGRESSED" if row.regressed else "ok"
-                lines.append(
-                    f"{row.stage.ljust(width)} | {row.baseline:>12.6f} | "
-                    f"{row.current:>12.6f} | {row.change_pct:>+7.1f}% | {verdict}"
-                )
-        else:
-            lines.append("(no comparable stages)")
-        if self.skipped:
-            lines.append(f"skipped (not in both runs): {', '.join(self.skipped)}")
+            width = max(len(row.counter) for row in self.rows)
+            lines.append(f"{'counter'.ljust(width)} | {'baseline':>14} | "
+                         f"{'current':>14} |")
+            for row in self.rows:
+                verdict = "CHANGED" if row.changed else "ok"
+                base, cur = (counter_value({"value_fp": v})
+                             for v in (row.baseline, row.current))
+                lines.append(f"{row.counter.ljust(width)} | {base!s:>14} | "
+                             f"{cur!s:>14} | {verdict}")
+        if self.new:
+            lines.append(f"new (not in the baseline): {', '.join(self.new)}")
         if self.missing:
             lines.append(
-                f"MISSING from current run: {', '.join(self.missing)} — "
-                f"baseline stages that were not recorded (renamed or "
-                f"deleted span?); regenerate the baseline if intentional")
+                f"MISSING from current run: {', '.join(self.missing)} "
+                f"(renamed or deleted counter?)")
         if self.ok:
             status = "OK"
+        elif self.changes or self.missing:
+            status = (f"{len(self.changes)} counter(s) changed, "
+                      f"{len(self.missing)} missing; if the change in work "
+                      f"is intended, re-record the baseline")
         else:
-            parts = []
-            if self.regressions:
-                parts.append(f"{len(self.regressions)} stage(s) regressed")
-            if self.missing:
-                parts.append(f"{len(self.missing)} baseline stage(s) missing")
-            status = ", ".join(parts)
+            status = "the baseline records no counters"
         lines.append(f"result: {status}")
         return "\n".join(lines)
 
 
-def _timer_stats(doc: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    return doc.get("obs", {}).get("timers", {})
+def _merged_counters(doc: Dict[str, Any]) -> Dict[str, int]:
+    counters = (doc.get("merge") or {}).get("counters", {})
+    return {name: int(state["value_fp"]) for name, state in counters.items()}
 
 
-def _metric_value(stats: Dict[str, float], metric: str,
-                  normalizer: float) -> Optional[float]:
-    if metric == "share":
-        total = stats.get("total_s", 0.0)
-        return total / normalizer if normalizer > 0 else None
-    return stats.get(metric)
+def compare_telemetry(baseline: Dict[str, Any],
+                      current: Dict[str, Any]) -> Comparison:
+    """Gate ``current``'s work counts against ``baseline``'s, exactly.
 
-
-def compare_telemetry(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    max_regress: float = 0.15,
-    metric: str = "p50_s",
-    stages: Optional[Sequence[str]] = None,
-) -> Comparison:
-    """Gate ``current`` against ``baseline``: any stage whose ``metric``
-    grew by more than ``max_regress`` (fractional, e.g. ``0.15``) counts
-    as a regression.
-
-    ``metric="share"`` compares each stage's fraction of the dominant
-    stage total (machine-speed independent — use it to compare runs
-    from different hardware); the absolute metrics (``p50_s``,
-    ``mean_s``, ``total_s``, ``max_s``) are for same-machine
-    trajectories.  When a ``stages`` allowlist is given, the share
-    normalizer is the dominant total *among those stages*, so adding
-    unrelated instrumentation elsewhere cannot shift a scoped gate.
-
-    A stage the baseline recorded but the current run did not lands in
-    ``missing`` and fails the comparison — a renamed or deleted span
-    must not silently escape the gate.  Stages only the current run
-    recorded stay informational (``skipped``): new instrumentation is
-    not a regression.
+    Every counter in the baseline's ``merge`` block is compared on its
+    integer fixed-point value, so any change in counted work fails,
+    a zero count included (0 -> 1).  A baseline counter the current run
+    did not record fails too; one only the current run recorded is
+    informational.  A baseline with no counters gates nothing and fails.
+    Counts do not depend on how fast the host is; timing claims belong
+    to ``python -m benchmarks.e2e compare`` and ``repro obs slo``.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
-    base_timers = _timer_stats(baseline)
-    cur_timers = _timer_stats(current)
-    names = stages or sorted(set(base_timers) | set(cur_timers))
-
-    def normalizer(timers: Dict[str, Dict[str, float]]) -> float:
-        pool = ({n: timers[n] for n in stages if n in timers}
-                if stages else timers)
-        return max((s.get("total_s", 0.0) for s in pool.values()),
-                   default=0.0)
-
-    base_norm, cur_norm = normalizer(base_timers), normalizer(cur_timers)
-    rows: List[CompareRow] = []
-    skipped: List[str] = []
-    missing: List[str] = []
-    for name in names:
-        base_stats, cur_stats = base_timers.get(name), cur_timers.get(name)
-        if base_stats is not None and cur_stats is None:
-            missing.append(name)
-            continue
-        if base_stats is None:
-            skipped.append(name)
-            continue
-        base_value = _metric_value(base_stats, metric, base_norm)
-        cur_value = _metric_value(cur_stats, metric, cur_norm)
-        if not base_value or base_value <= 0.0 or cur_value is None:
-            skipped.append(name)
-            continue
-        change = (cur_value - base_value) / base_value
-        rows.append(CompareRow(
-            stage=name,
-            baseline=base_value,
-            current=cur_value,
-            change_pct=change * 100.0,
-            regressed=change > max_regress,
-        ))
-    return Comparison(metric=metric, max_regress=max_regress,
-                      rows=rows, skipped=skipped, missing=missing)
+    base, cur = _merged_counters(baseline), _merged_counters(current)
+    return Comparison(
+        rows=[CompareRow(name, value, cur[name])
+              for name, value in sorted(base.items()) if name in cur],
+        missing=sorted(set(base) - set(cur)),
+        new=sorted(set(cur) - set(base)),
+    )

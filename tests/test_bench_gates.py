@@ -1,7 +1,8 @@
-"""The E11 and E12 benchmarks refuse to time a wrong result.
+"""The E11, E12 and E15 benchmarks refuse a wrong result.
 
-Each benchmark checks its fast path against an oracle before any clock
-starts; these tests feed each check a wrong result and expect it to
+E11 and E12 check their fast path against an oracle before any clock
+starts, and E15 checks the shards' merged counters against the work it
+served; these tests feed each check a wrong result and expect it to
 raise.  (E14's check is in ``tests/test_stream.py``.)
 """
 
@@ -48,7 +49,27 @@ def test_e11_workload_rejects_an_engine_that_drops_a_detection(monkeypatch):
                 for detections in detect_many(engine, scenes, stride)]
 
     monkeypatch.setattr(DetectionEngine, "detect_many", dropping)
-    # 48 grid-3 scenes hold the workload's first detections (16 hold none).
+    # The check runs at score threshold 0.0, so the smoke's 16 scenes
+    # hold detections to drop.
     with pytest.raises(AssertionError, match="engine diverged"):
-        run_throughput(num_scenes=48, batch_sizes=(8,), workers=(1,),
+        run_throughput(num_scenes=16, batch_sizes=(8,), workers=(1,),
                        repeats=1)
+
+
+def test_e15_merged_work_check_rejects_a_double_count():
+    from benchmarks.bench_e15_load import check_merged_work
+    from repro.obs.registry import FP_SCALE
+
+    tables = {"rows": [{"tier": "sharded", "served": 3}],
+              "workload": [{"grid": 2}]}
+
+    def merged(scenes, windows):
+        return {"counters": {
+            "engine.scenes": {"value_fp": scenes * FP_SCALE},
+            "detect.windows_scored": {"value_fp": windows * FP_SCALE}}}
+
+    check_merged_work(tables, merged(3, 12))
+    with pytest.raises(AssertionError, match="engine.scenes"):
+        check_merged_work(tables, merged(6, 24))
+    with pytest.raises(AssertionError, match="windows_scored"):
+        check_merged_work(tables, merged(3, 24))

@@ -22,6 +22,7 @@ from repro.obs import (
     traced,
     write_telemetry,
 )
+from repro.obs.registry import FP_SCALE
 
 
 @pytest.fixture()
@@ -473,43 +474,41 @@ class TestTelemetry:
 
     def test_compare_self_is_clean(self, registry):
         doc = self._sample_doc(registry)
-        comparison = compare_telemetry(doc, doc, max_regress=0.15)
+        comparison = compare_telemetry(doc, doc)
         assert comparison.ok
-        assert comparison.rows  # it actually compared stages
+        assert comparison.rows  # it actually compared counters
 
-    def test_compare_flags_2x_slowdown(self, registry):
+    def test_compare_flags_a_one_count_change(self, registry):
         doc = self._sample_doc(registry)
-        slow = json.loads(json.dumps(doc))
-        for stats in slow["obs"]["timers"].values():
-            for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
-                stats[key] *= 2.0
-        comparison = compare_telemetry(doc, slow, max_regress=0.15)
-        assert not comparison.ok
-        assert {row.stage for row in comparison.regressions} == \
-            {"detect.total", "detect.nms"}
-        assert all(row.change_pct == pytest.approx(100.0)
-                   for row in comparison.regressions)
-        # ... and the improvement direction never trips the gate
-        assert compare_telemetry(slow, doc, max_regress=0.15).ok
+        for delta in (+1, -1):
+            changed = json.loads(json.dumps(doc))
+            changed["merge"]["counters"]["windows"]["value_fp"] += \
+                delta * FP_SCALE
+            comparison = compare_telemetry(doc, changed)
+            assert not comparison.ok
+            [row] = comparison.changes
+            assert (row.counter, row.baseline, row.current) == \
+                ("windows", 64 * FP_SCALE, (64 + delta) * FP_SCALE)
+            assert "CHANGED" in comparison.summary()
 
-    def test_compare_share_metric_ignores_uniform_slowdown(self, registry):
+    def test_compare_ignores_uniform_slowdown(self, registry):
         doc = self._sample_doc(registry)
         slow = json.loads(json.dumps(doc))
         for stats in slow["obs"]["timers"].values():
             for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
                 stats[key] *= 3.0
-        # A uniformly slower machine changes no stage's share of the total.
-        comparison = compare_telemetry(doc, slow, max_regress=0.15,
-                                       metric="share")
-        assert comparison.ok
+        for state in slow["merge"]["timers"].values():
+            state["total_ns"] *= 3
+        # Timing is not work: the same counts on a slower host pass.
+        assert compare_telemetry(doc, slow).ok
 
     def test_compare_skips_one_sided_stages(self, registry):
         doc = self._sample_doc(registry)
         other = json.loads(json.dumps(doc))
-        other["obs"]["timers"]["brand.new"] = \
-            dict(other["obs"]["timers"]["detect.total"])
+        other["merge"]["counters"]["brand.new"] = {"value_fp": FP_SCALE}
         comparison = compare_telemetry(doc, other)
-        assert "brand.new" in comparison.skipped
+        assert comparison.new == ["brand.new"]
+        assert comparison.ok  # a current-only counter is informational
 
 
 class TestObsCli:
@@ -518,6 +517,7 @@ class TestObsCli:
         with registry.span("detect.total", task="patrol"):
             with registry.span("detect.nms"):
                 pass
+        registry.count("detect.windows_scored", 9)
         doc = build_telemetry("cli_test", registry=registry,
                               rows=[{"speedup": 4.2}])
         path = tmp_path / "BENCH_cli_test.json"
@@ -542,16 +542,22 @@ class TestObsCli:
     def test_compare_exit_codes(self, bench_file, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["obs", "compare", bench_file, bench_file,
-                     "--max-regress", "15%"]) == 0
-        slow_doc = json.loads(open(bench_file).read())
-        for stats in slow_doc["obs"]["timers"].values():
-            for key in ("total_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s"):
-                stats[key] *= 2.0
-        slow_path = tmp_path / "BENCH_slow.json"
-        slow_path.write_text(json.dumps(slow_doc))
-        assert main(["obs", "compare", bench_file, str(slow_path)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        assert main(["obs", "compare", bench_file, bench_file]) == 0
+        doc = json.loads(open(bench_file).read())
+        doc["merge"]["counters"]["detect.windows_scored"]["value_fp"] *= 2
+        changed_path = tmp_path / "BENCH_changed.json"
+        changed_path.write_text(json.dumps(doc))
+        assert main(["obs", "compare", bench_file, str(changed_path)]) == 1
+        assert "CHANGED" in capsys.readouterr().out
+
+    def test_compare_has_no_timing_options(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["obs", "compare", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--metric", "--max-regress", "--stages"):
+            assert flag not in out
 
 
 class TestDisabledOverhead:

@@ -518,19 +518,50 @@ class TestSLOs:
         for slo in latency:
             assert slo.stage in recorded, f"{slo.name}: {slo.stage} never recorded"
 
-    def test_latency_stats_fallback_without_histogram(self):
-        doc = {"obs": {"timers": {"detect.total": {"p99_s": 0.6}}}}
-        slo = SLO(name="p99", kind="latency", stage="detect.total",
-                  percentile=99.0, threshold_s=0.5)
-        [status] = evaluate_telemetry([slo], doc)
-        assert not status.ok
-        assert "p99" in status.detail
+    def test_renamed_stage_fails_the_gate(self, registry):
+        registry.timer("detect.total").record(0.010)
+        registry.timer("engine.batch").record(0.012)
+        slos = [
+            SLO(name="p99", kind="latency", stage="detect.total",
+                percentile=99.0, threshold_s=0.5),
+            SLO(name="overhead", kind="relative_latency",
+                stage="engine.batch", reference_stage="detect.total",
+                max_ratio=2.0),
+        ]
+        doc = self._doc(registry)
+        assert all(status.ok for status in evaluate_telemetry(slos, doc))
+        renamed = json.loads(json.dumps(doc))
+        timers = renamed["merge"]["timers"]
+        timers["detect.total_v2"] = timers.pop("detect.total")
+        for status in evaluate_telemetry(slos, renamed):
+            assert not status.ok
+            assert "'detect.total' not recorded" in status.detail
 
-    def test_missing_stage_is_ok_with_detail(self, registry):
-        slo = SLO(name="p99", kind="latency", stage="never.recorded",
-                  percentile=99.0, threshold_s=0.5)
+    def test_gate_reads_the_merge_block_only(self, registry):
+        """The ``obs`` block (a front-end process's own registry in a
+        sharded run) cannot satisfy an objective the merge block lacks."""
+        registry.timer("detect.total").record(0.010)
+        registry.count("engine.scenes", 4)
+        doc = self._doc(registry)
+        doc["merge"] = {"timers": {}, "counters": {}}
+        slos = [
+            SLO(name="p99", kind="latency", stage="detect.total",
+                percentile=99.0, threshold_s=0.5),
+            SLO(name="rejects", kind="ratio", bad=["engine.rejected"],
+                total=["engine.scenes", "engine.rejected"],
+                max_fraction=0.01),
+        ]
+        latency, ratio = evaluate_telemetry(slos, doc)
+        assert not latency.ok and "not recorded" in latency.detail
+        assert not ratio.ok and "no total counter" in ratio.detail
+
+    def test_absent_bad_counter_reads_zero(self, registry):
+        registry.count("engine.scenes", 4)
+        slo = SLO(name="rejects", kind="ratio", bad=["engine.rejected"],
+                  total=["engine.scenes", "engine.rejected"],
+                  max_fraction=0.01)
         [status] = evaluate_telemetry([slo], self._doc(registry))
-        assert status.ok and "not recorded" in status.detail
+        assert status.ok and status.value == 0.0
 
     def test_ratio_objective(self, registry):
         registry.count("cascade.shed", 3)
@@ -811,37 +842,43 @@ class TestEngineTracing:
 
 
 # ----------------------------------------------------------------------
-# Compare gate: missing stages + scoped share normalizer
+# Compare gate: exact work counts
 # ----------------------------------------------------------------------
 class TestCompareGate:
     def _doc(self, registry):
-        with registry.span("detect.total"):
-            with registry.span("detect.nms"):
-                pass
+        registry.count("detect.nms.candidates", 9)
+        registry.count("detect.nms.kept", 0)
         return build_telemetry("gate_test", registry=registry)
 
     def test_missing_baseline_stage_fails(self, registry):
         doc = self._doc(registry)
         renamed = json.loads(json.dumps(doc))
-        renamed["obs"]["timers"]["detect.nms_v2"] = \
-            renamed["obs"]["timers"].pop("detect.nms")
+        counters = renamed["merge"]["counters"]
+        counters["detect.nms.kept_v2"] = counters.pop("detect.nms.kept")
         comparison = compare_telemetry(doc, renamed)
-        assert comparison.missing == ["detect.nms"]
+        assert comparison.missing == ["detect.nms.kept"]
         assert not comparison.ok
         assert "MISSING" in comparison.summary()
-        # the new name is informational, not a regression
-        assert "detect.nms_v2" in comparison.skipped
+        # the new name is informational, not a change
+        assert comparison.new == ["detect.nms.kept_v2"]
 
-    def test_scoped_share_normalizer_ignores_new_stages(self, registry):
+    def test_zero_baseline_count_is_compared(self, registry):
         doc = self._doc(registry)
         grown = json.loads(json.dumps(doc))
-        # a giant new stage would dominate an unscoped share normalizer
-        grown["obs"]["timers"]["huge.new"] = dict(
-            grown["obs"]["timers"]["detect.total"])
-        grown["obs"]["timers"]["huge.new"]["total_s"] = 1e6
-        scoped = compare_telemetry(doc, grown, metric="share",
-                                   stages=["detect.total", "detect.nms"])
-        assert scoped.ok
+        grown["merge"]["counters"]["detect.nms.kept"]["value_fp"] = FP_SCALE
+        comparison = compare_telemetry(doc, grown)
+        assert not comparison.ok
+        assert [(row.counter, row.baseline, row.current)
+                for row in comparison.changes] == \
+            [("detect.nms.kept", 0, FP_SCALE)]
+
+    def test_baseline_without_counters_fails(self, registry):
+        with registry.span("detect.total"):
+            pass
+        doc = build_telemetry("no_counters", registry=registry)
+        comparison = compare_telemetry(doc, doc)
+        assert not comparison.ok
+        assert "records no counters" in comparison.summary()
 
 
 # ----------------------------------------------------------------------
@@ -883,14 +920,13 @@ class TestObsV2Cli:
     def test_compare_missing_stage_exit_code(self, registry, tmp_path, capsys):
         from repro.cli import main
 
-        with registry.span("detect.total"):
-            with registry.span("detect.nms"):
-                pass
+        registry.count("detect.windows_scored", 9)
+        registry.count("detect.nms.kept", 3)
         doc = build_telemetry("cli_missing", registry=registry)
         base = tmp_path / "BENCH_base.json"
         write_telemetry(str(base), doc)
         current = json.loads(json.dumps(doc))
-        del current["obs"]["timers"]["detect.nms"]
+        del current["merge"]["counters"]["detect.nms.kept"]
         cur = tmp_path / "BENCH_cur.json"
         cur.write_text(json.dumps(current))
         assert main(["obs", "compare", str(base), str(cur)]) == 1

@@ -9,11 +9,13 @@ from repro.data import attribute_head_spec
 from repro.data.datasets import num_classes
 from repro.data.scenes import SceneConfig, SceneGenerator
 from repro.nn import VisionTransformer, ViTConfig
+from repro.nn import inference
 from repro.nn import vit as vit_module
 from repro.nn.inference import (
     _gelu_erf, _site_linear, _vit_forward, float_projections, gemm_sites,
     site_plan,
 )
+from repro.obs import build_telemetry, compare_telemetry, get_registry
 from repro.quant import QuantSpec, calibrate_observers, quantize_vit
 from repro.quant import vit as quant_vit
 from repro.reference import forward_full_sequence, int64_kernels, windows_loop
@@ -368,6 +370,48 @@ class TestClsOnlyLastBlock:
                 for site in _last_block_sites(model):
                     assert plan[site] == (rows * tokens if calibrate
                                           else rows), (forward, rows, site)
+
+    @pytest.mark.parametrize("forward", ["quantized", "float"])
+    def test_mac_counter_sums_the_plan(self, scene_quantized, scene_windows,
+                                       forward):
+        model = scene_quantized.model
+        run = scene_quantized if forward == "quantized" else model.infer
+        per_image = sum(op.macs for op in site_plan(model.config) if op.site)
+        registry = get_registry()
+        try:
+            for rows in (1, 9, 36):
+                registry.reset()
+                run(scene_windows[:rows])
+                counted = registry.counters["nn.forward.macs"].value
+                assert counted == per_image * rows, (forward, rows)
+        finally:
+            registry.reset()
+
+    def test_mac_counter_sees_a_full_last_block(self, scene_quantized,
+                                                scene_windows, monkeypatch):
+        """A forward that runs the whole last block again changes the
+        counted work, so the exact counter gate fails."""
+        registry = get_registry()
+
+        def counted_run():
+            registry.reset()
+            scene_quantized(scene_windows[:9])
+            return build_telemetry("macs", registry=registry)
+
+        try:
+            planned = counted_run()
+            with monkeypatch.context() as patch:
+                patch.setattr(inference, "_cls_only_block",
+                              lambda depth, calibrate: -1)
+                full = counted_run()
+        finally:
+            registry.reset()
+        comparison = compare_telemetry(planned, full)
+        assert not comparison.ok
+        assert [row.counter for row in comparison.changes] == \
+            ["nn.forward.macs"]
+        [row] = comparison.changes
+        assert row.current > row.baseline
 
     def test_calibration_observes_every_token(self, student_vit,
                                               scene_windows, monkeypatch):
