@@ -6,14 +6,15 @@ measures what that buys: per mission task, the calibrated operating
 point on the recovery/cost frontier and the realized behaviour of that
 point on held-out scenes.
 
-Costs come from the hardware simulator, not wall clocks: the fast path
-is the compiled int8 program on the edge accelerator (batch 1, the
-streaming case), an escalation is the same workload through the
-calibrated Jetson-class GPU roofline — the deployment the paper argues
-against running everything on.  The resulting per-scene cost ratio
-(~8x) prices escalations during calibration, so "relative cost" below
-means cascade cost over the all-specialist cost under simulated
-hardware latencies.
+Costs come from the hardware simulator, not wall clocks
+(:func:`repro.hw.escalation_cost`): the fast path is the generalist's
+compiled int8 program on the edge accelerator (batch 1, the streaming
+case), an escalation is the float specialist, task head included,
+through the calibrated Jetson-class GPU roofline — the deployment the
+paper argues against running everything on.  The resulting per-scene
+cost ratio (~8x) prices escalations during calibration, so "relative
+cost" below means cascade cost over the all-specialist cost under
+simulated hardware latencies.
 
 **Acceptance gate** (full mode): the deployed gate task's calibrated
 operating point must recover at least ``TARGET_RECOVERY`` (80%) of the
@@ -66,7 +67,7 @@ from repro.cascade import (
 from repro.core import ModelRegistry
 from repro.data import SceneConfig, SceneGenerator, get_task
 from repro.detect import TaskDetector
-from repro.hw import AcceleratorConfig, Compiler, GPUConfig, GPUModel, Simulator
+from repro.hw import escalation_cost
 from repro.obs import get_registry
 
 #: Missions benchmarked in full mode; the first is the acceptance gate.
@@ -78,24 +79,6 @@ HELDOUT_SEED = EVAL_SEED * 2  # disjoint deployment scenes
 
 TARGET_RECOVERY = 0.8
 MAX_RELATIVE_COST = 0.4
-
-
-def measure_cost_ratio():
-    """Per-scene cost of an escalation in units of the fast path.
-
-    Both numbers simulate the same batch-1 program: the accelerator
-    runs it as compiled int8 (fast path), the Jetson-class GPU roofline
-    prices the float specialist an escalation pays for.
-    """
-    accel_config = AcceleratorConfig.edge_default()
-    program = Compiler(accel_config).compile(quantized_configuration().model)
-    accel = Simulator(accel_config).simulate(program)
-    gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
-    return {
-        "accel_ms": accel.latency_ms,
-        "gpu_ms": gpu.latency_ms,
-        "cost_ratio": gpu.latency_s / accel.latency_s,
-    }
 
 
 def calibration_store() -> CalibrationStore:
@@ -116,10 +99,11 @@ def run_experiment(smoke: bool = False):
     tasks = TASKS[:1] if smoke else TASKS
     num_cal, num_heldout = (8, 8) if smoke else (64, 64)
 
-    cost = measure_cost_ratio()
+    quantized = quantized_configuration().model
+    # Every specialist has one architecture, so one price serves all.
+    cost = escalation_cost(quantized, specialist(GATE_TASK).model.config)
     ratio = cost["cost_ratio"]
     store = calibration_store()
-    quantized = quantized_configuration().model
 
     calibration_rows = []
     heldout_rows = []

@@ -4,11 +4,12 @@ Paper claim: "the hardware-accelerated iTask system achieves a 3.5×
 speedup ... compared to GPU-based implementations".
 
 The quantized student is compiled to the accelerator and simulated at
-batch 1 (the edge streaming case); the same workload runs through the
-calibrated edge-GPU roofline model (both a conservative and an optimistic
-host).  A model-size sweep shows where the advantage comes from: tiny
-batch-1 GEMMs leave the GPU launch-bound while the systolic array keeps
-its utilization.
+batch 1 (the edge streaming case); its float forward, the same site plan
+without the int8 quantizes, runs through the calibrated edge-GPU
+roofline model (both a conservative and an optimistic host).  A
+model-size sweep shows where the advantage comes from: tiny batch-1
+GEMMs leave the GPU launch-bound while the systolic array keeps its
+utilization.
 """
 
 import os
@@ -63,10 +64,9 @@ def run_experiment():
 
     rows = []
     for label, quantized in workloads:
-        program = Compiler(accel_config).compile(quantized)
-        accel = simulator.simulate(program)
-        slow = gpu.simulate(program)
-        fast = gpu_fast.simulate(program)
+        accel = simulator.simulate(Compiler(accel_config).compile(quantized))
+        slow = gpu.simulate(quantized.config)
+        fast = gpu_fast.simulate(quantized.config)
         rows.append({
             "model": label,
             "accel_ms": accel.latency_ms,

@@ -6,9 +6,9 @@ GPU-based implementations".
 Two accountings are reported (see EXPERIMENTS.md for why both matter):
 
 1. **per-inference core energy** — the accelerator's dynamic + static
-   energy for one inference vs. the GPU's busy power × latency.  Dedicated
-   int8 silicon wins this by orders of magnitude; it is not the paper's
-   ~40 % number.
+   energy for one inference vs. the GPU board's busy power × latency
+   for the float forward.  Dedicated int8 silicon wins this by orders
+   of magnitude; it is not the paper's ~40 % number.
 2. **streaming platform energy** — board-level energy per frame of a
    continuous 30 fps stream, where idle power dominates.  This is the
    accounting under which a "~40 % reduction" is the physically
@@ -34,9 +34,10 @@ from repro.hw import (
 
 def run_experiment(fps_values=(15.0, 30.0, 60.0)):
     accel_config = AcceleratorConfig.edge_default()
-    program = Compiler(accel_config).compile(quantized_configuration().model)
-    accel = Simulator(accel_config).simulate(program)
-    gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
+    quantized = quantized_configuration().model
+    accel = Simulator(accel_config).simulate(
+        Compiler(accel_config).compile(quantized))
+    gpu = GPUModel(GPUConfig.jetson_class()).simulate(quantized.config)
 
     core_rows = [{
         "metric": "latency_ms",

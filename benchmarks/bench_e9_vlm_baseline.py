@@ -33,7 +33,6 @@ from benchmarks.common import (
 from repro.data import get_task, task_names
 from repro.detect import window_task_accuracy
 from repro.hw import AcceleratorConfig, Compiler, GPUConfig, GPUModel, Simulator
-from repro.quant import quantize_vit
 from repro.vlm import Tokenizer, TwoTowerVLM, VLMTrainer, VLMTrainingConfig
 
 TRAIN_TASKS = tuple(task_names()[:6])   # the VLM sees these missions
@@ -102,16 +101,11 @@ def run_cost(vlm) -> list:
     accel_config = AcceleratorConfig.edge_default()
     itask_program = Compiler(accel_config).compile(itask)
     itask_accel = Simulator(accel_config).simulate(itask_program)
-    itask_gpu = GPUModel(GPUConfig.jetson_class()).simulate(itask_program)
-
+    gpu = GPUModel(GPUConfig.jetson_class())
+    itask_gpu = gpu.simulate(itask.config)
     # The VLM's per-query cost is its image tower (mission embedding is
-    # cached); model its deployment the same way: quantize + compile.
-    rng = np.random.default_rng(0)
-    vlm_backbone_q = quantize_vit(
-        vlm.image_encoder.backbone,
-        rng.random((16, 3, 32, 32)).astype(np.float32))
-    vlm_program = Compiler(accel_config).compile(vlm_backbone_q)
-    vlm_gpu = GPUModel(GPUConfig.jetson_class()).simulate(vlm_program)
+    # cached), priced as the float forward it runs.
+    vlm_gpu = gpu.simulate(vlm.image_encoder.backbone.config)
 
     return [{
         "model": "iTask quantized student",

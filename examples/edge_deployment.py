@@ -4,9 +4,10 @@ Walks the full deployment path the paper describes: mission prepared
 once through the session cache → scenes served by the micro-batching
 :class:`repro.serve.DetectionEngine` → post-training-quantized ViT
 compiled to the accelerator → cycle-level simulation → comparison
-against the edge-GPU baseline — latency, utilization, per-component
-energy, and the streaming platform energy that underlies the paper's
-"3.5× speedup / 40% energy reduction" headline.
+against the edge-GPU baseline running the float network — latency,
+utilization, per-component energy, and the streaming platform energy
+that underlies the paper's "3.5× speedup / 40% energy reduction"
+headline.
 
 Run:  python examples/edge_deployment.py
 """
@@ -59,7 +60,7 @@ def main() -> None:
           f"{accel_config.clock_mhz:.0f} MHz) ---")
     print(accel.summary())
 
-    gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
+    gpu = GPUModel(GPUConfig.jetson_class()).simulate(quantized.config)
     print("\n--- edge GPU baseline ---")
     print(gpu.summary())
 

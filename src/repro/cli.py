@@ -123,7 +123,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = Simulator(config).simulate(program)
     print(report.summary())
     print(estimate_area(config).summary())
-    gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
+    gpu = GPUModel(GPUConfig.jetson_class()).simulate(quantized.config,
+                                                     batch=args.batch)
     print(gpu.summary())
     comparison = streaming_comparison(report.latency_s, gpu.latency_s)
     print(f"speedup {comparison['speedup']:.2f}x, streaming energy "
@@ -725,28 +726,6 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measured_cost_ratio() -> float:
-    """Escalation cost in fast-path units from the hardware simulator.
-
-    Same pricing as benchmark E13: the compiled int8 program at batch 1
-    on the edge accelerator vs the Jetson-class GPU roofline.
-    """
-    from repro.core import ArtifactBuilder
-    from repro.hw import (
-        AcceleratorConfig,
-        Compiler,
-        GPUConfig,
-        GPUModel,
-        Simulator,
-    )
-
-    config = AcceleratorConfig.edge_default()
-    program = Compiler(config).compile(ArtifactBuilder(seed=0).quantized().model)
-    accel = Simulator(config).simulate(program)
-    gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
-    return gpu.latency_s / accel.latency_s
-
-
 def _cmd_cascade_route(args: argparse.Namespace) -> int:
     from repro.cascade import CalibrationStore, CascadeConfig
     from repro.core import ArtifactBuilder, ITaskPipeline, TaskSpec
@@ -803,16 +782,19 @@ def _cmd_cascade_calibrate(args: argparse.Namespace) -> int:
     from repro.core import ArtifactBuilder
     from repro.data import SceneConfig, SceneGenerator, get_task
     from repro.detect import TaskDetector
+    from repro.hw import escalation_cost
     from repro.kg import GraphMatcher, SimulatedLLM
 
     task = get_task(args.task)
     builder = ArtifactBuilder(seed=args.seed)
-    ratio = args.cost_ratio if args.cost_ratio else _measured_cost_ratio()
+    fast_model = builder.quantized().model
+    spec_model = builder.task_student_by_name(args.task).model
+    ratio = args.cost_ratio or escalation_cost(
+        fast_model, spec_model.config)["cost_ratio"]
     kg = SimulatedLLM().generate_for_task(task)
-    fast = TaskDetector(builder.quantized().model, matcher=GraphMatcher(kg),
+    fast = TaskDetector(fast_model, matcher=GraphMatcher(kg),
                         score_threshold=args.score_threshold)
-    spec = TaskDetector(builder.task_student_by_name(args.task).model,
-                        matcher=GraphMatcher(kg),
+    spec = TaskDetector(spec_model, matcher=GraphMatcher(kg),
                         score_threshold=args.score_threshold)
     scenes = SceneGenerator(SceneConfig(), seed=args.scene_seed).generate_batch(
         args.scenes)

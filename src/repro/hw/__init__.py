@@ -15,7 +15,8 @@ methodology — and this package rebuilds that model:
 * :class:`Simulator` — executes a program against a config, producing
   latency, utilization, and per-component energy reports;
 * :class:`GPUModel` — a calibrated roofline model of an edge GPU running
-  the same network, the paper's comparison baseline.
+  the float network (:func:`float_plan`), the paper's comparison baseline;
+* :func:`escalation_cost` — a cascade escalation's price in fast-path units.
 """
 
 from repro.hw.config import AcceleratorConfig, EnergyTable
@@ -25,7 +26,8 @@ from repro.hw.vector_unit import VectorUnit, gelu_lut, GELU_LUT_RANGE
 from repro.hw.memory import MemoryModel, DmaTiming
 from repro.hw.compiler import Compiler, compile_model
 from repro.hw.simulator import Simulator, PerfReport, OpRecord
-from repro.hw.gpu import GPUModel, GPUConfig
+from repro.hw.gpu import GPUModel, GPUConfig, float_plan
+from repro.hw.escalation import escalation_cost
 from repro.hw.platform import PlatformPower, energy_per_frame_j, streaming_comparison
 from repro.hw.area import AreaReport, estimate_area, node_scale
 from repro.hw.schedule import Schedule, ScheduledOp, build_schedule
@@ -54,6 +56,8 @@ __all__ = [
     "OpRecord",
     "GPUModel",
     "GPUConfig",
+    "float_plan",
+    "escalation_cost",
     "PlatformPower",
     "energy_per_frame_j",
     "streaming_comparison",

@@ -15,7 +15,7 @@ unit.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -55,8 +55,9 @@ _PASSES = {
 }
 
 
-def default_passes(kind: VectorKind) -> int:
-    return _PASSES[kind]
+def default_passes(kind: Union[VectorKind, str]) -> int:
+    """Passes for a :class:`VectorKind` or its site-plan name."""
+    return _PASSES[VectorKind(kind)]
 
 
 class VectorUnit:

@@ -1,8 +1,12 @@
 """Compiler lowering and simulator execution on real quantized models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.data import attribute_head_spec
+from repro.data.datasets import num_classes
 from repro.hw import (
     AcceleratorConfig,
     Compiler,
@@ -15,10 +19,15 @@ from repro.hw import (
     SystolicArray,
     compile_model,
     energy_per_frame_j,
+    escalation_cost,
+    float_plan,
     streaming_comparison,
 )
 from repro.hw.isa import DmaOp, VectorOp
+from repro.nn import VisionTransformer, ViTConfig
+from repro.nn.inference import site_plan
 from repro.quant import quantize_vit
+from repro.vlm import VLMConfig
 
 
 @pytest.fixture(scope="module")
@@ -115,34 +124,89 @@ class TestSimulator:
             report.batch / report.latency_s)
 
 
+def _vit_configs():
+    student = ViTConfig.student(num_classes=num_classes(),
+                                attribute_heads=attribute_head_spec())
+    return {
+        "student": student,
+        "specialist": dataclasses.replace(student, with_task_head=True),
+        "vlm_tower": VLMConfig().image_vit_config(),
+    }
+
+
 class TestGPUModel:
-    def test_report(self, program):
-        report = GPUModel(GPUConfig.jetson_class()).simulate(program)
+    def test_report(self, quantized_model):
+        report = GPUModel(GPUConfig.jetson_class()).simulate(
+            quantized_model.config)
         assert report.latency_s > 0
         assert report.kernel_count > 0
+        board = PlatformPower.gpu_board()
         assert report.energy_j == pytest.approx(
-            GPUConfig.jetson_class().busy_w * report.latency_s)
+            (board.idle_w + board.active_extra_w) * report.latency_s)
 
-    def test_launch_overhead_dominates_small_model(self, program):
-        report = GPUModel(GPUConfig.jetson_class()).simulate(program)
+    def test_launch_overhead_dominates_small_model(self, quantized_model):
+        report = GPUModel(GPUConfig.jetson_class()).simulate(
+            quantized_model.config)
         assert report.time_breakdown_s["launch"] > report.time_breakdown_s["memory"]
 
-    def test_fast_host_faster(self, program):
-        slow = GPUModel(GPUConfig.jetson_class()).simulate(program)
-        fast = GPUModel(GPUConfig.fast_host()).simulate(program)
+    def test_fast_host_faster(self, quantized_model):
+        slow = GPUModel(GPUConfig.jetson_class()).simulate(quantized_model.config)
+        fast = GPUModel(GPUConfig.fast_host()).simulate(quantized_model.config)
         assert fast.latency_s < slow.latency_s
 
-    def test_accelerator_beats_gpu(self, program):
+    def test_accelerator_beats_gpu(self, program, quantized_model):
         """The paper's headline direction: accelerator wins at batch 1."""
         accel = Simulator(AcceleratorConfig.edge_default()).simulate(program)
-        gpu = GPUModel(GPUConfig.jetson_class()).simulate(program)
+        gpu = GPUModel(GPUConfig.jetson_class()).simulate(quantized_model.config)
         assert gpu.latency_s / accel.latency_s > 1.5
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GPUConfig(peak_fp16_tflops=0)
-        with pytest.raises(ValueError):
             GPUConfig(fusion_factor=1.5)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("name", ["student", "specialist", "vlm_tower"])
+    def test_float_plan_is_the_float_forward(self, name, batch):
+        """The GPU lowers the site plan without the quantize each weight
+        GEMM's input gets, and its MACs are the forward's."""
+        config = _vit_configs()[name]
+        plan = float_plan(config, batch)
+        assert not any(op.kind == "quantize" for op in plan)
+        assert (len(site_plan(config, batch)) - len(plan)
+                == sum(op.site is not None for op in plan))
+        model = VisionTransformer(config, rng=np.random.default_rng(0))
+        assert sum(op.macs for op in plan) == batch * model.flops_per_image()
+
+    @pytest.mark.parametrize("name", ["student", "specialist", "vlm_tower"])
+    def test_charges_no_quantize_op(self, name):
+        """With no fusion every plan op but the DMAs is one kernel: the
+        quantizes, 15 for the deployed student, are not among them."""
+        config = _vit_configs()[name]
+        kinds = [op.kind for op in site_plan(config)]
+        report = GPUModel(GPUConfig(fusion_factor=0.0)).simulate(config)
+        assert kinds.count("quantize") > 0
+        assert report.kernel_count == (len(kinds) - kinds.count("quantize")
+                                       - kinds.count("load")
+                                       - kinds.count("store"))
+
+    def test_escalation_prices_the_specialist(self, quantized_model):
+        """The escalation runs the float specialist, task head included,
+        on the GPU against the compiled generalist on the accelerator."""
+        specialist = dataclasses.replace(quantized_model.config,
+                                         with_task_head=True)
+        assert {op.site for op in float_plan(specialist)
+                if op.site and op.site.startswith("task_head.")} == {
+            "task_head.fc1", "task_head.fc2"}
+        cost = escalation_cost(quantized_model, specialist)
+        gpu = GPUModel(GPUConfig.jetson_class())
+        accel_config = AcceleratorConfig.edge_default()
+        accel = Simulator(accel_config).simulate(
+            Compiler(accel_config).compile(quantized_model))
+        assert cost["accel_ms"] == accel.latency_ms
+        assert cost["gpu_ms"] == gpu.simulate(specialist).latency_ms
+        assert cost["gpu_ms"] > gpu.simulate(quantized_model.config).latency_ms
+        assert cost["cost_ratio"] == pytest.approx(
+            cost["gpu_ms"] / cost["accel_ms"])
 
 
 class TestPlatform:

@@ -85,7 +85,7 @@ class TestAcceleratorFunctionalEquivalence:
         report = Simulator(config).simulate(Compiler(config).compile(q))
         # real-time budget: well under one 30 fps frame
         assert report.latency_s < 1.0 / 30.0
-        gpu_report = GPUModel().simulate(Compiler(config).compile(q))
+        gpu_report = GPUModel().simulate(q.config)
         assert gpu_report.latency_s > report.latency_s
 
 
