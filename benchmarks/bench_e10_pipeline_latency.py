@@ -103,13 +103,12 @@ def run_experiment(grid: int = 25, repeats: int = 3):
     obs = get_registry()
 
     # Correctness gate: production must reproduce the seed detections
-    # exactly (same boxes, same keep order).
+    # exactly (same boxes, same keep order, same score bits).
     ref_dets = detect_reference(detector, scene)
     dets = detector.detect(scene)
-    assert [d.bbox for d in ref_dets] == [d.bbox for d in dets], \
+    assert [(d.bbox, d.score) for d in ref_dets] == \
+        [(d.bbox, d.score) for d in dets], \
         "detect diverged from the reference implementation"
-    np.testing.assert_allclose([d.score for d in ref_dets],
-                               [d.score for d in dets], rtol=1e-12)
 
     reference_s = _time_detect(
         lambda s: detect_reference(detector, s), scene, repeats)

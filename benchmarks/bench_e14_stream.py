@@ -153,7 +153,8 @@ def run_stream_bench(
     with ``delta_gate=False`` and the gated pass with ``delta_gate=True``
     (or ``gate`` verbatim when provided, e.g. to benchmark carryover).
     Returns one row of results; ``identical``/``mismatch`` report the
-    oracle comparison, bitwise on scores under exact gating.  ``replay_chunk > 0`` adds
+    bitwise oracle comparison under exact gating (``None`` under
+    carryover, which only bounds its drift).  ``replay_chunk > 0`` adds
     a gated ``update_many`` pass in chunks of that many frames
     (``replay_*`` keys, same oracle), run with the registry off so the
     recorded stages and counts stay the per-frame path's.
@@ -174,8 +175,8 @@ def run_stream_bench(
         model, matcher, gated_config, cameras)
 
     exact_gate = gated_config.motion_threshold == 0.0
-    mismatch = compare_snapshots(full_snaps, gated_snaps,
-                                 exact_scores=exact_gate)
+    mismatch = (compare_snapshots(full_snaps, gated_snaps) if exact_gate
+                else None)
     replay: Dict[str, Any] = {}
     if replay_chunk > 0:
         registry = get_registry()
@@ -185,10 +186,11 @@ def run_stream_bench(
                 model, matcher, gated_config, cameras, chunk=replay_chunk)
         finally:
             registry.enabled = enabled
-        replay_mismatch = compare_snapshots(
-            full_snaps, replay_snaps, exact_scores=exact_gate)
+        replay_mismatch = (compare_snapshots(full_snaps, replay_snaps)
+                           if exact_gate else None)
         replay = {"replay_fps": num_cameras * num_frames / replay_s,
-                  "replay_identical": replay_mismatch is None,
+                  "replay_identical": (replay_mismatch is None
+                                       if exact_gate else None),
                   "replay_mismatch": replay_mismatch}
 
     skipped = sum(d.gate_stats.skipped for d in gated_detectors)

@@ -391,13 +391,10 @@ class TaskDetector:
         computed from the same scored windows.
 
         Determinism: window extraction, matching, threshold, and NMS are
-        all row-wise, and the quantized (integer) configuration's forward
-        is exactly order- and batch-invariant — so with it, a scene's
-        detections do not depend on the batch it arrives in.  Float
-        models agree with scores equal to within one or two ulps (BLAS
-        GEMM tiling varies with batch size on the narrow attribute
-        heads), so only windows whose scores tie to within that can
-        swap keep order.
+        all row-wise, and the forward is exactly order- and
+        batch-invariant in both configurations (exact integer kernels;
+        fixed-shape float GEMM tiles) — so a scene's detections do not
+        depend on the batch it arrives in.
 
         Scenes with different image shapes or cell sizes cannot share a
         forward; those run one at a time through the same fused body,

@@ -245,8 +245,8 @@ class OcclusionOperator(ScenarioOperator):
     """Partially mask object cells (pixels only; truth intact).
 
     Occlusion pushes window scores toward the decision threshold — the
-    regime where the cascade's margin signal and the tolerant float
-    comparison both earn their keep.
+    regime where the cascade's margin signal earns its keep and a
+    rounding slip in either configuration would flip a kept box.
     """
 
     name = "occlusion"

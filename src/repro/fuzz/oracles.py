@@ -10,14 +10,11 @@ implementations of the same detection math and asserts agreement:
   and the quantized forward vs
   :func:`repro.reference.forward_full_sequence` (every token through
   the last block, not the CLS row only).
-  The quantized path must agree **bit for bit** (the exact
-  BLAS kernels are batch-invariant by construction); the float path
-  must agree on the kept boxes with scores equal to within a few ulps —
-  box-set differences are excused only when the disagreeing score sits
-  within ``_SCORE_ATOL`` of the decision threshold.
+  Both configurations must agree **bit for bit**: the exact integer
+  kernels and the fixed-shape float GEMM tiles are batch-invariant by
+  construction.
 * ``stream_fused`` — ``StreamingDetector.update`` frame by frame vs one
-  fused ``update_many`` chunk, bit-exact on the quantized model and
-  tolerance-checked on the float model.
+  fused ``update_many`` chunk, bit-exact on both models.
 * ``stream_invariants`` — temporal safety properties of the tracker
   under arbitrary (including degenerate and shrinking) grid schedules:
   no immortal tracks on unobserved cells, missed counters bounded,
@@ -27,8 +24,8 @@ implementations of the same detection math and asserts agreement:
   same deterministic detector outputs.
 * ``incremental_stream`` — delta-gated streaming (per-frame ``update``
   and chunked ``update_many``) vs full recompute on every camera of
-  the scenario, bit-exact on the quantized model, plus
-  the ``refresh_every=1`` degeneracy check for tracker-prior carryover.
+  the scenario, bit-exact on both models, plus the ``refresh_every=1``
+  degeneracy check for tracker-prior carryover.
 
 Every disagreement is reported as a :class:`Divergence` — a JSON-able
 record the runner attaches to the replayable case file.
@@ -52,10 +49,6 @@ from repro.stream.tracker import Track
 
 if TYPE_CHECKING:
     from repro.fuzz.runner import ExecutionContext
-
-#: Float GEMM tiling varies with batch shape, so scores across fused vs
-#: per-scene float forwards agree to a few ulps, not bitwise.
-_SCORE_ATOL = 1e-5
 
 #: Frames per gated ``update_many`` chunk in ``incremental_stream``.
 _GATED_CHUNK = 3
@@ -86,57 +79,27 @@ def compare_detections(
     label: str,
     reference: Sequence[Sequence[Detection]],
     candidate: Sequence[Sequence[Detection]],
-    exact: bool,
-    threshold: float,
 ) -> List[Divergence]:
-    """Compare two per-scene detection lists.
-
-    ``exact`` requires identical order, boxes, and bit-equal scores (the
-    quantized guarantee).  The tolerant mode compares box *sets* with
-    scores within :data:`_SCORE_ATOL`; a box present on one side only is
-    excused only when its combined score sits within the tolerance of
-    the decision threshold (a legitimate ulp-level threshold flip).
-    """
+    """Compare two per-scene detection lists: identical order and boxes,
+    bit-equal scores."""
     divergences: List[Divergence] = []
     if len(reference) != len(candidate):
         return [Divergence(oracle, f"{label}: scene count "
                            f"{len(reference)} != {len(candidate)}")]
     for index, (ref, cand) in enumerate(zip(reference, candidate)):
-        if exact:
-            same = (len(ref) == len(cand) and all(
-                _det_key(r) == _det_key(c)
-                and r.score == c.score
-                and r.objectness == c.objectness
-                and r.task_score == c.task_score
-                and r.class_id == c.class_id
-                for r, c in zip(ref, cand)))
-            if not same:
-                divergences.append(Divergence(
-                    oracle, f"{label}: scene {index} not bit-identical",
-                    {"scene": index,
-                     "reference": [_describe(d) for d in ref],
-                     "candidate": [_describe(d) for d in cand]}))
-            continue
-        ref_by_box = {_det_key(d): d for d in ref}
-        cand_by_box = {_det_key(d): d for d in cand}
-        for box in set(ref_by_box) ^ set(cand_by_box):
-            only = ref_by_box.get(box) or cand_by_box[box]
-            if abs(only.score - threshold) <= _SCORE_ATOL:
-                continue  # ulp-level threshold flip: not a real divergence
-            side = "reference" if box in ref_by_box else "candidate"
+        same = (len(ref) == len(cand) and all(
+            _det_key(r) == _det_key(c)
+            and r.score == c.score
+            and r.objectness == c.objectness
+            and r.task_score == c.task_score
+            and r.class_id == c.class_id
+            for r, c in zip(ref, cand)))
+        if not same:
             divergences.append(Divergence(
-                oracle, f"{label}: scene {index} box {box} only on {side}",
-                {"scene": index, "box": list(box), "side": side,
-                 "score": float(only.score), "threshold": threshold}))
-        for box in set(ref_by_box) & set(cand_by_box):
-            r, c = ref_by_box[box], cand_by_box[box]
-            if abs(r.score - c.score) > _SCORE_ATOL:
-                divergences.append(Divergence(
-                    oracle, f"{label}: scene {index} box {box} score "
-                    f"{r.score!r} vs {c.score!r}",
-                    {"scene": index, "box": list(box),
-                     "reference_score": float(r.score),
-                     "candidate_score": float(c.score)}))
+                oracle, f"{label}: scene {index} not bit-identical",
+                {"scene": index,
+                 "reference": [_describe(d) for d in ref],
+                 "candidate": [_describe(d) for d in cand]}))
     return divergences
 
 
@@ -159,7 +122,6 @@ def compare_track_snapshots(
     label: str,
     reference: Sequence[Sequence[Track]],
     candidate: Sequence[Sequence[Track]],
-    exact_scores: bool,
 ) -> List[Divergence]:
     """Frame-by-frame track equality (cells, ids, lifecycle, scores)."""
     divergences: List[Divergence] = []
@@ -179,11 +141,7 @@ def compare_track_snapshots(
                  "candidate": [_track_dict(t) for t in cand_sorted]}))
             continue
         for r, c in zip(ref_sorted, cand_sorted):
-            if exact_scores:
-                agree = r.score == c.score
-            else:
-                agree = abs(float(r.score) - float(c.score)) <= _SCORE_ATOL
-            if not agree:
+            if r.score != c.score:
                 divergences.append(Divergence(
                     oracle, f"{label}: frame {frame} track {r.track_id} "
                     f"score {r.score!r} vs {c.score!r}",
@@ -208,27 +166,24 @@ def oracle_static_paths(spec: ScenarioSpec,
     """detect == detect_batch == engine, and detect == detect_reference."""
     divergences: List[Divergence] = []
     scenes = ctx.scenes
-    threshold = spec.score_threshold
     float_sequential = None
     for kind in ("float", "quantized"):
         detector = ctx.make_detector(kind)
         sequential = [detector.detect(scene) for scene in scenes]
         if kind == "float":
             float_sequential = sequential
-        exact = kind == "quantized"
         fused = detector.detect_batch(scenes)
         divergences += compare_detections(
-            "static_paths", f"{kind}:batch_vs_sequential",
-            sequential, fused, exact=exact, threshold=threshold)
+            "static_paths", f"{kind}:batch_vs_sequential", sequential, fused)
         engine_results = ctx.run_engine(detector, scenes)
         divergences += compare_detections(
             "static_paths", f"{kind}:engine_vs_sequential",
-            sequential, engine_results, exact=exact, threshold=threshold)
+            sequential, engine_results)
     float_detector = ctx.make_detector("float")
     reference = [detect_reference(float_detector, scene) for scene in scenes]
     divergences += compare_detections(
         "static_paths", "float:production_vs_reference",
-        float_sequential, reference, exact=False, threshold=threshold)
+        float_sequential, reference)
     return divergences + _compare_full_sequence(ctx)
 
 
@@ -266,7 +221,7 @@ def oracle_stream_fused(spec: ScenarioSpec,
         fused = ctx.make_stream(kind).update_many(frames)
         divergences += compare_track_snapshots(
             "stream_fused", f"{kind}:update_many_vs_update",
-            snapshots, fused, exact_scores=(kind == "quantized"))
+            snapshots, fused)
     return divergences
 
 
@@ -425,11 +380,11 @@ def oracle_incremental_stream(spec: ScenarioSpec,
     The delta gate's contract is that reusing a cached score for an
     unchanged cell is *unobservable* in the track state: per camera and
     per model kind, a gated detector (exact gating, the spec's
-    ``refresh_every``) must produce track snapshots bit-equal (quantized)
-    or ulp-equal (float) to an ungated detector over the same frames —
-    regardless of whether the spec itself enables the gate, frame by
-    frame and through ``update_many`` in ``_GATED_CHUNK``-frame chunks
-    (so chunk boundaries fall mid-scenario).  When the spec uses
+    ``refresh_every``) must produce track snapshots bit-equal to an
+    ungated detector over the same frames — regardless of whether the
+    spec itself enables the gate, frame by frame and through
+    ``update_many`` in ``_GATED_CHUNK``-frame chunks (so chunk
+    boundaries fall mid-scenario).  When the spec uses
     tracker-prior carryover (``motion_threshold > 0``), the approximate
     path is additionally pinned at its degenerate point:
     ``refresh_every=1`` forces a full re-score every frame, so carryover
@@ -450,7 +405,7 @@ def oracle_incremental_stream(spec: ScenarioSpec,
                 divergences += compare_track_snapshots(
                     "incremental_stream",
                     f"camera{camera}:{kind}:{label}_vs_full",
-                    full, gated, exact_scores=(kind == "quantized"))
+                    full, gated)
             if kind == "quantized" and spec.motion_threshold > 0.0:
                 degenerate = _update_snapshots(
                     ctx.make_stream(kind, gated=True,
@@ -460,7 +415,7 @@ def oracle_incremental_stream(spec: ScenarioSpec,
                 divergences += compare_track_snapshots(
                     "incremental_stream",
                     f"camera{camera}:{kind}:carryover_refresh1_vs_full",
-                    full, degenerate, exact_scores=True)
+                    full, degenerate)
     return divergences
 
 
@@ -487,18 +442,17 @@ def oracle_pipeline_session(spec: ScenarioSpec,
     divergences: List[Divergence] = []
     pipeline = ctx.make_pipeline()
     task_spec = ctx.task_spec()
-    threshold = spec.score_threshold
 
     reference = [ctx.make_detector("quantized").detect(scene)
                  for scene in ctx.scenes]
     first = pipeline.detect_batch(task_spec, ctx.scenes)
     divergences += compare_detections(
         "pipeline_session", "quantized:pipeline_vs_direct",
-        reference, first, exact=True, threshold=threshold)
+        reference, first)
     second = pipeline.detect_batch(task_spec, ctx.scenes)
     divergences += compare_detections(
         "pipeline_session", "quantized:cached_session_stability",
-        first, second, exact=True, threshold=threshold)
+        first, second)
 
     noise_free = (spec.kg_omission == 0.0 and spec.kg_hallucination == 0.0
                   and spec.kg_weight_jitter == 0.0)
@@ -521,7 +475,7 @@ def oracle_pipeline_session(spec: ScenarioSpec,
         expected = fresh.detect_batch(task_spec, ctx.scenes)
         divergences += compare_detections(
             "pipeline_session", "graph_replacement_invalidation",
-            expected, after_replacement, exact=True, threshold=threshold)
+            expected, after_replacement)
     return divergences
 
 
@@ -534,8 +488,8 @@ def oracle_cascade_routing(spec: ScenarioSpec,
       micro-batching engine (routing is a pure per-scene function of the
       batch-invariant quantized outputs).
     * Every scene's cascade output equals the routed-to configuration's
-      own output: bit for bit on the fast/shed (quantized) path,
-      tolerance-checked on the escalated (float) path.
+      own output bit for bit, on the fast/shed (quantized) and the
+      escalated (float) path alike.
     * Under the spec's (possibly binding) budget, escalations never
       exceed the budget's window bound, shed scenes still return the
       quantized result bit for bit, and a fraction-zero budget escalates
@@ -547,7 +501,6 @@ def oracle_cascade_routing(spec: ScenarioSpec,
 
     divergences: List[Divergence] = []
     scenes = ctx.scenes
-    threshold = spec.score_threshold
 
     def make_router(fraction: float) -> CascadeRouter:
         return CascadeRouter(
@@ -586,13 +539,12 @@ def oracle_cascade_routing(spec: ScenarioSpec,
     for label, results in (("detect_batch", batch_results),
                            ("engine", engine_results)):
         for index, decision in enumerate(batch_decisions):
-            escalated = decision.route == ESCALATED
-            expected = specialist[index] if escalated else quantized[index]
+            expected = (specialist[index] if decision.route == ESCALATED
+                        else quantized[index])
             divergences += compare_detections(
                 "cascade_routing",
                 f"{label}:scene{index}:{decision.route}",
-                [expected], [results[index]],
-                exact=not escalated, threshold=threshold)
+                [expected], [results[index]])
 
     # -- budget behavior -----------------------------------------------
     budget_results, budget_decisions = (
@@ -619,8 +571,7 @@ def oracle_cascade_routing(spec: ScenarioSpec,
             divergences += compare_detections(
                 "cascade_routing",
                 f"budgeted:scene{index}:{decision.route}",
-                [quantized[index]], [budget_results[index]],
-                exact=True, threshold=threshold)
+                [quantized[index]], [budget_results[index]])
     return divergences
 
 
@@ -631,13 +582,11 @@ def oracle_sharded_engine(spec: ScenarioSpec,
     Routes the scenario's scenes through a real 2-process
     :class:`~repro.serve.shard.ShardRouter` (forked workers, pickled
     scenes, wire-format contexts) and compares against sequential
-    per-scene detection on the same quantized detector.  The quantized
-    configuration is exactly batch-invariant, so any divergence is a
+    per-scene detection on the same detector, float and quantized.  Both
+    configurations are exactly batch-invariant, so any divergence is a
     transport or routing bug — scene corruption in pickling, result
     misassociation across the pipe, reroute double-serving — not model
-    noise.  Float models are excluded on purpose: their scores are only
-    ulp-equal across batch compositions, which is tolerance territory,
-    while this oracle's whole point is exactness.
+    noise.
 
     Skipped on platforms without the ``fork`` start method (closure
     factories require it).
@@ -646,12 +595,15 @@ def oracle_sharded_engine(spec: ScenarioSpec,
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return []
-    detector = ctx.make_detector("quantized")
-    reference = [detector.detect(scene) for scene in ctx.scenes]
-    sharded = ctx.run_sharded_engine(detector, ctx.scenes)
-    return compare_detections(
-        "sharded_engine", "fork-2-shards", reference, sharded,
-        exact=True, threshold=spec.score_threshold)
+    kinds = ("float", "quantized")
+    detectors = [ctx.make_detector(kind) for kind in kinds]
+    sharded = ctx.run_sharded_engine(detectors, ctx.scenes)
+    divergences: List[Divergence] = []
+    for kind, detector, results in zip(kinds, detectors, sharded):
+        reference = [detector.detect(scene) for scene in ctx.scenes]
+        divergences += compare_detections(
+            "sharded_engine", f"{kind}:fork-2-shards", reference, results)
+    return divergences
 
 
 #: Ordered oracle registry: (name, callable).

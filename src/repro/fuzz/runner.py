@@ -204,45 +204,53 @@ class ExecutionContext:
         with DetectionEngine(_EngineSession(detector), config=config) as engine:
             return engine.detect_many(scenes)
 
-    def run_sharded_engine(self, detector: TaskDetector,
+    def run_sharded_engine(self, detectors: Sequence[TaskDetector],
                            scenes: Sequence[Scene],
-                           num_shards: int = 2) -> List[List[Detection]]:
-        """Scenes through a real multi-process :class:`ShardRouter`.
+                           num_shards: int = 2
+                           ) -> List[List[List[Detection]]]:
+        """Scenes through one real multi-process :class:`ShardRouter`,
+        once per detector; one result list per detector.
 
-        Every shard serves the same detector (the factory closes over
-        it; the ``fork`` start method copies it into each worker), and
-        scenes alternate between ``num_shards`` synthetic mission keys
-        chosen to land on distinct shards — so the run genuinely
-        crosses the process boundary on every shard, not just one.
-        Results are gathered in submission order.
+        Every shard serves every detector (the factory closes over
+        them; the ``fork`` start method copies them into each worker).
+        Each detector gets ``num_shards`` synthetic mission keys chosen
+        to land on distinct shards, and its scenes alternate between
+        them — so every detector's run genuinely crosses the process
+        boundary on every shard, not just one.  Results are gathered in
+        submission order.
         """
         from repro.serve.engine import EngineConfig
         from repro.serve.shard import (
             ShardConfig, ShardRouter, shard_for_mission,
         )
 
-        def mission_for_shard(target: int) -> str:
+        def mission_for_shard(detector_index: int, target: int) -> str:
             index = 0
             while True:
-                name = f"fuzz-mission-{index}"
+                name = f"fuzz-mission-{detector_index}-{index}"
                 if shard_for_mission(name, num_shards) == target:
                     return name
                 index += 1
 
-        missions = [mission_for_shard(i) for i in range(num_shards)]
+        missions = [[mission_for_shard(d, i) for i in range(num_shards)]
+                    for d in range(len(detectors))]
+        by_mission = {mission: detector
+                      for detector, keys in zip(detectors, missions)
+                      for mission in keys}
         config = ShardConfig(
             num_shards=num_shards,
             engine=EngineConfig(max_batch=self.spec.engine_max_batch,
                                 workers=self.spec.engine_workers),
             start_method="fork",
         )
-        with ShardRouter(lambda mission: _EngineSession(detector),
+        with ShardRouter(lambda mission: _EngineSession(by_mission[mission]),
                          config) as router:
             futures = [
-                router.submit(scene, missions[index % num_shards])
-                for index, scene in enumerate(scenes)
+                [router.submit(scene, keys[index % num_shards])
+                 for index, scene in enumerate(scenes)]
+                for keys in missions
             ]
-            return [future.result() for future in futures]
+            return [[future.result() for future in run] for run in futures]
 
     # -- pipeline / cascade construction --------------------------------
     def llm_noise(self) -> "LLMNoiseConfig":

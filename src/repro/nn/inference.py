@@ -40,6 +40,11 @@ if TYPE_CHECKING:
 _SQRT_2 = float(np.sqrt(2.0))
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
+#: Rows per float GEMM (:func:`_float_proj`): every float projection
+#: runs as GEMMs of this one shape, which makes float inference
+#: batch-invariant.
+FLOAT_TILE_ROWS = 16
+
 ProjFn = Callable[[np.ndarray], np.ndarray]
 ActFn = Callable[[np.ndarray], np.ndarray]
 
@@ -251,11 +256,24 @@ def _float_proj(linear: "Linear") -> ProjFn:
     bias = None if linear.bias is None else linear.bias.data
 
     def apply(x: np.ndarray) -> np.ndarray:
-        # One 2-D GEMM over all rows.  A stacked ``(batch, tokens, in)``
-        # matmul is slower, and beside a busy Python thread it waits
-        # out a GIL switch interval per call (EXPERIMENTS.md, "One
-        # inference forward").
-        y = x.reshape(-1, x.shape[-1]) @ weight_t
+        # BLAS picks its kernel, and with it the rounding, by operand
+        # shape, so a plain GEMM over all rows rounds a row differently
+        # at different batch sizes.  Every GEMM here is FLOAT_TILE_ROWS
+        # rows instead: one stacked matmul over a (tiles,
+        # FLOAT_TILE_ROWS, in) view, with only the ragged last tile
+        # zero-padded.  A row's result then depends on that row alone.
+        flat = x.reshape(-1, x.shape[-1])
+        rows = flat.shape[0]
+        tiles = -(-rows // FLOAT_TILE_ROWS)
+        if rows != tiles * FLOAT_TILE_ROWS:
+            padded = np.empty((tiles * FLOAT_TILE_ROWS, flat.shape[1]),
+                              dtype=flat.dtype)
+            padded[:rows] = flat
+            padded[rows:] = 0
+            flat = padded
+        y = np.matmul(flat.reshape(tiles, FLOAT_TILE_ROWS, flat.shape[1]),
+                      weight_t)
+        y = y.reshape(-1, y.shape[-1])[:rows]
         if bias is not None:
             y += bias
         return y.reshape(*x.shape[:-1], y.shape[-1])
@@ -308,10 +326,10 @@ def _vit_forward(
     the CLS-only block (:func:`_cls_only_block`, the last one) attends
     from the CLS row alone over every token's keys and values, and its
     ``proj``/``fc1``/``fc2`` GEMMs see ``batch`` rows instead of
-    ``batch × num_tokens``.  Every op after the attention is row-wise;
-    with the exact integer kernels the outputs are bit-identical to the
-    full-sequence forward, and with float kernels (whose 1-row-per-image
-    GEMMs may round differently) they agree within a few ulps.
+    ``batch × num_tokens``.  Every op after the attention is row-wise,
+    and every projection kernel (exact integer; fixed-shape float tiles)
+    computes a row independently of the rows beside it, so the outputs
+    are bit-identical to the full-sequence forward.
     Calibration (``observers`` given — an empty mapping runs the
     full-sequence forward unobserved) keeps every token, so activation
     ranges are observed over the whole sequence.

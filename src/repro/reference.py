@@ -148,8 +148,8 @@ def detect_reference(detector: TaskDetector, scene: Scene,
 
     The forward (same chunk rule) and the scoring are the production
     ones, so the result differs from ``detector.detect`` only in the two
-    stages this is the oracle for: boxes and keep order must match
-    exactly, float scores to ``rtol=1e-12``.
+    stages this is the oracle for; boxes, keep order and scores must
+    match exactly.
     """
     windows, boxes = windows_loop(scene, stride=stride)
     predictions = predict_windows(

@@ -42,9 +42,8 @@ becomes attributable to a trace).  An installed
 
 Determinism: batch *composition* depends on arrival timing, so only a
 batch-invariant model makes concurrent results bit-identical to
-sequential ones.  The quantized (integer) configuration is exactly
-batch-invariant; float models agree on boxes/order with scores equal to
-within an ulp or two (see ``TaskDetector.detect_batch``).
+sequential ones.  Both configurations are exactly batch-invariant (see
+``TaskDetector.detect_batch``).
 """
 
 from __future__ import annotations

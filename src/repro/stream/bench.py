@@ -3,8 +3,8 @@
 :func:`materialize_cameras` pre-renders N independent camera sequences
 at a configurable motion density, so timing excludes rendering.
 :func:`compare_snapshots` is the oracle of the streaming contract: with
-exact gating (``motion_threshold == 0``) on the quantized configuration
-a gated pass must reproduce the full-recompute tracks *bit for bit*.
+exact gating (``motion_threshold == 0``) a gated pass must reproduce the
+full-recompute tracks *bit for bit*, on either model configuration.
 The E14 benchmark (``benchmarks/bench_e14_stream.py``) and the
 end-to-end streaming workloads (``benchmarks/e2e``) use both; the
 differential fuzzer shares :data:`TRACK_FIELDS`.
@@ -18,15 +18,11 @@ from repro.data.scenes import SceneConfig
 from repro.stream.sequence import FrameState, SceneSequence, SequenceConfig
 from repro.stream.tracker import Track
 
-#: Float GEMM tiling varies with batch shape; gated passes over a float
-#: model agree with full recompute to ulps, not bitwise.
-SCORE_ATOL = 1e-5
-
 #: Per-camera seed stride (any constant works; primes read well).
 CAMERA_SEED_STRIDE = 7907
 
 #: The ``Track`` fields two runs must agree on exactly (scores are
-#: compared separately: bitwise or within a tolerance).
+#: compared separately, also bitwise).
 TRACK_FIELDS = ("track_id", "cell", "first_frame", "last_frame", "active",
                 "missed")
 
@@ -55,14 +51,11 @@ def materialize_cameras(
 def compare_snapshots(
     reference: Sequence[Sequence[Sequence[Track]]],
     candidate: Sequence[Sequence[Sequence[Track]]],
-    exact_scores: bool = True,
-    atol: float = SCORE_ATOL,
 ) -> Optional[str]:
     """First mismatch between two per-camera snapshot sets, or ``None``.
 
-    Structural fields (ids, cells, lifecycle frames, missed counts) must
-    always match exactly; scores bitwise under ``exact_scores`` (the
-    quantized guarantee) and within ``atol`` otherwise.
+    Structural fields (ids, cells, lifecycle frames, missed counts) and
+    scores must match exactly.
     """
     if len(reference) != len(candidate):
         return f"camera count {len(reference)} != {len(candidate)}"
@@ -82,11 +75,7 @@ def compare_snapshots(
                                 f"{r.track_id}: {field} "
                                 f"{getattr(r, field)!r} != "
                                 f"{getattr(c, field)!r}")
-                if exact_scores:
-                    ok = r.score == c.score
-                else:
-                    ok = abs(float(r.score) - float(c.score)) <= atol
-                if not ok:
+                if r.score != c.score:
                     return (f"camera {cam} frame {frame} track "
                             f"{r.track_id}: score {r.score!r} != "
                             f"{c.score!r}")

@@ -13,9 +13,8 @@ are fingerprinted (crc32 + byte length + pixel sum) and, when the
 fingerprint matches the previous scoring of that cell, the cached raw
 score is reused without a model forward or a matcher pass.  Identical
 pixels through a deterministic model + matcher produce identical scores,
-so gated EMA/hysteresis state is *bit-equal* to full recompute on the
-quantized configuration (whose exact kernels are batch-invariant) and
-ulp-equal on the float one.  Which cells are re-scored never depends on
+and both configurations' forwards are batch-invariant, so gated
+EMA/hysteresis state is *bit-equal* to full recompute.  Which cells are re-scored never depends on
 scores, so ``update_many`` gates a whole chunk first and scores its
 changed cells in one forward.  Two staleness escapes are closed
 explicitly: cached matcher results are keyed on the knowledge graph's

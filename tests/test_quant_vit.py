@@ -224,8 +224,10 @@ class TestQuantizedModel:
 
 
 def _assert_outputs_equal(actual, expected):
+    assert set(actual) == set(expected)
     for key in expected:
         if isinstance(expected[key], dict):
+            assert set(actual[key]) == set(expected[key])
             for sub in expected[key]:
                 np.testing.assert_array_equal(actual[key][sub],
                                               expected[key][sub])
@@ -439,3 +441,54 @@ class TestClsOnlyLastBlock:
         tokens = student_vit.config.num_tokens
         for site in _last_block_sites(student_vit):
             assert by_site[site].rows == [batch * tokens]
+
+
+def _rows(outputs, start, stop):
+    """Rows ``start:stop`` of every output of a forward."""
+    return {key: (_rows(value, start, stop) if isinstance(value, dict)
+                  else value[start:stop])
+            for key, value in outputs.items()}
+
+
+@pytest.fixture(scope="module")
+def invariance_windows(scene_windows):
+    """332 real scene windows: room for 288 rows at offset 31."""
+    return np.concatenate([scene_windows, scene_windows[:31]])
+
+
+class TestFloatBatchInvariance:
+    """Float inference is batch-invariant: a window's outputs are the
+    same bits whichever rows share its forward.  Every float GEMM runs
+    as ``FLOAT_TILE_ROWS``-row tiles; a plain GEMM over all rows lets
+    BLAS pick its kernel, and with it the rounding, by row count."""
+
+    MODELS = ("student", "task_head")
+
+    @pytest.fixture(scope="class")
+    def full_batch(self, float_models, invariance_windows):
+        return {shape: float_models[shape].infer(invariance_windows)
+                for shape in self.MODELS}
+
+    @pytest.mark.parametrize("rows", [1, 9, 16, 36, 256, 288])
+    @pytest.mark.parametrize("shape", MODELS)
+    def test_slice_bit_equal_to_full_batch(self, float_models, full_batch,
+                                           invariance_windows, shape, rows):
+        model = float_models[shape]
+        expected_keys = {"class_logits", "cls_embedding", "attributes"}
+        if shape == "task_head":
+            expected_keys.add("task_logits")
+        assert set(full_batch[shape]) == expected_keys
+        for offset in (0, 5, 31):
+            _assert_outputs_equal(
+                model.infer(invariance_windows[offset:offset + rows]),
+                _rows(full_batch[shape], offset, offset + rows))
+
+    @pytest.mark.parametrize("rows", [1, 9, 36])
+    def test_cls_only_bit_equal_to_full_sequence(self, float_models,
+                                                 scene_windows, rows):
+        model = float_models["task_head"]
+        images = scene_windows[:rows]
+        _assert_outputs_equal(
+            model.infer(images),
+            _vit_forward(model, images, float_projections(model),
+                         observers={}, gelu=_gelu_erf))

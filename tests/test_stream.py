@@ -261,9 +261,8 @@ class TestStreamFixRegressions:
                       t.missed, t.active) for t in fused_frame]
                     == [(t.track_id, t.cell, t.first_frame, t.last_frame,
                          t.missed, t.active) for t in expected])
-            for fused_track, seq_track in zip(fused_frame, expected):
-                assert fused_track.score == pytest.approx(seq_track.score,
-                                                          abs=1e-5)
+            assert ([t.score for t in fused_frame]
+                    == [t.score for t in expected])
 
     # -- fix 4: evaluate_stream must not credit post-death detections --
     @staticmethod
@@ -376,9 +375,9 @@ class TestDeltaGating:
         assert stats.frames == len(scenes)
         assert stats.skipped + stats.recomputed > 0
 
-    def test_gated_close_to_full_float(self, fuzz_model_pair):
-        """Float path: batch-shape-dependent GEMM tiling allows tiny
-        drift, so tracks must match exactly and scores to 1e-5."""
+    def test_gated_equals_full_float(self, fuzz_model_pair):
+        """Float path: the fixed-shape GEMM tiles are batch-invariant,
+        so gating is bit-exact here too."""
         float_model, _ = fuzz_model_pair
         config = dict(self.BASE)
         scenes = _gate_scenes(seed=22, motion_rate=0.2)
@@ -387,8 +386,7 @@ class TestDeltaGating:
         gated, _ = _run(float_model, scenes,
                         TrackerConfig(delta_gate=True, **config))
         assert _track_tuples(gated) == _track_tuples(full)
-        for gated_frame, full_frame in zip(_scores(gated), _scores(full)):
-            assert gated_frame == pytest.approx(full_frame, abs=1e-5)
+        assert _scores(gated) == _scores(full)
 
     def test_gated_with_zero_cell_frames(self, fuzz_model_pair):
         """A zero-cell frame mid-stream must not corrupt the cache."""
@@ -688,8 +686,6 @@ class TestStreamBenchHelpers:
         assert compare_snapshots(reference, same) is None
         drifted = [[[dataclasses.replace(track, score=0.5 + 1e-3)]]]
         assert "score" in compare_snapshots(reference, drifted)
-        assert compare_snapshots(reference, drifted,
-                                 exact_scores=False, atol=1e-2) is None
         rebirth = [[[dataclasses.replace(track, track_id=1)]]]
         assert "track_id" in compare_snapshots(reference, rebirth)
 
