@@ -144,7 +144,7 @@ def checking_detector(session) -> TaskDetector:
     """
     detector = session.detector
     return TaskDetector(detector.model, matcher=detector.matcher,
-                        score_threshold=0.0, nms_iou=detector.nms_iou)
+                        score_threshold=0.0)
 
 
 def run_throughput(

@@ -93,10 +93,6 @@ class RouteDecision:
     reason: str
     trace_id: Optional[str] = None
 
-    @property
-    def escalation_desired(self) -> bool:
-        return self.route in (ESCALATED, SHED)
-
 
 class EscalationBudget:
     """Sliding-window escalation-rate limiter.
@@ -231,14 +227,13 @@ class CascadeRouter:
             sampler.observe_route(decisions, registry=obs)
 
     # ------------------------------------------------------------------
-    def detect(self, scene: Scene,
-               stride: Optional[int] = None) -> Tuple[List[Detection], RouteDecision]:
+    def detect(self, scene: Scene) -> Tuple[List[Detection], RouteDecision]:
         """Route one scene; returns the final detections + the decision."""
-        results, decisions = self.detect_batch([scene], stride=stride)
+        results, decisions = self.detect_batch([scene])
         return results[0], decisions[0]
 
     def detect_batch(
-        self, scenes: Sequence[Scene], stride: Optional[int] = None,
+        self, scenes: Sequence[Scene],
         contexts: Optional[Sequence[Optional[RequestContext]]] = None,
     ) -> Tuple[List[List[Detection]], List[RouteDecision]]:
         """Route a batch: fused fast pass, then one fused specialist pass
@@ -258,8 +253,7 @@ class CascadeRouter:
             ctx = current_context()
             contexts = [ctx] * len(scenes)
         with get_registry().span("cascade.route", scenes=len(scenes)) as span:
-            results, signal_list = self.fast.detect_batch_with_signals(
-                scenes, stride=stride)
+            results, signal_list = self.fast.detect_batch_with_signals(scenes)
             decisions = [
                 self._route_one(
                     i, signals,
@@ -269,7 +263,7 @@ class CascadeRouter:
                          if d.route == ESCALATED]
             if escalated and self.specialist is not None:
                 refined = self.specialist.detect_batch(
-                    [scenes[i] for i in escalated], stride=stride)
+                    [scenes[i] for i in escalated])
                 for i, detections in zip(escalated, refined):
                     results[i] = detections
             self._observe(decisions)

@@ -110,33 +110,29 @@ class CascadeSession:
         return self.router.specialist is not None
 
     # -- serving -------------------------------------------------------
-    def route(self, scene: "Scene", stride: Optional[int] = None,
-              ) -> Tuple[List["Detection"], RouteDecision]:
-        detections, decision = self.router.detect(scene, stride=stride)
+    def route(self, scene: "Scene") -> Tuple[List["Detection"], RouteDecision]:
+        detections, decision = self.router.detect(scene)
         self._log([decision])
         return detections, decision
 
     def route_batch(
-        self, scenes: Sequence["Scene"], stride: Optional[int] = None,
+        self, scenes: Sequence["Scene"],
         contexts: Optional[Sequence] = None,
     ) -> Tuple[List[List["Detection"]], List[RouteDecision]]:
-        results, decisions = self.router.detect_batch(
-            scenes, stride=stride, contexts=contexts)
+        results, decisions = self.router.detect_batch(scenes, contexts=contexts)
         self._log(decisions)
         return results, decisions
 
-    def detect(self, scene: "Scene",
-               stride: Optional[int] = None) -> List["Detection"]:
-        return self.route(scene, stride=stride)[0]
+    def detect(self, scene: "Scene") -> List["Detection"]:
+        return self.route(scene)[0]
 
     def detect_batch(self, scenes: Sequence["Scene"],
-                     stride: Optional[int] = None,
                      contexts: Optional[Sequence] = None,
                      ) -> List[List["Detection"]]:
         # ``contexts`` (one RequestContext or None per scene) arrives
         # from the engine's captured submitter contexts; the router
         # stamps each RouteDecision with its request's trace_id.
-        return self.route_batch(scenes, stride=stride, contexts=contexts)[0]
+        return self.route_batch(scenes, contexts=contexts)[0]
 
     def evaluate(self, scenes: Sequence["Scene"],
                  object_cells_only: bool = False) -> float:

@@ -344,17 +344,6 @@ class ModelRegistry:
             moved.append(dest)
         return moved
 
-    def delete(self, name: str) -> List[str]:
-        """Remove both files of an entry; returns the paths removed."""
-        removed = []
-        for path in self._paths(name).values():
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                continue
-            removed.append(path)
-        return removed
-
     def gc(self, remove_quarantine: bool = True) -> List[str]:
         """Delete leftover temp files, stale lock files, and (optionally)
         quarantined checkpoints.  Returns the paths removed.

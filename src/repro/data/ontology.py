@@ -122,10 +122,6 @@ def category_names() -> List[str]:
     return list(OBJECT_CATEGORIES)
 
 
-def category_id(name: str) -> int:
-    return category_names().index(name)
-
-
 def sample_profile(rng: np.random.Generator,
                    fixed: Optional[Mapping[str, str]] = None) -> AttributeProfile:
     """Draw a uniformly random profile, honoring ``fixed`` constraints."""

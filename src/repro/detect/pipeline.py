@@ -256,9 +256,6 @@ class TaskDetector:
         plain object detection (objectness only) — the data-only baseline.
     score_threshold:
         Minimum combined score to emit a detection.
-    nms_iou:
-        IoU threshold for the final NMS pass (grid windows never overlap,
-        but sliding-window mode produces duplicates).
 
     Every entry point runs the one body,
     :meth:`detect_batch_with_signals`: ``detect(scene)`` is
@@ -271,29 +268,26 @@ class TaskDetector:
         model: ModelLike,
         matcher: Optional[GraphMatcher] = None,
         score_threshold: float = 0.35,
-        nms_iou: float = 0.5,
     ) -> None:
         if not 0.0 <= score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
         self.model = model
         self.matcher = matcher
         self.score_threshold = score_threshold
-        self.nms_iou = nms_iou
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _window_starts(scene: Scene, stride: Optional[int]) -> Tuple[int, np.ndarray]:
+    def _window_starts(scene: Scene) -> Tuple[int, np.ndarray]:
         size = scene.cell_size
-        stride = stride or size
-        limit = scene.size - size
-        starts = np.arange(0, limit + 1, stride) if limit >= 0 else np.empty(0, int)
-        return size, starts
+        return size, np.arange(scene.size // size) * size
 
     def _windows_all(
-        self, scenes: Sequence[Scene], stride: Optional[int] = None,
+        self, scenes: Sequence[Scene],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """All scenes' windows as one ``(N, C, S, S)`` batch.
 
+        The windows tile each scene cell by cell, row-major; a side that
+        is not a multiple of the cell size loses its ragged edge.
         Requires homogeneous scenes (same image shape and cell size —
         :meth:`detect_batch_with_signals` groups them).  Every scene
         shares the same window placements, returned once as an
@@ -301,46 +295,31 @@ class TaskDetector:
         """
         with get_registry().span("detect.window_build"):
             first = scenes[0]
-            size, starts = self._window_starts(first, stride)
+            size, starts = self._window_starts(first)
             channels = first.image.shape[0]
             ys, xs = np.meshgrid(starts, starts, indexing="ij")
             ys, xs = ys.reshape(-1), xs.reshape(-1)
             boxes = np.stack([xs, ys, xs + size, ys + size], axis=1)
-            if starts.size == 0:
-                # Scene smaller than one window: no valid placements.
-                empty = np.zeros((0, channels, size, size),
-                                 dtype=first.image.dtype)
-                return empty, boxes
-            if (stride or size) == size and first.size % size == 0:
-                # Non-overlapping tiling: strided copies straight into the
-                # fused batch, one per scene — no intermediate stack, and
-                # an order of magnitude cheaper than the general gather.
-                n = first.size // size
-                windows = np.empty(
-                    (len(scenes) * n * n, channels, size, size),
-                    dtype=first.image.dtype)
-                dest = windows.reshape(len(scenes), n, n, channels, size, size)
-                for i, scene in enumerate(scenes):
-                    dest[i] = scene.image.reshape(
-                        channels, n, size, n, size).transpose(1, 3, 0, 2, 4)
-            else:
-                images = np.stack([scene.image for scene in scenes])
-                view = np.lib.stride_tricks.sliding_window_view(
-                    images, (size, size), axis=(2, 3))
-                # (B, C, ny, nx, S, S) -> (B, ny, nx, C, S, S) -> (N, C, S, S)
-                windows = view[:, :, starts[:, None], starts[None, :]]
-                windows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-                    -1, channels, size, size)
+            # Strided copies straight into the fused batch, one per
+            # scene, with no intermediate stack.
+            n = starts.size
+            side = n * size
+            windows = np.empty((len(scenes) * n * n, channels, size, size),
+                               dtype=first.image.dtype)
+            dest = windows.reshape(len(scenes), n, n, channels, size, size)
+            for i, scene in enumerate(scenes):
+                dest[i] = scene.image[:, :side, :side].reshape(
+                    channels, n, size, n, size).transpose(1, 3, 0, 2, 4)
             return windows, boxes
 
     # ------------------------------------------------------------------
     def _detect_fused(
-        self, scenes: Sequence[Scene], stride: Optional[int],
+        self, scenes: Sequence[Scene],
     ) -> Tuple[List[List[Detection]], List[SceneSignals]]:
         """One forward and one KG match over homogeneous scenes, then
         per-scene threshold + NMS on arrays; :class:`Detection` objects
         are built for the kept rows only."""
-        windows, boxes = self._windows_all(scenes, stride=stride)
+        windows, boxes = self._windows_all(scenes)
         predictions = predict_windows(
             self.model, windows,
             batch_size=forward_chunk(windows.shape[0]))
@@ -357,8 +336,7 @@ class TaskDetector:
             if hits.size:
                 obs = get_registry()
                 with obs.span("detect.nms", candidates=int(hits.size)):
-                    keep = hits[nms(boxes[hits], scene_scores[hits],
-                                    iou_threshold=self.nms_iou)]
+                    keep = hits[nms(boxes[hits], scene_scores[hits])]
                 obs.count("detect.nms.candidates", int(hits.size))
                 obs.count("detect.nms.kept", int(keep.size))
                 detections = build_detections(boxes[keep].tolist(),
@@ -372,15 +350,14 @@ class TaskDetector:
             ))
         return results, signals
 
-    def detect(self, scene: Scene, stride: Optional[int] = None) -> List[Detection]:
-        return self.detect_batch_with_signals([scene], stride=stride)[0][0]
+    def detect(self, scene: Scene) -> List[Detection]:
+        return self.detect_batch_with_signals([scene])[0][0]
 
-    def detect_batch(self, scenes: Sequence[Scene],
-                     stride: Optional[int] = None) -> List[List[Detection]]:
-        return self.detect_batch_with_signals(scenes, stride=stride)[0]
+    def detect_batch(self, scenes: Sequence[Scene]) -> List[List[Detection]]:
+        return self.detect_batch_with_signals(scenes)[0]
 
     def detect_batch_with_signals(
-        self, scenes: Sequence[Scene], stride: Optional[int] = None,
+        self, scenes: Sequence[Scene],
     ) -> Tuple[List[List[Detection]], List[SceneSignals]]:
         """Batch-first detection: one fused model forward across scenes.
 
@@ -412,7 +389,7 @@ class TaskDetector:
             results: List[List[Detection]] = []
             signals: List[SceneSignals] = []
             for group in groups:
-                group_results, group_signals = self._detect_fused(group, stride)
+                group_results, group_signals = self._detect_fused(group)
                 results += group_results
                 signals += group_signals
             span.set_attr(

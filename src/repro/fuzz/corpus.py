@@ -14,7 +14,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.fuzz.scenario import CASE_SCHEMA, ScenarioSpec
 
@@ -92,6 +92,3 @@ def iter_corpus(
     for path in sorted(directory.glob("*.json")):
         yield path, spec_from_case(load_case(path))
 
-
-def corpus_paths(directory: Optional[PathLike] = None) -> List[Path]:
-    return [path for path, _spec in iter_corpus(directory)]

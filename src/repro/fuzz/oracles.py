@@ -43,7 +43,7 @@ from repro.data.tasks import TaskDefinition
 from repro.detect.pipeline import Detection, TaskDetector
 from repro.fuzz.scenario import ScenarioSpec
 from repro.reference import detect_reference, forward_full_sequence, windows_loop
-from repro.stream.bench import TRACK_FIELDS
+from repro.stream.bench import TRACK_FIELDS, frame_mismatch
 from repro.stream.sequence import FrameState, ScriptedSequence
 from repro.stream.tracker import Track
 
@@ -113,41 +113,28 @@ def _describe(det: Detection) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # track comparison
 # ----------------------------------------------------------------------
-def _track_tuple(track: Track) -> Tuple:
-    return tuple(getattr(track, f) for f in TRACK_FIELDS)
-
-
 def compare_track_snapshots(
     oracle: str,
     label: str,
     reference: Sequence[Sequence[Track]],
     candidate: Sequence[Sequence[Track]],
 ) -> List[Divergence]:
-    """Frame-by-frame track equality (cells, ids, lifecycle, scores)."""
-    divergences: List[Divergence] = []
+    """Frame-by-frame track equality: one divergence per frame that
+    :func:`repro.stream.bench.frame_mismatch` rejects."""
     if len(reference) != len(candidate):
         return [Divergence(oracle, f"{label}: frame count "
                            f"{len(reference)} != {len(candidate)}")]
+    divergences: List[Divergence] = []
     for frame, (ref, cand) in enumerate(zip(reference, candidate)):
-        ref_sorted = sorted(ref, key=lambda t: t.track_id)
-        cand_sorted = sorted(cand, key=lambda t: t.track_id)
-        structural_ok = ([_track_tuple(t) for t in ref_sorted]
-                         == [_track_tuple(t) for t in cand_sorted])
-        if not structural_ok:
+        mismatch = frame_mismatch(ref, cand)
+        if mismatch is not None:
             divergences.append(Divergence(
-                oracle, f"{label}: frame {frame} track structure differs",
+                oracle, f"{label}: frame {frame}{mismatch}",
                 {"frame": frame,
-                 "reference": [_track_dict(t) for t in ref_sorted],
-                 "candidate": [_track_dict(t) for t in cand_sorted]}))
-            continue
-        for r, c in zip(ref_sorted, cand_sorted):
-            if r.score != c.score:
-                divergences.append(Divergence(
-                    oracle, f"{label}: frame {frame} track {r.track_id} "
-                    f"score {r.score!r} vs {c.score!r}",
-                    {"frame": frame, "track_id": r.track_id,
-                     "reference_score": float(r.score),
-                     "candidate_score": float(c.score)}))
+                 "reference": [_track_dict(t) for t in
+                               sorted(ref, key=lambda t: t.track_id)],
+                 "candidate": [_track_dict(t) for t in
+                               sorted(cand, key=lambda t: t.track_id)]}))
     return divergences
 
 

@@ -19,7 +19,6 @@ default architecture — changes throughput, never results.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import traceback
 from collections import OrderedDict
 from typing import (
@@ -109,38 +108,6 @@ def build_matcher(spec: ScenarioSpec) -> Optional[GraphMatcher]:
 # ----------------------------------------------------------------------
 # execution context
 # ----------------------------------------------------------------------
-class _EngineSession:
-    """Minimal ``MissionSession`` stand-in: just the batch entry point.
-
-    ``DetectionEngine`` only calls ``session.detect_batch``; wrapping the
-    detector directly spares the fuzzer a full pipeline ``prepare()``
-    per scenario.
-    """
-
-    def __init__(self, detector: TaskDetector) -> None:
-        self._detector = detector
-
-    def detect_batch(self, scenes: Sequence[Scene],
-                     stride: Optional[int] = None) -> List[List[Detection]]:
-        return self._detector.detect_batch(scenes, stride=stride)
-
-
-class _CascadeEngineSession:
-    """Engine adapter over a cascade router that logs route decisions."""
-
-    def __init__(self, router) -> None:
-        self.router = router
-        self.decisions: List = []
-        self._lock = threading.Lock()
-
-    def detect_batch(self, scenes: Sequence[Scene],
-                     stride: Optional[int] = None) -> List[List[Detection]]:
-        results, decisions = self.router.detect_batch(scenes, stride=stride)
-        with self._lock:
-            self.decisions.extend(decisions)
-        return results
-
-
 @dataclasses.dataclass
 class ExecutionContext:
     """Everything the oracles need, materialized once per scenario.
@@ -196,12 +163,14 @@ class ExecutionContext:
 
     def run_engine(self, detector: TaskDetector,
                    scenes: Sequence[Scene]) -> List[List[Detection]]:
-        """Scenes through a real micro-batching engine over ``detector``."""
+        """Scenes through a real micro-batching engine over ``detector``
+        (the engine calls only ``detect_batch(scenes)``, which the
+        detector serves itself)."""
         from repro.serve.engine import DetectionEngine, EngineConfig
 
         config = EngineConfig(max_batch=self.spec.engine_max_batch,
                               workers=self.spec.engine_workers)
-        with DetectionEngine(_EngineSession(detector), config=config) as engine:
+        with DetectionEngine(detector, config=config) as engine:
             return engine.detect_many(scenes)
 
     def run_sharded_engine(self, detectors: Sequence[TaskDetector],
@@ -217,7 +186,9 @@ class ExecutionContext:
         to land on distinct shards, and its scenes alternate between
         them — so every detector's run genuinely crosses the process
         boundary on every shard, not just one.  Results are gathered in
-        submission order.
+        submission order.  A worker wraps each detector in a
+        :class:`DetectionEngine`, as it does any factory result without
+        an ``engine`` method.
         """
         from repro.serve.engine import EngineConfig
         from repro.serve.shard import (
@@ -243,7 +214,7 @@ class ExecutionContext:
                                 workers=self.spec.engine_workers),
             start_method="fork",
         )
-        with ShardRouter(lambda mission: _EngineSession(by_mission[mission]),
+        with ShardRouter(lambda mission: by_mission[mission],
                          config) as router:
             futures = [
                 [router.submit(scene, keys[index % num_shards])
@@ -328,14 +299,16 @@ class ExecutionContext:
         workers recorded (batch composition — hence decision *order* —
         depends on worker interleaving; the routes themselves do not).
         """
+        from repro.cascade.session import CascadeSession
         from repro.serve.engine import DetectionEngine, EngineConfig
 
-        session = _CascadeEngineSession(router)
+        session = CascadeSession(None, router)
         config = EngineConfig(max_batch=self.spec.engine_max_batch,
                               workers=self.spec.engine_workers)
         with DetectionEngine(session, config=config) as engine:
             results = engine.detect_many(scenes)
-        return results, [decision.route for decision in session.decisions]
+        return results, [decision.route
+                         for decision in session.drain_decisions()]
 
 
 def build_context(spec: ScenarioSpec,

@@ -32,9 +32,6 @@ class MemoryModel:
     def weights_fit(self, total_weight_bytes: int) -> bool:
         return total_weight_bytes <= self.config.weight_sram_kib * 1024
 
-    def activations_fit(self, peak_act_bytes: int) -> bool:
-        return peak_act_bytes <= self.config.act_sram_kib * 1024
-
     def check_layer(self, weight_bytes: int, act_bytes: int,
                     out_bytes: int) -> None:
         """Raise if a single layer cannot be resident during execution."""

@@ -19,7 +19,7 @@ test suite checks with hypothesis.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class GraphMatcher:
             self._plan_version = self.kg.version
         return self._plan
 
-    def _mass(self, probs: np.ndarray, family: str, values) -> np.ndarray:
-        indices = [attribute_index(family, v) for v in values]
-        return probs[..., indices].sum(axis=-1)
-
     def match_distributions(
         self, attribute_probs: Mapping[str, np.ndarray]
     ) -> MatchResult:
@@ -164,40 +160,6 @@ class GraphMatcher:
                 score = np.ones(batch, dtype=np.float64)
             score = np.clip(score * preference_factor, 0.0, 1.0)
             return MatchResult(score=score, per_constraint=breakdown)
-
-    def match_batch(
-        self,
-        attribute_probs: Mapping[str, np.ndarray],
-        counts: Sequence[int],
-    ) -> List[MatchResult]:
-        """Score several scenes' windows in one vectorized pass.
-
-        ``attribute_probs`` holds the scenes' rows concatenated along
-        axis 0; ``counts[i]`` is scene *i*'s row count.  Because scoring
-        is purely row-wise, one concatenated pass is bit-identical to
-        per-scene :meth:`match_distributions` calls while paying the
-        constraint-loop overhead once for the whole batch.
-        """
-        counts = list(counts)
-        first = next(iter(attribute_probs.values()), None)
-        batch = 0 if first is None else np.asarray(first).shape[0]
-        if sum(counts) != batch:
-            raise ValueError(
-                f"counts sum to {sum(counts)} but attribute rows total {batch}")
-        merged = self.match_distributions(attribute_probs)
-        results: List[MatchResult] = []
-        start = 0
-        for n in counts:
-            stop = start + n
-            results.append(MatchResult(
-                score=merged.score[start:stop],
-                per_constraint={
-                    key: values[start:stop]
-                    for key, values in merged.per_constraint.items()
-                },
-            ))
-            start = stop
-        return results
 
     # ------------------------------------------------------------------
     def match_profiles(self, profiles: List[Optional[AttributeProfile]]) -> MatchResult:

@@ -39,10 +39,6 @@ class QuantSpec:
             return 2 ** (self.bits - 1) - 1
         return 2 ** self.bits - 1
 
-    @property
-    def num_levels(self) -> int:
-        return self.qmax - self.qmin
-
     def storage_dtype(self):
         """Smallest numpy integer dtype that holds the quantized values."""
         if self.bits <= 8:

@@ -14,7 +14,7 @@ module (a test enforces it).
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,14 +41,14 @@ __all__ = [
 ]
 
 
-def windows_loop(scene: Scene, stride: Optional[int] = None
+def windows_loop(scene: Scene
                  ) -> Tuple[np.ndarray, List[Tuple[int, int, int, int]]]:
     """One-crop-per-placement window extraction (the seed builder).
 
     Returns the ``(N, C, S, S)`` windows and their boxes in scan order,
     as :meth:`TaskDetector.detect` places them.
     """
-    size, starts = TaskDetector._window_starts(scene, stride)
+    size, starts = TaskDetector._window_starts(scene)
     boxes: List[Tuple[int, int, int, int]] = []
     crops: List[np.ndarray] = []
     for y0 in starts:
@@ -142,8 +142,7 @@ def int64_kernels() -> Iterator[None]:
         QuantizedLinear.forward_integer, QuantizedLinear.__call__ = saved
 
 
-def detect_reference(detector: TaskDetector, scene: Scene,
-                     stride: Optional[int] = None) -> List[Detection]:
+def detect_reference(detector: TaskDetector, scene: Scene) -> List[Detection]:
     """:meth:`TaskDetector.detect` with the seed window loop and loop NMS.
 
     The forward (same chunk rule) and the scoring are the production
@@ -151,7 +150,7 @@ def detect_reference(detector: TaskDetector, scene: Scene,
     stages this is the oracle for; boxes, keep order and scores must
     match exactly.
     """
-    windows, boxes = windows_loop(scene, stride=stride)
+    windows, boxes = windows_loop(scene)
     predictions = predict_windows(
         detector.model, windows,
         batch_size=forward_chunk(len(boxes)))
@@ -159,8 +158,7 @@ def detect_reference(detector: TaskDetector, scene: Scene,
     combined = scores[2]
     rows = np.flatnonzero(combined >= detector.score_threshold)
     keep = nms_reference([boxes[i] for i in rows],
-                         [float(combined[i]) for i in rows],
-                         iou_threshold=detector.nms_iou)
+                         [float(combined[i]) for i in rows])
     kept = rows[keep]
     return build_detections([boxes[i] for i in kept], kept, predictions,
                             scores)

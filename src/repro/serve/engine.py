@@ -107,12 +107,11 @@ class EngineConfig:
 
 
 class _Job:
-    __slots__ = ("scene", "stride", "future", "enqueued_s", "ctx")
+    __slots__ = ("scene", "future", "enqueued_s", "ctx")
 
-    def __init__(self, scene: "Scene", stride: Optional[int],
+    def __init__(self, scene: "Scene",
                  ctx: Optional[RequestContext]) -> None:
         self.scene = scene
-        self.stride = stride
         self.future: "Future[List[Detection]]" = Future()
         self.enqueued_s = time.perf_counter()
         self.ctx = ctx
@@ -151,7 +150,7 @@ class DetectionEngine:
             return False
 
     # -- submission ----------------------------------------------------
-    def submit(self, scene: "Scene", stride: Optional[int] = None, *,
+    def submit(self, scene: "Scene", *,
                block: bool = True,
                timeout: Optional[float] = None,
                ctx: Optional[RequestContext] = None,
@@ -171,7 +170,7 @@ class DetectionEngine:
         if self._closed:
             raise EngineClosed("engine is closed")
         get_registry().observe("engine.queue_depth", self._queue.qsize())
-        job = _Job(scene, stride, ctx if ctx is not None else current_context())
+        job = _Job(scene, ctx if ctx is not None else current_context())
         try:
             self._queue.put(job, block=block, timeout=timeout)
         except queue.Full:
@@ -186,15 +185,14 @@ class DetectionEngine:
                 f"queue full ({self.config.queue_size} scenes)") from None
         return job.future
 
-    def detect_many(self, scenes: Sequence["Scene"],
-                    stride: Optional[int] = None) -> List[List["Detection"]]:
+    def detect_many(self, scenes: Sequence["Scene"]) -> List[List["Detection"]]:
         """Submit scenes and gather results in submission order.
 
         Ordering is deterministic regardless of worker interleaving:
         results are collected from the submission-ordered futures, not
         from completion order.
         """
-        futures = [self.submit(scene, stride=stride) for scene in scenes]
+        futures = [self.submit(scene) for scene in scenes]
         return [future.result() for future in futures]
 
     # -- lifecycle -----------------------------------------------------
@@ -288,47 +286,32 @@ class DetectionEngine:
                     parent_id=job.ctx.parent_span_id if job.ctx else None)
         # Futures resolve only after the batch span has closed, so a
         # caller woken by its result already sees this batch's
-        # ``engine.batch`` timer.  A stride group that succeeded keeps
-        # its results even when a later group raises.
-        served: List["tuple[_Job, List[Detection]]"] = []
-        error: Optional[BaseException] = None
+        # ``engine.batch`` timer.
         try:
             with obs.span("engine.batch", scenes=len(batch)) as batch_span:
-                # Jobs may carry different strides; group per stride so
-                # each group still shares one fused forward.
-                by_stride: "dict[Optional[int], List[_Job]]" = {}
-                for job in batch:
-                    by_stride.setdefault(job.stride, []).append(job)
-                for stride, jobs in by_stride.items():
-                    exec_start = time.perf_counter()
-                    try:
-                        scenes = [job.scene for job in jobs]
-                        if self._pass_contexts:
-                            results = self.session.detect_batch(
-                                scenes, stride=stride,
-                                contexts=[job.ctx for job in jobs])
-                        else:
-                            results = self.session.detect_batch(
-                                scenes, stride=stride)
-                    finally:
-                        self._record_execute(
-                            obs, jobs, exec_start, time.perf_counter(),
-                            batch_span)
-                    served.extend(zip(jobs, results))
-        except BaseException as exc:  # fail the rest of the batch, keep serving
-            error = exc
-        for job, detections in served:
-            job.future.set_result(detections)
-        if error is not None:
+                exec_start = time.perf_counter()
+                try:
+                    scenes = [job.scene for job in batch]
+                    if self._pass_contexts:
+                        results = self.session.detect_batch(
+                            scenes, contexts=[job.ctx for job in batch])
+                    else:
+                        results = self.session.detect_batch(scenes)
+                finally:
+                    self._record_execute(obs, batch, exec_start,
+                                         time.perf_counter(), batch_span)
+        except BaseException as exc:  # fail the batch, keep serving
             for job in batch:
-                if not job.future.done():
-                    job.future.set_exception(error)
+                job.future.set_exception(exc)
             sampler = get_sampler()
             if sampler is not None:
                 sampler.record_engine_error(
-                    error, scenes=len(batch), registry=obs,
+                    exc, scenes=len(batch), registry=obs,
                     trace_ids=[job.ctx.trace_id if job.ctx else None
                                for job in batch])
+            return
+        for job, detections in zip(batch, results):
+            job.future.set_result(detections)
 
     @staticmethod
     def _record_execute(obs, jobs: List[_Job], exec_start: float,

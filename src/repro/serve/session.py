@@ -151,14 +151,12 @@ class MissionSession:
         return self.result.kg.version != self._created_kg_version
 
     # -- serving -------------------------------------------------------
-    def detect(self, scene: "Scene",
-               stride: Optional[int] = None) -> List["Detection"]:
-        return self.detector.detect(scene, stride=stride)
+    def detect(self, scene: "Scene") -> List["Detection"]:
+        return self.detector.detect(scene)
 
-    def detect_batch(self, scenes: Sequence["Scene"],
-                     stride: Optional[int] = None) -> List[List["Detection"]]:
+    def detect_batch(self, scenes: Sequence["Scene"]) -> List[List["Detection"]]:
         """Fused multi-scene detection (see ``TaskDetector.detect_batch``)."""
-        return self.detector.detect_batch(scenes, stride=stride)
+        return self.detector.detect_batch(scenes)
 
     def evaluate(self, scenes: Sequence["Scene"],
                  object_cells_only: bool = False) -> float:

@@ -588,7 +588,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
 
     def handle_job(received_s: float, job_id: int, mission: str,
                    where: Tuple[int, int, Tuple[int, ...], str], shell,
-                   stride, ctx_wire) -> None:
+                   ctx_wire) -> None:
         if draining:
             reject(job_id)
             return
@@ -600,7 +600,7 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
                     "shard.receive", received_s, time.perf_counter(),
                     trace_id=ctx.trace_id if ctx is not None else None)
             engine = engine_for(mission)
-            future = engine.submit(scene, stride=stride, block=True, ctx=ctx)
+            future = engine.submit(scene, block=True, ctx=ctx)
         except Exception as exc:
             send(("error", job_id, _picklable_exc(exc)))
             return
@@ -648,16 +648,15 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
 # Front-end
 # ----------------------------------------------------------------------
 class _ShardJob:
-    __slots__ = ("job_id", "mission", "scene", "stride", "ctx_wire",
+    __slots__ = ("job_id", "mission", "scene", "ctx_wire",
                  "future", "primary", "tenant", "slot")
 
     def __init__(self, job_id: int, mission: str, scene: "Scene",
-                 stride: Optional[int], ctx_wire: Optional[dict],
+                 ctx_wire: Optional[dict],
                  primary: int, tenant: Optional[str]) -> None:
         self.job_id = job_id
         self.mission = mission
         self.scene = scene
-        self.stride = stride
         self.ctx_wire = ctx_wire
         self.future: "Future[List[Detection]]" = Future()
         self.primary = primary
@@ -865,7 +864,6 @@ class ShardRouter:
 
     # -- submission ----------------------------------------------------
     def submit(self, scene: "Scene", mission: str, *,
-               stride: Optional[int] = None,
                tenant: Optional[str] = None,
                block: bool = True,
                timeout: Optional[float] = None,
@@ -904,7 +902,7 @@ class ShardRouter:
                 self._tenant_inflight[tenant] = \
                     self._tenant_inflight.get(tenant, 0) + 1
 
-        job = _ShardJob(next(self._job_ids), mission, scene, stride,
+        job = _ShardJob(next(self._job_ids), mission, scene,
                         context_to_wire(ctx), self.shard_for(mission),
                         tenant)
         if cap is not None and tenant is not None:
@@ -940,16 +938,10 @@ class ShardRouter:
             job.future.exception()  # mark retrieved
 
     def detect_many(self, scenes: Sequence["Scene"], mission: str,
-                    stride: Optional[int] = None,
                     ) -> List[List["Detection"]]:
         """Submit scenes for one mission; gather in submission order."""
-        futures = [self.submit(scene, mission, stride=stride)
-                   for scene in scenes]
+        futures = [self.submit(scene, mission) for scene in scenes]
         return [future.result() for future in futures]
-
-    @property
-    def queue_depths(self) -> List[int]:
-        return [handle.queue.qsize() for handle in self._handles]
 
     # -- dispatcher / reader threads -----------------------------------
     def _dispatch_loop(self, handle: _WorkerHandle) -> None:
@@ -971,7 +963,7 @@ class ShardRouter:
                     "job", item.job_id, item.mission,
                     (slot, arena.slot_bytes, image.shape, image.dtype.str),
                     dataclasses.replace(item.scene, image=None, objects=[]),
-                    item.stride, item.ctx_wire)
+                    item.ctx_wire)
             except Exception as exc:  # fail the job, keep dispatching
                 arena.release(slot)
                 if not item.future.done():

@@ -7,7 +7,7 @@ exact gating (``motion_threshold == 0``) a gated pass must reproduce the
 full-recompute tracks *bit for bit*, on either model configuration.
 The E14 benchmark (``benchmarks/bench_e14_stream.py``) and the
 end-to-end streaming workloads (``benchmarks/e2e``) use both; the
-differential fuzzer shares :data:`TRACK_FIELDS`.
+differential fuzzer checks each frame with :func:`frame_mismatch`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from repro.stream.tracker import Track
 #: Per-camera seed stride (any constant works; primes read well).
 CAMERA_SEED_STRIDE = 7907
 
-#: The ``Track`` fields two runs must agree on exactly (scores are
-#: compared separately, also bitwise).
+#: The ``Track`` fields two runs must agree on exactly, besides the
+#: score (also bitwise).
 TRACK_FIELDS = ("track_id", "cell", "first_frame", "last_frame", "active",
                 "missed")
 
@@ -48,35 +48,39 @@ def materialize_cameras(
     return cameras
 
 
+def frame_mismatch(reference: Sequence[Track],
+                   candidate: Sequence[Track]) -> Optional[str]:
+    """First mismatch between one frame's two track lists, or ``None``.
+
+    Tracks pair up by id; :data:`TRACK_FIELDS` and the score must match
+    bitwise.  The message continues a frame label: ``": 2 vs 3 tracks"``
+    or ``" track 4: score 0.5 != 0.25"``.
+    """
+    ref_sorted = sorted(reference, key=lambda t: t.track_id)
+    cand_sorted = sorted(candidate, key=lambda t: t.track_id)
+    if len(ref_sorted) != len(cand_sorted):
+        return f": {len(ref_sorted)} vs {len(cand_sorted)} tracks"
+    for r, c in zip(ref_sorted, cand_sorted):
+        for field in TRACK_FIELDS + ("score",):
+            if getattr(r, field) != getattr(c, field):
+                return (f" track {r.track_id}: {field} "
+                        f"{getattr(r, field)!r} != {getattr(c, field)!r}")
+    return None
+
+
 def compare_snapshots(
     reference: Sequence[Sequence[Sequence[Track]]],
     candidate: Sequence[Sequence[Sequence[Track]]],
 ) -> Optional[str]:
-    """First mismatch between two per-camera snapshot sets, or ``None``.
-
-    Structural fields (ids, cells, lifecycle frames, missed counts) and
-    scores must match exactly.
-    """
+    """First mismatch between two per-camera snapshot sets, or ``None``
+    (each frame checked by :func:`frame_mismatch`)."""
     if len(reference) != len(candidate):
         return f"camera count {len(reference)} != {len(candidate)}"
     for cam, (ref_cam, cand_cam) in enumerate(zip(reference, candidate)):
         if len(ref_cam) != len(cand_cam):
             return f"camera {cam}: frame count differs"
         for frame, (ref, cand) in enumerate(zip(ref_cam, cand_cam)):
-            ref_sorted = sorted(ref, key=lambda t: t.track_id)
-            cand_sorted = sorted(cand, key=lambda t: t.track_id)
-            if len(ref_sorted) != len(cand_sorted):
-                return (f"camera {cam} frame {frame}: "
-                        f"{len(ref_sorted)} vs {len(cand_sorted)} tracks")
-            for r, c in zip(ref_sorted, cand_sorted):
-                for field in TRACK_FIELDS:
-                    if getattr(r, field) != getattr(c, field):
-                        return (f"camera {cam} frame {frame} track "
-                                f"{r.track_id}: {field} "
-                                f"{getattr(r, field)!r} != "
-                                f"{getattr(c, field)!r}")
-                if r.score != c.score:
-                    return (f"camera {cam} frame {frame} track "
-                            f"{r.track_id}: score {r.score!r} != "
-                            f"{c.score!r}")
+            mismatch = frame_mismatch(ref, cand)
+            if mismatch is not None:
+                return f"camera {cam} frame {frame}{mismatch}"
     return None

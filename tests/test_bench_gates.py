@@ -44,9 +44,9 @@ def test_e11_workload_rejects_an_engine_that_drops_a_detection(monkeypatch):
 
     detect_many = DetectionEngine.detect_many
 
-    def dropping(engine, scenes, stride=None):
+    def dropping(engine, scenes):
         return [detections[:-1]
-                for detections in detect_many(engine, scenes, stride)]
+                for detections in detect_many(engine, scenes)]
 
     monkeypatch.setattr(DetectionEngine, "detect_many", dropping)
     # The check runs at score threshold 0.0, so the smoke's 16 scenes

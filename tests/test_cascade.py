@@ -172,13 +172,13 @@ class TestRouterRouting:
         class CountingDetector(TaskDetector):
             calls = 0
 
-            def detect_batch_with_signals(self, scenes, stride=None):
+            def detect_batch_with_signals(self, scenes):
                 type(self).calls += 1
-                return super().detect_batch_with_signals(scenes, stride=stride)
+                return super().detect_batch_with_signals(scenes)
 
-            def detect_batch(self, scenes, stride=None):
+            def detect_batch(self, scenes):
                 type(self).calls += 1
-                return super().detect_batch(scenes, stride=stride)
+                return super().detect_batch(scenes)
 
         float_model, _ = model_pair
         specialist = CountingDetector(float_model, score_threshold=0.0)

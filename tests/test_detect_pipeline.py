@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data import SceneConfig, SceneGenerator, get_task
 from repro.data.datasets import background_class_id, num_classes
 from repro.data.scenes import Scene
 from repro.detect import TaskDetector, predict_windows, task_accuracy
+from repro.detect.boxes import _descending_order, nms
 from repro.kg import GraphMatcher, SimulatedLLM
 from repro.obs import get_registry
 from repro.quant import quantize_vit
@@ -16,6 +18,14 @@ from repro.reference import detect_reference, int64_kernels, windows_loop
 @pytest.fixture(scope="module")
 def scene():
     return SceneGenerator(SceneConfig(), seed=21).generate()
+
+
+@pytest.fixture(scope="module")
+def ragged_scene():
+    """A 100-pixel side over 32-pixel cells: 3 x 3 whole cells plus a
+    4-pixel edge that no window covers."""
+    image = np.random.default_rng(22).random((3, 100, 100)).astype(np.float32)
+    return Scene(image=image, objects=[], grid=3, cell_size=32)
 
 
 class TestPredictWindows:
@@ -78,12 +88,6 @@ class TestTaskDetector:
         windows, boxes = detector._windows_all([scene])
         assert windows.shape[0] == scene.grid ** 2 == len(boxes)
 
-    def test_sliding_stride(self, student_vit, scene):
-        detector = TaskDetector(student_vit, score_threshold=0.0)
-        windows, _ = detector._windows_all([scene], stride=16)
-        expected = ((scene.size - scene.cell_size) // 16 + 1) ** 2
-        assert windows.shape[0] == expected
-
     def test_threshold_zero_fires_everywhere(self, student_vit, scene):
         detector = TaskDetector(student_vit, score_threshold=0.0)
         detections = detector.detect(scene)
@@ -133,24 +137,50 @@ class TestTaskDetector:
         assert loop_boxes == []
         assert detect_reference(detector, tiny) == []
 
-    def test_windows_vectorized_matches_loop(self, student_vit, scene):
+    def test_windows_vectorized_matches_loop(self, student_vit, scene,
+                                             ragged_scene):
         detector = TaskDetector(student_vit, score_threshold=0.0)
-        for stride in (None, 16, 24):
-            windows, boxes = detector._windows_all([scene], stride=stride)
-            loop_windows, loop_boxes = windows_loop(scene, stride=stride)
+        for case in (scene, ragged_scene):
+            windows, boxes = detector._windows_all([case])
+            loop_windows, loop_boxes = windows_loop(case)
             assert [tuple(box) for box in boxes.tolist()] == loop_boxes
             np.testing.assert_array_equal(windows, loop_windows)
 
-    def test_detect_vectorized_matches_reference(self, student_vit, scene):
+    def test_ragged_scene_tiles_whole_cells(self, student_vit, ragged_scene):
+        detector = TaskDetector(student_vit, score_threshold=0.0)
+        _, boxes = detector._windows_all([ragged_scene])
+        assert len(boxes) == 9
+        assert boxes[:, 2:].max() == 96 < ragged_scene.size
+
+    def test_detect_vectorized_matches_reference(self, student_vit, scene,
+                                                 ragged_scene):
         task = get_task("stop_control")
         matcher = GraphMatcher(SimulatedLLM().generate_for_task(task))
         for threshold in (0.0, 0.3):
             detector = TaskDetector(student_vit, matcher=matcher,
                                     score_threshold=threshold)
-            for stride in (None, 16, 24):
-                _assert_bit_equal(
-                    detector.detect(scene, stride=stride),
-                    detect_reference(detector, scene, stride=stride))
+            for case in (scene, ragged_scene):
+                _assert_bit_equal(detector.detect(case),
+                                  detect_reference(detector, case))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.integers(1, 6), cell=st.integers(1, 40),
+           ragged=st.integers(0, 39), data=st.data())
+    def test_nms_on_a_tiling_is_the_stable_score_sort(self, student_vit,
+                                                      grid, cell, ragged,
+                                                      data):
+        """Tiles never overlap, so NMS keeps every candidate, in the
+        stable descending score order (ties by ascending index)."""
+        side = grid * cell + ragged % cell
+        tiling = Scene(image=np.zeros((1, side, side), np.float32),
+                       objects=[], grid=grid, cell_size=cell)
+        _, boxes = TaskDetector(student_vit)._windows_all([tiling])
+        hits = np.array(sorted(data.draw(st.sets(
+            st.integers(0, len(boxes) - 1), min_size=1))))
+        scores = data.draw(st.lists(
+            st.sampled_from([0.0, 0.35, 0.5, 0.9, 1.0]),
+            min_size=hits.size, max_size=hits.size))
+        assert nms(boxes[hits], scores) == _descending_order(scores).tolist()
 
     def test_task_accuracy_range(self, student_vit):
         task = get_task("roadside_hazards")
@@ -228,14 +258,14 @@ class TestOneDetectionPath:
                                     score_threshold=0.45)
             registry.reset()
             batch, signals = detector.detect_batch_with_signals(
-                scenes, stride=16)
+                scenes)
             [root] = registry.span_tree()
             assert root["name"] == "detect.batch_total"
             assert root["attrs"]["fused"] is fused
             assert [s.num_windows for s in signals] == [
-                len(windows_loop(scene, stride=16)[1]) for scene in scenes]
+                len(windows_loop(scene)[1]) for scene in scenes]
             for scene, detections in zip(scenes, batch):
-                reference = detect_reference(detector, scene, stride=16)
+                reference = detect_reference(detector, scene)
                 _assert_bit_equal(detections, reference)
 
     def test_quantized_detect_bit_equals_int64_kernels(self, student_vit,
@@ -244,7 +274,7 @@ class TestOneDetectionPath:
             (16, 3, 32, 32)).astype(np.float32)
         detector = TaskDetector(quantize_vit(student_vit, calibration),
                                 matcher=matcher, score_threshold=0.0)
-        fast = detector.detect(scene, stride=16)
+        fast = detector.detect(scene)
         with int64_kernels():
-            reference = detect_reference(detector, scene, stride=16)
+            reference = detect_reference(detector, scene)
         _assert_bit_equal(fast, reference)

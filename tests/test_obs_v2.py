@@ -504,13 +504,8 @@ class TestSLOs:
         from repro.detect import TaskDetector
 
         detector = TaskDetector(student_vit, score_threshold=0.0)
-
-        class Session:
-            def detect_batch(self, scenes, stride=None):
-                return detector.detect_batch(scenes, stride=stride)
-
         scenes = SceneGenerator(SceneConfig(grid=2), seed=0).generate_batch(2)
-        with DetectionEngine(Session(), EngineConfig(max_batch=2)) as engine:
+        with DetectionEngine(detector, EngineConfig(max_batch=2)) as engine:
             engine.detect_many(scenes)
         recorded = global_registry.snapshot()["timers"]
         latency = [slo for slo in default_slos() if slo.kind == "latency"]
@@ -759,7 +754,7 @@ class TestSampler:
 class _EchoSession:
     """Duck-typed session: the engine only needs detect_batch."""
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         time.sleep(0.001)
         return [("det", scene) for scene in scenes]
 
@@ -768,7 +763,7 @@ class _ContextSession(_EchoSession):
     def __init__(self):
         self.contexts = []
 
-    def detect_batch(self, scenes, stride=None, contexts=None):
+    def detect_batch(self, scenes, contexts=None):
         self.contexts.append(list(contexts or []))
         return [("det", scene) for scene in scenes]
 
@@ -777,7 +772,7 @@ class _GatedSession:
     def __init__(self):
         self.gate = threading.Event()
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         assert self.gate.wait(timeout=10.0)
         return [("det", scene) for scene in scenes]
 

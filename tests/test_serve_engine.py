@@ -6,9 +6,9 @@ Covers the three layers of the serving stack:
   semantics, fingerprint sensitivity, explicit invalidation, and the
   regression guarantee that repeated ``detect()`` calls prepare the
   mission (LLM extraction included) exactly once;
-* ``TaskDetector.detect_batch`` / ``GraphMatcher.match_batch`` /
-  ``StreamingDetector.update_many`` — fused multi-scene execution must
-  reproduce the sequential per-scene paths;
+* ``TaskDetector.detect_batch`` / ``StreamingDetector.update_many`` —
+  fused multi-scene execution must reproduce the sequential per-scene
+  paths;
 * :class:`repro.serve.DetectionEngine` — queued micro-batching with
   deterministic ordering, graceful shutdown, error isolation, and
   telemetry.
@@ -62,24 +62,21 @@ class CountingLLM(SimulatedLLM):
 
 
 class GatedEchoSession:
-    """Model-free session: blocks each batch until ``release`` is set,
-    returns empty detections, and raises for ``fail_stride``.
+    """Model-free session: blocks each batch until ``release`` is set
+    and returns empty detections.
 
     ``entered`` is set once a batch is inside ``detect_batch``, and
     ``batch_sizes`` lists every batch's size in call order."""
 
-    def __init__(self, release, fail_stride=None):
+    def __init__(self, release):
         self.release = release
-        self.fail_stride = fail_stride
         self.entered = threading.Event()
         self.batch_sizes = []
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         self.batch_sizes.append(len(scenes))
         self.entered.set()
         self.release.wait(timeout=10.0)
-        if stride is not None and stride == self.fail_stride:
-            raise ValueError(f"stride {stride} rejected")
         return [[] for _ in scenes]
 
 
@@ -288,31 +285,6 @@ class TestDetectBatch:
     def test_empty_batch(self, pipeline, spec):
         assert pipeline.session(spec).detect_batch([]) == []
 
-    def test_match_batch_equals_per_scene(self):
-        kg = SimulatedLLM().generate_for_task(get_task(TASK))
-        matcher = GraphMatcher(kg)
-        rng = np.random.default_rng(3)
-        counts = [4, 0, 7]
-        total = sum(counts)
-        probs = {}
-        for family, cardinality in attribute_head_spec():
-            raw = rng.random((total, cardinality))
-            probs[family] = raw / raw.sum(axis=-1, keepdims=True)
-        merged = matcher.match_batch(probs, counts)
-        start = 0
-        for count, result in zip(counts, merged):
-            stop = start + count
-            single = matcher.match_distributions(
-                {f: p[start:stop] for f, p in probs.items()})
-            np.testing.assert_array_equal(result.score, single.score)
-            start = stop
-
-    def test_match_batch_count_mismatch(self):
-        kg = SimulatedLLM().generate_for_task(get_task(TASK))
-        matcher = GraphMatcher(kg)
-        with pytest.raises(ValueError):
-            matcher.match_batch({"color": np.ones((3, 5)) / 5.0}, [1, 1])
-
     def test_update_many_equals_repeated_update(self, pipeline, spec, scenes):
         from repro.stream import StreamingDetector
 
@@ -441,27 +413,6 @@ class TestDetectionEngine:
             release.set()
             assert future.result(timeout=10.0) == []
         assert seen == [1]
-
-    def test_failing_stride_group_keeps_earlier_group_results(self):
-        registry = get_registry()
-        registry.reset()
-        release = threading.Event()
-        session = GatedEchoSession(release, fail_stride=4)
-        config = EngineConfig(max_batch=2)
-        with DetectionEngine(session, config) as engine:
-            gate = engine.submit("gate")
-            assert session.entered.wait(timeout=10.0)
-            # Both queue behind the gated batch, so they share the next.
-            good = engine.submit("a")
-            bad = engine.submit("b", stride=4)
-            release.set()
-            assert gate.result(timeout=10.0) == []
-            assert good.result(timeout=10.0) == []
-            with pytest.raises(ValueError, match="stride 4"):
-                bad.result(timeout=10.0)
-        # One batch for the gate, one shared by both stride groups.
-        assert registry.counters["engine.batches"].value == 2
-        assert session.batch_sizes == [1, 1, 1]
 
     def test_engine_telemetry(self, pipeline, spec, scenes):
         registry = get_registry()

@@ -102,8 +102,8 @@ class DetectorSession:
     def __init__(self, detector: TaskDetector) -> None:
         self._detector = detector
 
-    def detect_batch(self, scenes, stride=None):
-        return self._detector.detect_batch(scenes, stride=stride)
+    def detect_batch(self, scenes):
+        return self._detector.detect_batch(scenes)
 
 
 class QuantizedSessionFactory:
@@ -129,7 +129,7 @@ class SlowEchoSession:
     def __init__(self, delay_s: float) -> None:
         self.delay_s = delay_s
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         if self.delay_s:
             time.sleep(self.delay_s)
         return [[] for _ in scenes]
@@ -159,11 +159,11 @@ class GroundTruthBlindSession(DetectorSession):
     """The quantized detector, failing any batch whose scenes carry
     ground-truth objects into the worker."""
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         carried = [len(scene.objects) for scene in scenes]
         if any(carried):
             raise AssertionError(f"worker received objects: {carried}")
-        return super().detect_batch(scenes, stride=stride)
+        return super().detect_batch(scenes)
 
 
 class GroundTruthBlindSessionFactory:
@@ -177,9 +177,9 @@ class SlowEchoDetectorSession(DetectorSession):
         super().__init__(detector)
         self.delay_s = delay_s
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         time.sleep(self.delay_s)
-        return super().detect_batch(scenes, stride=stride)
+        return super().detect_batch(scenes)
 
 
 class InspectSession:
@@ -187,7 +187,7 @@ class InspectSession:
     dtype, whether the array is writeable, and whether a write was
     refused."""
 
-    def detect_batch(self, scenes, stride=None):
+    def detect_batch(self, scenes):
         reports = []
         for scene in scenes:
             image = scene.image
@@ -505,15 +505,14 @@ class TestLifecycle:
             # The draining worker rejects before it reads the slot, so
             # the message may name any slot of the arena.
             handle = router._handles[0]
-            raced = _ShardJob(1_000_000, mission, scenes[0], None, None,
-                              0, None)
+            raced = _ShardJob(1_000_000, mission, scenes[0], None, 0, None)
             image = scenes[0].image
             with handle.lock:
                 handle.pending[raced.job_id] = raced
             assert handle.send((
                 "job", raced.job_id, mission,
                 (0, handle.arena.slot_bytes, image.shape, image.dtype.str),
-                dataclasses.replace(scenes[0], image=None), None, None))
+                dataclasses.replace(scenes[0], image=None), None))
 
             # New submits route around the draining shard.
             later = [router.submit(scenes[i % len(scenes)], mission)
@@ -979,7 +978,7 @@ STUCK_WORKER_SCRIPT = textwrap.dedent("""
     shard._TERM_GRACE_S = 1.0
 
     class Stuck:
-        def detect_batch(self, scenes, stride=None):
+        def detect_batch(self, scenes):
             threading.Event().wait()
 
     router = ShardRouter(lambda mission: Stuck(), ShardConfig(
