@@ -32,10 +32,12 @@ float32) without rounding.  At construction the layer
 
 ``forward_integer`` and ``__call__`` then run one BLAS GEMM over the
 zero-point-shifted float codes and requantize with constants fused at
-construction, in one grow-only scratch arena per thread; under
-``reuse_output`` the output lives there too, so the next call on that
-thread overwrites it, whatever its row count.  The original int64
-matmul is kept verbatim as
+construction.  The kernel keeps no per-call state: codes, accumulator
+and output are allocated on every call, so a returned output is never
+overwritten by a later call, threads share nothing but the frozen
+weights, and a forward's working memory is freed when it returns.
+
+The original int64 matmul is kept verbatim as
 :func:`repro.reference.forward_integer_reference` — the bit-exactness
 oracle that property tests assert against (run a whole model on it
 under :func:`repro.reference.int64_kernels`).
@@ -43,7 +45,6 @@ under :func:`repro.reference.int64_kernels`).
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -63,7 +64,7 @@ _F32_EXACT_BOUND = 2 ** 24
 
 # Rows-per-block budget (in elements) for the chunked elementwise
 # passes: the float64 quantize/requant intermediates are streamed
-# through a ~256 KiB scratch block that stays cache-resident instead of
+# through one ~256 KiB block per call that stays cache-resident instead of
 # being materialised at full batch size, which would round-trip several
 # MiB of float64 through memory per site.  Chunking is invisible to the
 # results — every pass is elementwise, so blocking cannot change a bit.
@@ -129,21 +130,6 @@ class QuantizedLinear:
             np.float32 if k * amax * wmax <= _F32_EXACT_BOUND else np.float64)
         self._packed_weight = np.ascontiguousarray(
             self.weight_q.T.astype(self._gemm_dtype))
-        # Per-thread scratch arena (codes / accumulator / requant
-        # intermediate, see ``_scratch_for``).  Cycling three multi-MB
-        # allocations per call costs more than the GEMM itself; reuse
-        # keeps the pages hot.  Thread-local because the serving engine
-        # may run concurrent workers over one model.
-        self._scratch = threading.local()
-        # When True, the kernel returns a view of the thread's arena
-        # that the NEXT call on that thread overwrites, whatever its
-        # row count.  Only safe for callers that fully consume the
-        # result before invoking the layer again —
-        # :func:`~repro.quant.vit.quantize_vit` enables it for hidden
-        # sites (``_vit_forward`` calls each once per pass and consumes
-        # the output at once) and keeps it off for head sites, whose
-        # outputs the detect path accumulates across chunked forwards.
-        self.reuse_output = False
 
     # ------------------------------------------------------------------
     @property
@@ -174,38 +160,6 @@ class QuantizedLinear:
         """Activations → integer codes with the frozen act parameters."""
         return quantize_array(x, self.act_params)
 
-    def _scratch_for(self, m: int) -> dict:
-        """This thread's scratch arena, grown to hold an ``m``-row forward.
-
-        ``q`` (float64 codes), ``codes`` (float32 codes, narrow-GEMM path
-        only), ``acc`` (GEMM output), ``y`` (float64 requant
-        intermediate) and ``out`` (float32 result, handed out only under
-        :attr:`reuse_output`).  One buffer set per thread, grown to the
-        largest row count seen; callers use the ``[:m]`` prefix of the
-        row-sized buffers and stream through the chunk-sized blocks.
-        Every buffer is fully overwritten before it is read on each
-        call, so reuse cannot leak state between batches — outputs stay
-        bit-identical and batch-invariant.
-        """
-        arena = getattr(self._scratch, "arena", None)
-        if arena is None or arena["acc"].shape[0] < m:
-            n, k = self.weight_q.shape
-            narrow = self._gemm_dtype is np.float32
-            # On the narrow path the float64 intermediates are
-            # chunk-sized scratch blocks (see ``_CHUNK_ELEMS``); on the
-            # wide path ``q`` feeds the GEMM directly and must hold the
-            # whole batch.
-            q_rows = min(m, max(1, _CHUNK_ELEMS // k)) if narrow else m
-            y_rows = min(m, max(1, _CHUNK_ELEMS // n))
-            arena = self._scratch.arena = {
-                "q": np.empty((q_rows, k), dtype=np.float64),
-                "codes": np.empty((m, k), dtype=np.float32) if narrow else None,
-                "acc": np.empty((m, n), dtype=self._gemm_dtype),
-                "y": np.empty((y_rows, n), dtype=np.float64) if narrow else None,
-                "out": np.empty((m, n), dtype=np.float32),
-            }
-        return arena
-
     def _quantize_codes_shifted(self, x: np.ndarray) -> np.ndarray:
         """Activations → zero-point-shifted codes (q − z_x) in the GEMM's
         float dtype.
@@ -216,8 +170,7 @@ class QuantizedLinear:
         path needs no add pass, no integer-storage round trip — and the
         GEMM over shifted codes needs no correction subtraction at all.
         """
-        m = x.shape[0]
-        bufs = self._scratch_for(m)
+        m, k = x.shape
         if self._gemm_dtype is np.float32:
             # Fuse the float32 cast into the rint pass: rounded codes
             # within the clip range are integers ≤ 2^24, exact in
@@ -225,9 +178,9 @@ class QuantizedLinear:
             # which the clip maps to the same bound either way.  The
             # float64 quotient only ever lives in a cache-resident
             # chunk; rint/clip run while that block is hot.
-            codes = bufs["codes"][:m]
-            scratch = bufs["q"]
-            step = scratch.shape[0]
+            codes = np.empty((m, k), dtype=np.float32)
+            step = max(1, _CHUNK_ELEMS // k)
+            scratch = np.empty((min(m, step), k), dtype=np.float64)
             for start in range(0, m, step):
                 stop = min(start + step, m)
                 block = scratch[: stop - start]
@@ -238,7 +191,7 @@ class QuantizedLinear:
                 np.clip(rounded, self._shift_qmin, self._shift_qmax,
                         out=rounded)
             return codes
-        q = np.divide(x, self._act_scale, out=bufs["q"][:m], dtype=np.float64)
+        q = np.divide(x, self._act_scale, dtype=np.float64)
         np.rint(q, out=q)
         np.clip(q, self._shift_qmin, self._shift_qmax, out=q)
         return q
@@ -253,32 +206,26 @@ class QuantizedLinear:
         casts the exact integer accumulator to float64 and scales it in
         one pass, matching the reference's op order.
         """
-        m = q.shape[0]
-        bufs = self._scratch_for(m)
-        acc = np.matmul(q, self._packed_weight, out=bufs["acc"][:m])
-        out = (bufs["out"][:m] if self.reuse_output
-               else np.empty(acc.shape, dtype=np.float32))
+        acc = np.matmul(q, self._packed_weight)
+        out = np.empty(acc.shape, dtype=np.float32)
         # Every multiply/add below computes in float64 (ufunc type
         # resolution ignores the float32 ``out``) and casts on store, so
         # the op order — and therefore every bit — matches the
         # reference's astype(float64)·scale + bias → float32 chain.
-        if acc.dtype != np.float64:
-            if self.bias is None:
-                np.multiply(acc, self._requant_scale, out=out,
-                            casting="same_kind")
-            else:
-                scratch = bufs["y"]
-                step = scratch.shape[0]
-                for start in range(0, acc.shape[0], step):
-                    stop = min(start + step, acc.shape[0])
-                    block = scratch[: stop - start]
-                    np.multiply(acc[start:stop], self._requant_scale,
-                                out=block)
-                    np.add(block, self.bias, out=out[start:stop],
-                           casting="same_kind")
-        elif self.bias is None:
+        if self.bias is None:
             np.multiply(acc, self._requant_scale, out=out,
                         casting="same_kind")
+        elif acc.dtype != np.float64:
+            m, n = acc.shape
+            step = max(1, _CHUNK_ELEMS // n)
+            scratch = np.empty((min(m, step), n), dtype=np.float64)
+            for start in range(0, m, step):
+                stop = min(start + step, m)
+                block = scratch[: stop - start]
+                np.multiply(acc[start:stop], self._requant_scale,
+                            out=block)
+                np.add(block, self.bias, out=out[start:stop],
+                       casting="same_kind")
         else:
             acc *= self._requant_scale
             np.add(acc, self.bias, out=out, casting="same_kind")

@@ -1,11 +1,16 @@
 """Whole-model quantization of the Vision Transformer.
 
-The quantized configuration runs every GEMM (patch projection, QKV,
-attention output, MLP, heads) in integer arithmetic via
-:class:`~repro.quant.QuantizedLinear`, while LayerNorm, softmax, and GELU
-stay in float — the standard int8 ViT deployment recipe, and exactly the
-split the hardware accelerator implements (GEMMs on the systolic array,
-the rest on the vector unit).
+The quantized configuration runs every weight GEMM (patch projection,
+QKV, attention output, MLP, heads) in integer arithmetic via
+:class:`~repro.quant.QuantizedLinear`, while LayerNorm, softmax, GELU
+and the two per-head attention products (``scores`` = q·kᵀ and
+``context`` = softmax·v, on the dequantized qkv) stay in float — the
+standard int8 ViT deployment recipe.  The hardware accelerator splits
+the work the same way for the weight GEMMs (systolic array) and the
+vector ops (vector unit), but not for attention: ``Compiler.compile``
+prices ``scores`` and ``context`` as 8-bit GEMMs on the systolic array,
+which no CPU forward computes (see "The accelerator computes what it
+prices" in ROADMAP.md).
 
 Calibration and quantized inference both run the one ViT inference
 forward, :func:`repro.nn.inference._vit_forward`: calibration with float
@@ -158,11 +163,4 @@ def quantize_vit(
             )
             for site in sites
         }
-        for site, layer in layers.items():
-            # Hidden-site outputs die inside one ``_vit_forward`` pass,
-            # so those kernels may hand out reusable scratch buffers.
-            # Head outputs are returned to the caller (and accumulated
-            # across chunked forwards by the detect path) — they must
-            # stay freshly allocated.
-            layer.reuse_output = site.startswith(("patch_proj", "block"))
     return QuantizedVisionTransformer(model=model, layers=layers)

@@ -19,7 +19,10 @@ share one model forward.  The :class:`DetectionEngine` bridges the two:
   gathers results **in submission order**, independent of how workers
   interleave, so callers see deterministic ordering;
 * :meth:`DetectionEngine.close` (or the context manager) drains
-  outstanding work, then stops the workers.
+  outstanding work, then stops the workers;
+* a future its caller cancels while the scene is queued is dropped
+  when a worker claims the batch, so it never reaches the session;
+  once claimed, ``cancel()`` returns ``False``.
 
 Observability: every flush records the ``engine.batch_size`` and
 ``engine.queue_depth`` distributions, the ``engine.{scenes,batches}``
@@ -221,7 +224,8 @@ class DetectionEngine:
                     item = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if item is not _SENTINEL and not item.future.done():
+                if (item is not _SENTINEL
+                        and item.future.set_running_or_notify_cancel()):
                     item.future.set_exception(
                         EngineClosed("engine closed before scene was served"))
 
@@ -270,6 +274,13 @@ class DetectionEngine:
                 return
 
     def _flush(self, batch: List[_Job]) -> None:
+        # Claim each job before the batch is built: a job whose caller
+        # cancelled it while queued is dropped, and a claimed future can
+        # no longer be cancelled, so resolving it below cannot raise.
+        batch = [job for job in batch
+                 if job.future.set_running_or_notify_cancel()]
+        if not batch:
+            return
         obs = get_registry()
         flush_start = time.perf_counter()
         if obs.enabled:

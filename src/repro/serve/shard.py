@@ -59,11 +59,18 @@ remains do futures fail with :class:`ShardClosed`.  ``close()`` never
 leaves a process behind: a worker that does not exit within its grace
 period is sent SIGTERM, then SIGKILL, and joined.
 
+Cancellation: the dispatcher claims each job's future before it takes
+a slot (:meth:`~concurrent.futures.Future.set_running_or_notify_cancel`).
+A job cancelled while queued in the front-end is dropped there — no
+slot, no message — and a dispatched job can no longer be cancelled, so
+its reply always resolves it.
+
 Determinism: routing is a pure hash of the mission fingerprint, shards
 serve disjoint missions, and per-shard results come from the same
-engine/session code path as single-process serving — so with a
-batch-invariant (quantized) model, sharded results are bit-for-bit the
-single-process results (the ``sharded_engine`` fuzz oracle pins this).
+engine/session code path as single-process serving.  Both
+configurations, float and quantized, are exactly batch-invariant, so
+sharded results are bit-for-bit the single-process results (the
+``sharded_engine`` fuzz oracle pins this for both).
 
 Start methods: ``fork`` (the default where available) lets tests and
 benchmarks pass closure factories and inherits nothing mutable that
@@ -392,6 +399,21 @@ def _json_roundtrip(doc: Dict[str, Any]) -> Dict[str, Any]:
     import json
 
     return json.loads(json.dumps(doc))
+
+
+def _claim(future: Future) -> bool:
+    """Mark a job's future running; ``False`` when the caller cancelled
+    it (or it is already resolved), so the job is dropped.
+
+    Only the thread holding the job claims it.  A claimed future can no
+    longer be cancelled, so resolving it later cannot raise.  A rerouted
+    job was claimed by its first dispatcher and stays claimed.
+    """
+    if future.running():
+        return True
+    if future.done():
+        return False
+    return future.set_running_or_notify_cancel()
 
 
 def _picklable_exc(exc: BaseException) -> BaseException:
@@ -950,6 +972,8 @@ class ShardRouter:
             item = handle.queue.get()
             if item is _STOP:
                 return
+            if not _claim(item.future):
+                continue
             image = item.scene.image
             waited_s = time.perf_counter()
             slot = arena.acquire(image.nbytes) if handle.live else None
@@ -966,8 +990,7 @@ class ShardRouter:
                     item.ctx_wire)
             except Exception as exc:  # fail the job, keep dispatching
                 arena.release(slot)
-                if not item.future.done():
-                    item.future.set_exception(exc)
+                item.future.set_exception(exc)
                 continue
             item.slot = slot
             with handle.lock:
@@ -1060,7 +1083,7 @@ class ShardRouter:
 
     def _reroute(self, job: _ShardJob, exclude: int) -> None:
         """Requeue a job on the next live shard; never drop the future."""
-        if job.future.done():
+        if not _claim(job.future):
             return
         n = self.config.num_shards
         candidates = []
@@ -1202,7 +1225,7 @@ class ShardRouter:
                     item = handle.queue.get_nowait()
                 except queue.Empty:
                     break
-                if item is not _STOP and not item.future.done():
+                if item is not _STOP and _claim(item.future):
                     item.future.set_exception(
                         ShardClosed("router closed before scene was served"))
 

@@ -1,6 +1,8 @@
 """Whole-model quantization: calibration sites, accuracy retention."""
 
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,8 +237,15 @@ def _assert_outputs_equal(actual, expected):
             np.testing.assert_array_equal(actual[key], expected[key])
 
 
-class TestScratchArena:
-    """One grow-only scratch buffer set per kernel and thread."""
+def _nbytes(outputs) -> int:
+    return sum(sum(v.nbytes for v in value.values())
+               if isinstance(value, dict) else value.nbytes
+               for value in outputs.values())
+
+
+class TestKernelKeepsNoState:
+    """The integer kernel allocates per call: what it returns is the
+    caller's, and nothing outlives the call."""
 
     ROWS = (5, 1, 12, 3, 12, 7)
 
@@ -250,21 +259,42 @@ class TestScratchArena:
             fresh = quantize_vit(student_vit, calibration_images)
             _assert_outputs_equal(out, fresh(calibration_images[:m]))
 
-    def test_one_buffer_set_sized_by_largest_rows(self, student_vit,
-                                                  calibration_images):
-        single = quantize_vit(student_vit, calibration_images)
-        single(calibration_images[:1])
-        rows_per_image = {site: layer._scratch.arena["acc"].shape[0]
-                          for site, layer in single.layers.items()}
+    def test_later_calls_never_overwrite_a_returned_output(
+            self, student_vit, calibration_images):
         q = quantize_vit(student_vit, calibration_images)
-        for m in self.ROWS:
-            q(calibration_images[:m])
+        rng = np.random.default_rng(5)
         for site, layer in q.layers.items():
-            arena = layer._scratch.arena
-            rows = max(self.ROWS) * rows_per_image[site]
-            assert arena["acc"].shape[0] == rows
-            assert arena["out"].shape[0] == rows
-            assert list(vars(layer._scratch)) == ["arena"]
+            returned, copies = [], []
+            for m in (0,) + self.ROWS:
+                x = rng.normal(size=(m, layer.in_features))
+                returned.append(layer(x.astype(np.float32)))
+                copies.append(returned[-1].copy())
+            for out, copy in zip(returned, copies):
+                np.testing.assert_array_equal(out, copy, err_msg=site)
+
+    def test_forward_keeps_no_more_than_its_outputs(
+            self, student_vit, calibration_images):
+        images = np.random.default_rng(1).random(
+            (64, 3, 32, 32)).astype(np.float32)
+        # Process-wide caches (the site plan) fill on another model.
+        quantize_vit(student_vit, calibration_images)(images[:2])
+        q = quantize_vit(student_vit, calibration_images)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            outputs = q(images)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        forward_code = [
+            tracemalloc.Filter(True, os.path.join(
+                os.path.dirname(module.__file__), "*"))
+            for module in (inference, quant_vit)]
+        kept = sum(stat.size_diff for stat in
+                   after.filter_traces(forward_code).compare_to(
+                       before.filter_traces(forward_code), "filename"))
+        # The outputs' data plus their ndarray headers.
+        assert kept <= _nbytes(outputs) + 16 * 1024
 
     def test_threads_do_not_share_buffers(self, student_vit,
                                           calibration_images):
@@ -274,26 +304,21 @@ class TestScratchArena:
         expected = {m: quantize_vit(student_vit, calibration_images)(
             calibration_images[:m]) for m in (4, 9)}
         barrier = threading.Barrier(2)
-        arenas, results = {}, {}
+        results = {}
 
         def work(m):
             barrier.wait()
-            for _ in range(3):
-                results[m] = q(calibration_images[:m])
-            arenas[m] = {site: layer._scratch.arena
-                         for site, layer in q.layers.items()}
+            results[m] = [q(calibration_images[:m]) for _ in range(3)]
 
         threads = [threading.Thread(target=work, args=(m,)) for m in (4, 9)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
         for m in (4, 9):
-            _assert_outputs_equal(results[m], expected[m])
-        for site in q.layers:
-            for name, buf in arenas[4][site].items():
-                if buf is not None:
-                    assert not np.shares_memory(buf, arenas[9][site][name])
+            for out in results[m]:
+                _assert_outputs_equal(out, expected[m])
 
 
 @pytest.fixture(scope="module")

@@ -362,6 +362,22 @@ class TestDetectionEngine:
         assert (sizes.count, sizes.min, sizes.max) == (3, 1, 4)
         assert registry.counters["engine.scenes"].value == 7
 
+    def test_cancelled_queued_job_is_dropped_and_the_worker_lives(self):
+        release = threading.Event()
+        session = GatedEchoSession(release)
+        with DetectionEngine(session, EngineConfig(max_batch=4)) as engine:
+            head = engine.submit("head")
+            assert session.entered.wait(timeout=10.0)
+            cancelled = engine.submit("cancelled")
+            kept = engine.submit("kept")
+            assert cancelled.cancel()
+            release.set()
+            assert head.result(timeout=10.0) == []
+            assert kept.result(timeout=10.0) == []
+            assert engine.submit("next").result(timeout=2.0) == []
+            assert all(worker.is_alive() for worker in engine._workers)
+        assert session.batch_sizes == [1, 1, 1]
+
     def test_submit_after_close_raises(self, pipeline, spec, scenes):
         session = pipeline.session(spec)
         engine = session.engine(EngineConfig(max_batch=2))

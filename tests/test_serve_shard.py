@@ -12,7 +12,8 @@ Covers the multi-process refactor of the serving stack:
   worker's CPU share, ``max(1, cpus // num_shards)``,
 * lifecycle: graceful SIGTERM drain (in-flight finishes, raced jobs are
   rejected with ``engine.rejected`` and rerouted without loss), queue
-  backpressure shedding, per-tenant fairness caps, idempotent close,
+  backpressure shedding, per-tenant fairness caps, cancelled jobs that
+  are never dispatched, idempotent close,
 * cross-process metrics: every shard serves a mergeable snapshot and
   the front-end's ``/snapshot`` is bit-identical to
   ``merge_snapshots`` over the per-shard documents,
@@ -153,6 +154,26 @@ class SlowQuantizedSessionFactory:
     def __call__(self, mission: str):
         return SlowEchoDetectorSession(
             build_quantized_detector(mission.split(":", 1)[0]), self.delay_s)
+
+
+class GatedEchoSession:
+    """Model-free session whose batches wait for ``gate``, an event the
+    forked worker inherits, and return empties."""
+
+    def __init__(self, gate) -> None:
+        self.gate = gate
+
+    def detect_batch(self, scenes):
+        self.gate.wait(timeout=30.0)
+        return [[] for _ in scenes]
+
+
+class GatedEchoSessionFactory:
+    def __init__(self, gate) -> None:
+        self.gate = gate
+
+    def __call__(self, mission: str):
+        return GatedEchoSession(self.gate)
 
 
 class GroundTruthBlindSession(DetectorSession):
@@ -584,6 +605,29 @@ class TestLifecycle:
             assert again.result(timeout=30.0) == []
         assert (registry.counters["shard.shed.tenant"].value
                 == tenant_shed + 1)
+
+    def test_cancelled_queued_job_is_never_dispatched(self, scenes):
+        gate = multiprocessing.get_context("fork").Event()
+        # Two scene slots: the worker holds two jobs while the gate is
+        # shut, so later jobs wait in the front-end.
+        config = ShardConfig(
+            num_shards=1, start_method="fork",
+            engine=EngineConfig(max_batch=1, workers=1, queue_size=1))
+        with ShardRouter(GatedEchoSessionFactory(gate), config) as router:
+            held = [router.submit(scene, TASK) for scene in scenes[:3]]
+            cancelled = router.submit(scenes[3], TASK)
+            assert cancelled.cancel()
+            deadline = time.monotonic() + 30.0
+            while not held[0].running():
+                assert time.monotonic() < deadline, "never dispatched"
+                time.sleep(0.01)
+            # A dispatched job is claimed: no cancel can race its reply.
+            assert not held[0].cancel()
+            gate.set()
+            assert [f.result(timeout=30.0) for f in held] == [[]] * 3
+            assert router.submit(scenes[0], TASK).result(timeout=2.0) == []
+            served = router.aggregate_snapshot()["counters"]["engine.scenes"]
+        assert served["value_fp"] == 4 * FP_SCALE
 
     def test_close_is_idempotent_and_submit_after_close_raises(
             self, scenes):
