@@ -67,6 +67,30 @@ def forward_chunk(total: int) -> int:
     return chunk
 
 
+def tile_windows(images: Sequence[np.ndarray], cells: int,
+                 size: int) -> np.ndarray:
+    """The top-left ``cells x cells`` grid of ``size``-pixel windows of
+    every ``(C, H, W)`` image, as one ``(len(images) * cells**2, C, size,
+    size)`` batch, image by image and row-major within an image.
+
+    One strided copy per image straight into the batch, with no
+    intermediate stack.  The images must share channels and dtype and
+    be at least ``cells * size`` on each side.  The detect path tiles
+    every whole cell of a scene; the streaming tracker tiles its
+    ``scene.grid`` cells.
+    """
+    first = images[0]
+    channels = first.shape[0]
+    side = cells * size
+    windows = np.empty((len(images) * cells * cells, channels, size, size),
+                       dtype=first.dtype)
+    dest = windows.reshape(len(images), cells, cells, channels, size, size)
+    for i, image in enumerate(images):
+        dest[i] = image[:, :side, :side].reshape(
+            channels, cells, size, cells, size).transpose(1, 3, 0, 2, 4)
+    return windows
+
+
 def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -294,22 +318,12 @@ class TaskDetector:
         ``(N / len(scenes), 4)`` int box array in scan order.
         """
         with get_registry().span("detect.window_build"):
-            first = scenes[0]
-            size, starts = self._window_starts(first)
-            channels = first.image.shape[0]
+            size, starts = self._window_starts(scenes[0])
             ys, xs = np.meshgrid(starts, starts, indexing="ij")
             ys, xs = ys.reshape(-1), xs.reshape(-1)
             boxes = np.stack([xs, ys, xs + size, ys + size], axis=1)
-            # Strided copies straight into the fused batch, one per
-            # scene, with no intermediate stack.
-            n = starts.size
-            side = n * size
-            windows = np.empty((len(scenes) * n * n, channels, size, size),
-                               dtype=first.image.dtype)
-            dest = windows.reshape(len(scenes), n, n, channels, size, size)
-            for i, scene in enumerate(scenes):
-                dest[i] = scene.image[:, :side, :side].reshape(
-                    channels, n, size, n, size).transpose(1, 3, 0, 2, 4)
+            windows = tile_windows([scene.image for scene in scenes],
+                                   starts.size, size)
             return windows, boxes
 
     # ------------------------------------------------------------------

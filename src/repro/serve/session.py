@@ -172,7 +172,7 @@ class MissionSession:
 
         return DetectionEngine(self, config=config)
 
-    def stream(self, config=None, batch_size: int = 64):
+    def stream(self, config=None):
         """A streaming detector over this session's model + matcher.
 
         Returns a fresh :class:`repro.stream.StreamingDetector`; pass a
@@ -182,8 +182,7 @@ class MissionSession:
         from repro.stream.tracker import StreamingDetector, TrackerConfig
 
         return StreamingDetector.from_session(
-            self, config=config if config is not None else TrackerConfig(),
-            batch_size=batch_size)
+            self, config=config if config is not None else TrackerConfig())
 
     def request_scope(self, tenant: Optional[str] = None,
                       deadline_ms: Optional[float] = None, **attrs):

@@ -157,8 +157,8 @@ class SceneSequence:
         composited window is cached; it is re-rendered (fresh jitter)
         only when newly born or when the per-frame motion roll fires
         with probability ``motion_rate``.  Everything else — empty
-        cells, static objects — is bit-identical frame over frame, so a
-        pixel-fingerprint delta gate genuinely hits.
+        cells, static objects — is bit-identical frame over frame, so the
+        streaming tracker's byte-exact delta gate genuinely hits.
         """
         scfg = self.config.scene
         cell = scfg.cell_size

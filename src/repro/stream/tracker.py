@@ -8,35 +8,47 @@ only turns *off* below the lower ``off_threshold``.  Tracks carry stable
 ids across frames.
 
 Incremental detection (``TrackerConfig.delta_gate``) makes per-frame
-cost scale with *scene change* instead of scene size: each cell's pixels
-are fingerprinted (crc32 + byte length + pixel sum) and, when the
-fingerprint matches the previous scoring of that cell, the cached raw
-score is reused without a model forward or a matcher pass.  Identical
-pixels through a deterministic model + matcher produce identical scores,
-and both configurations' forwards are batch-invariant, so gated
-EMA/hysteresis state is *bit-equal* to full recompute.  Which cells are re-scored never depends on
-scores, so ``update_many`` gates a whole chunk first and scores its
-changed cells in one forward.  Two staleness escapes are closed
-explicitly: cached matcher results are keyed on the knowledge graph's
-``version`` (a KG edit invalidates every cached cell), and
-``refresh_every`` forces a periodic full re-score.  The optional
-``motion_threshold`` adds *tracker-prior carryover*: a cell whose pixels
-moved, but by less than the threshold, keeps its cached score as long as
-it holds an active track — approximate by design, with drift bounded by
+cost scale with *scene change* instead of scene size.  The detector
+keeps reference pixels: each cell's pixels when it was last scored.
+Each frame's cells come from one tile copy
+(:func:`~repro.detect.pipeline.tile_windows`), and one vectorized
+byte comparison against the reference finds the changed cells.  Only
+those go through the model forward and the matcher; the rest reuse
+their cached raw score.  A cell is re-scored exactly when its bytes
+changed.  Identical pixels through a deterministic model + matcher
+produce identical scores, and both configurations' forwards are
+batch-invariant, so gated EMA/hysteresis state is *bit-equal* to full
+recompute.  Which cells are re-scored never depends on scores, so
+``update_many`` gates a whole chunk first and scores its changed cells
+in one forward.
+
+The cache holds one frame layout (cells, window shape, dtype) and one
+knowledge-graph ``version``: a layout change or a KG edit re-scores
+every cell of the frame, and ``refresh_every`` forces a periodic full
+re-score.  A zero-cell frame leaves the cache as it is.  The optional
+``motion_threshold`` adds *tracker-prior carryover*: a cell whose
+pixels moved, but by less than the threshold (mean absolute delta from
+the reference), keeps its cached score as long as it holds an active
+track — approximate by design, with drift bounded by
 ``refresh_every``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import zlib
+import itertools
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.scenes import Scene
-from repro.detect.pipeline import ModelLike, score_windows
+from repro.detect.pipeline import (
+    ModelLike,
+    forward_chunk,
+    score_windows,
+    tile_windows,
+)
 from repro.kg.matcher import GraphMatcher
 from repro.obs import get_registry
 
@@ -93,79 +105,54 @@ class GateStats:
         return self.skipped / total if total else 0.0
 
 
-def _window_fingerprint(window: np.ndarray) -> Tuple[int, int, float]:
-    """Cheap order-sensitive fingerprint of one cell's pixels.
-
-    crc32 over the raw bytes, the byte length, and the float pixel sum.
-    Two windows with equal fingerprints are treated as identical; a
-    simultaneous crc32 *and* sum collision on same-length buffers is the
-    only way a changed cell could slip through, and ``refresh_every``
-    bounds even that astronomically unlikely case.
-    """
-    buffer = np.ascontiguousarray(window)
-    return zlib.crc32(buffer.tobytes()), buffer.nbytes, float(buffer.sum())
-
-
-@dataclasses.dataclass
-class _CellCache:
-    """Last computed raw score for one cell (the delta-gate reuse unit).
-
-    ``score`` keeps the numpy scalar exactly as the scoring pass
-    produced it — converting to a python float would change the dtype
-    the EMA arithmetic sees and break bit-equality with full recompute.
-    ``window`` (reference pixels for the carryover delta) is retained
-    only when ``motion_threshold`` is active.
-    """
-
-    fingerprint: Tuple[int, int, float]
-    score: Any
-    kg_version: int
-    window: Optional[np.ndarray] = None
+def _words(windows: np.ndarray) -> np.ndarray:
+    """``(cells, C, S, S)`` windows as rows of raw ``uint32`` words, so
+    two windows compare equal exactly when their bytes do."""
+    return windows.reshape(len(windows), -1).view(np.uint32)
 
 
 class StreamingDetector:
     """Stateful per-cell detector over a frame stream."""
 
     def __init__(self, model: ModelLike, matcher: Optional[GraphMatcher],
-                 config: TrackerConfig = TrackerConfig(),
-                 batch_size: int = 64) -> None:
+                 config: TrackerConfig = TrackerConfig()) -> None:
         self.model = model
         self.matcher = matcher
         self.config = config
-        self.batch_size = batch_size
         self._ema: Dict[Tuple[int, int], float] = {}
         self._tracks: Dict[Tuple[int, int], Track] = {}
         self._history: List[Track] = []
         self._next_track_id = 0
         self._frame = -1
-        self._score_cache: Dict[Tuple[int, int], _CellCache] = {}
+        # The delta gate's cache, valid for one layout and KG version
+        # (``_layout``): each cell's pixels when it was last scored and
+        # that score, kept as the numpy scalar type the forward produced
+        # (a python float would change the dtype the EMA arithmetic sees
+        # and break bit-equality with full recompute).
+        self._layout: Optional[Tuple[Any, ...]] = None
+        self._reference: Optional[np.ndarray] = None
+        self._scores: Optional[np.ndarray] = None
         self.gate_stats = GateStats()
 
     # ------------------------------------------------------------------
     @classmethod
     def from_session(cls, session: "MissionSession",
-                     config: TrackerConfig = TrackerConfig(),
-                     batch_size: int = 64) -> "StreamingDetector":
+                     config: TrackerConfig = TrackerConfig()
+                     ) -> "StreamingDetector":
         """Build a tracker on a prepared mission session's model + matcher."""
         detector = session.detector
-        return cls(detector.model, detector.matcher, config=config,
-                   batch_size=batch_size)
+        return cls(detector.model, detector.matcher, config=config)
 
     # ------------------------------------------------------------------
     @staticmethod
     def _cells_and_windows(scene: Scene
-                           ) -> Tuple[List[Tuple[int, int]], Sequence[np.ndarray]]:
-        """A scene's cells and their pixel windows, in scan order.
-
-        One stacked copy makes every window contiguous, which is cheaper
-        than fingerprinting strided views; a zero-cell frame (degenerate
-        grid) has nothing to stack.
-        """
-        cells, windows = [], []
-        for row, col, _bbox, window in scene.iter_cells():
-            cells.append((row, col))
-            windows.append(window)
-        return cells, np.stack(windows) if windows else windows
+                           ) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+        """A scene's ``scene.grid`` cells in row-major order (track birth
+        order depends on it) and their windows as one ``(cells, C, S, S)``
+        tile copy; a zero-cell frame yields zero rows."""
+        grid = scene.grid
+        return ([(row, col) for row in range(grid) for col in range(grid)],
+                tile_windows([scene.image], grid, scene.cell_size))
 
     def _matcher_version(self) -> int:
         """KG edit counter the cached matcher results are keyed on."""
@@ -174,58 +161,76 @@ class StreamingDetector:
     def _score_chunk(self, scenes: Sequence[Scene]
                      ) -> List[Dict[Tuple[int, int], Any]]:
         """Raw ``{cell: score}`` maps for consecutive frames, in scene
-        cell order (track birth order depends on it), from one fused
-        :func:`score_windows` call.
+        cell order, from one fused :func:`score_windows` call (one per
+        run of frames that share a layout).
 
         Ungated, every cell is scored.  Gated (see module docstring),
-        each frame's cells are fingerprinted in order against a
-        chunk-local *view* of the cache: a cell's ``_CellCache`` entry,
-        or the entry an earlier frame of the chunk queued.  Which cells
-        are queued depends on fingerprints, the KG version and the frame
-        index, never on scores, so the whole chunk scores at once and
-        the last entry per cell is written back.  Carryover reads track
-        state, so callers pass it one frame at a time.  Reused cells
-        still count as *observed* in :meth:`_advance` — reuse replaces
-        the forward, never the observation.
+        each frame's tiles are compared with the reference pixels and
+        only the changed cells are queued; the reference takes their
+        pixels in place.  Which cells are queued depends on pixels, the
+        KG version and the frame index, never on scores, so the whole
+        chunk is gated first and scored in one forward.  Every frame
+        maps its cells to slots of one score pool: the cached scores,
+        then the chunk's fresh ones in queue order.  Carryover reads
+        track state, so callers pass it one frame at a time.  Reused
+        cells still count as *observed* in :meth:`_advance` — reuse
+        replaces the forward, never the observation.
         """
         cfg = self.config
         gated = cfg.delta_gate
-        keep_pixels = gated and cfg.motion_threshold > 0.0
         kg_version = self._matcher_version()
         frames = [self._cells_and_windows(scene) for scene in scenes]
-        view: Dict[Tuple[int, int], _CellCache] = {}
-        queued: List[Tuple[_CellCache, np.ndarray]] = []
-        per_frame: List[List[_CellCache]] = []
+        # The cache is invalid until this chunk's forward has landed, so
+        # a forward that raises leaves no reference without its score.
+        layout, self._layout = self._layout, None
+        cached = self._scores if gated and layout is not None else None
+        pool_size = 0 if cached is None else len(cached)
+        slots = np.arange(pool_size)  # the current layout's cells -> pool
+        queued: List[np.ndarray] = []
+        frame_slots: List[np.ndarray] = []
         counts: List[Tuple[int, int, int]] = []  # cells, recomputed, carried
         registry = get_registry()
         with registry.span("stream.gate") if gated else nullcontext():
             for offset, (cells, windows) in enumerate(frames):
+                if not cells:  # nothing to score; the cache stays as it is
+                    frame_slots.append(slots[:0])
+                    counts.append((0, 0, 0))
+                    continue
                 frame = self._frame + 1 + offset  # the index _advance stamps
-                # Ungated, every cell is re-scored (and nothing cached).
-                refresh = not gated or (cfg.refresh_every > 0
-                                        and frame % cfg.refresh_every == 0)
-                entries: List[_CellCache] = []
-                before, carried = len(queued), 0
-                for cell, window in zip(cells, windows):
-                    fingerprint = _window_fingerprint(window) if gated else None
-                    entry = (None if refresh else
-                             view.get(cell) or self._score_cache.get(cell))
-                    if entry is not None and entry.kg_version == kg_version:
-                        if entry.fingerprint == fingerprint:
-                            entries.append(entry)
-                            continue
-                        if self._carries(entry, cell, window):
-                            carried += 1
-                            entries.append(entry)
-                            continue
-                    entry = _CellCache(fingerprint, None, kg_version,
-                                       np.array(window) if keep_pixels else None)
-                    queued.append((entry, window))
-                    entries.append(entry)
-                    if gated:
-                        view[cell] = entry
-                per_frame.append(entries)
-                counts.append((len(cells), len(queued) - before, carried))
+                key = (windows.shape, windows.dtype, kg_version)
+                refresh = (cfg.refresh_every > 0
+                           and frame % cfg.refresh_every == 0)
+                changed, carried = None, 0  # None: every cell
+                if gated and key == layout and not refresh:
+                    changed = np.flatnonzero(
+                        (_words(windows) != _words(self._reference)).any(axis=1))
+                    if cfg.motion_threshold > 0.0 and changed.size:
+                        kept = [i for i in changed
+                                if not self._carries(cells[i], windows[i],
+                                                     self._reference[i])]
+                        carried = changed.size - len(kept)
+                        changed = np.array(kept, dtype=np.intp)
+                    if changed.size == len(cells):
+                        changed = None
+                if changed is None:
+                    if gated and key == layout:
+                        self._reference[...] = windows
+                    elif gated:  # a fresh cache for the new layout
+                        layout, self._reference = key, windows.copy()
+                    queued.append(windows)
+                    slots = np.arange(pool_size, pool_size + len(cells))
+                    pool_size += len(cells)
+                elif changed.size:
+                    fresh = windows[changed]
+                    self._reference[changed] = fresh
+                    queued.append(fresh)
+                    slots = slots.copy()
+                    slots[changed] = np.arange(pool_size,
+                                               pool_size + changed.size)
+                    pool_size += changed.size
+                frame_slots.append(slots)
+                recomputed = len(cells) if changed is None else changed.size
+                counts.append((len(cells), recomputed, carried))
         for total, recomputed, carried in counts if gated else ():
             reused = total - recomputed
             self.gate_stats.frames += 1
@@ -236,27 +241,31 @@ class StreamingDetector:
             registry.count("stream.cells.recomputed", recomputed)
             if total:
                 registry.observe("stream.delta_gate.hit_rate", reused / total)
-        if queued:
-            fresh = score_windows(self.model,
-                                  np.stack([window for _, window in queued]),
-                                  self.matcher, batch_size=self.batch_size)
-            for (entry, _), score in zip(queued, fresh):
-                entry.score = score
-        self._score_cache.update(view)
-        return [{cell: entry.score for cell, entry in zip(cells, entries)}
-                for (cells, _), entries in zip(frames, per_frame)]
+        parts = [] if cached is None else [cached]
+        for _, run in itertools.groupby(
+                queued, key=lambda windows: (windows.shape[1:], windows.dtype)):
+            run = list(run)
+            windows = run[0] if len(run) == 1 else np.concatenate(run)
+            parts.append(score_windows(self.model, windows, self.matcher,
+                                       batch_size=forward_chunk(len(windows))))
+        pool = (np.concatenate(parts) if len(parts) > 1
+                else parts[0] if parts else np.empty(0))
+        if gated and layout is not None:
+            self._scores = pool[slots]
+            self._layout = layout
+        return [dict(zip(cells, pool[cell_slots]))
+                for (cells, _), cell_slots in zip(frames, frame_slots)]
 
-    def _carries(self, entry: _CellCache, cell: Tuple[int, int],
-                 window: np.ndarray) -> bool:
+    def _carries(self, cell: Tuple[int, int], window: np.ndarray,
+                 reference: np.ndarray) -> bool:
         """Tracker-prior carryover: sub-threshold motion on a confirmed
         track keeps the cached score alive.  The reference pixels stay
-        at the last *computed* frame, so drift is bounded by
+        at the last *scored* frame, so drift is bounded by
         refresh_every, not unbounded by a random walk of tiny deltas."""
-        threshold = self.config.motion_threshold
         track = self._tracks.get(cell)
-        return (threshold > 0.0 and entry.window is not None
-                and track is not None and track.active
-                and float(np.abs(window - entry.window).mean()) <= threshold)
+        return (track is not None and track.active
+                and float(np.abs(window - reference).mean())
+                <= self.config.motion_threshold)
 
     # ------------------------------------------------------------------
     def update(self, scene: Scene) -> List[Track]:
@@ -268,8 +277,9 @@ class StreamingDetector:
         """Process a chunk of frames with one fused model forward.
 
         The chunk's scored windows (all of them ungated, the changed
-        cells gated) go through one batched :func:`score_windows` call;
-        EMA + hysteresis then advance frame by frame, exactly as — and
+        cells gated) go through one batched :func:`score_windows` call,
+        one per run of frames that share a layout; EMA + hysteresis
+        then advance frame by frame, exactly as — and
         with the same :class:`GateStats` as — repeated :meth:`update`
         calls.  Carryover (``motion_threshold > 0``) reads the track
         state the previous frame left, so that mode scores one frame at
@@ -341,5 +351,5 @@ class StreamingDetector:
         self._history.clear()
         self._next_track_id = 0
         self._frame = -1
-        self._score_cache.clear()
+        self._layout = self._reference = self._scores = None
         self.gate_stats = GateStats()

@@ -277,8 +277,7 @@ class LegacyAliasDetector(StreamingDetector):
         nonempty = [p for p in parts if p.shape[0]]
         all_windows = (np.concatenate(nonempty, axis=0) if nonempty
                        else parts[0])
-        predictions = predict_windows(self.model, all_windows,
-                                      batch_size=self.batch_size)
+        predictions = predict_windows(self.model, all_windows)
         _, _, combined = score_predictions(predictions, self.matcher)
         snapshots, start = [], 0
         for cells in per_frame_cells:

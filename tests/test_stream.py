@@ -14,7 +14,7 @@ from repro.stream import (
     TrackerConfig,
     evaluate_stream,
 )
-from repro.stream.tracker import Track
+from repro.stream.tracker import GateStats, Track
 
 
 class TestSequence:
@@ -340,6 +340,20 @@ def _scores(snapshots):
     return [[t.score for t in frame] for frame in snapshots]
 
 
+class _AnySizeModel:
+    """Stand-in model for any window size or dtype: class logits from
+    each window's pixel max and min, elementwise, so a window's score
+    does not depend on its batch."""
+
+    WEIGHTS = np.linspace(-3.0, 3.0, 18, dtype=np.float32).reshape(2, 9)
+
+    def infer(self, images):
+        rows = images.reshape(len(images), -1)
+        logits = (rows.max(axis=1, keepdims=True) * self.WEIGHTS[0]
+                  + rows.min(axis=1, keepdims=True) * self.WEIGHTS[1])
+        return {"class_logits": logits.astype(np.float32), "attributes": {}}
+
+
 class TestDeltaGating:
     """Property: gated == full recompute (the correctness contract)."""
 
@@ -571,21 +585,127 @@ class TestDeltaGating:
         registry.reset()
 
     def test_reset_clears_gate_state(self, fuzz_model_pair):
+        """After ``reset`` nothing is reused: the next frame re-scores
+        every cell, and the replay is bit-equal to a fresh detector."""
         _, quantized = fuzz_model_pair
         scenes = _gate_scenes(seed=28, num_frames=2, motion_rate=0.0)
+        cells = scenes[0].grid ** 2
         _, detector = _run(quantized, scenes,
                            TrackerConfig(delta_gate=True, **self.BASE))
-        assert detector._score_cache and detector.gate_stats.frames == 2
+        assert detector.gate_stats.skipped and detector.gate_stats.frames == 2
         detector.reset()
-        assert detector._score_cache == {}
-        assert detector.gate_stats.frames == 0
-        # post-reset the detector recomputes from scratch, bit-equal
-        replay = [[dataclasses.replace(t) for t in detector.update(scene)]
-                  for scene in scenes]
-        fresh, _ = _run(quantized, scenes,
-                        TrackerConfig(delta_gate=True, **self.BASE))
+        assert detector.gate_stats == GateStats()
+        replay = [[dataclasses.replace(t) for t in detector.update(scenes[0])]]
+        assert detector.gate_stats == GateStats(frames=1, recomputed=cells)
+        replay.append([dataclasses.replace(t)
+                       for t in detector.update(scenes[1])])
+        fresh, fresh_detector = _run(
+            quantized, scenes, TrackerConfig(delta_gate=True, **self.BASE))
         assert _track_tuples(replay) == _track_tuples(fresh)
         assert _scores(replay) == _scores(fresh)
+        assert detector.gate_stats == fresh_detector.gate_stats
+
+    def test_one_ulp_pixel_change_rescores_exactly_that_cell(
+            self, fuzz_model_pair, monkeypatch):
+        """The gate compares bytes: a one-ulp nudge to one pixel sends
+        exactly that cell's window through the forward, and reverting
+        it does again; the tracks stay bit-equal to full recompute."""
+        import repro.stream.tracker as tracker
+
+        _, quantized = fuzz_model_pair
+        [scene] = _gate_scenes(seed=34, num_frames=1, motion_rate=0.0,
+                               birth_rate=1.0, death_rate=0.0)
+        size = scene.cell_size
+        image = scene.image.copy()
+        y, x = 1 * size + 5, 2 * size + 7  # cell (1, 2)
+        image[1, y, x] = np.nextafter(image[1, y, x], np.float32(np.inf))
+        nudged = dataclasses.replace(scene, image=image)
+        scenes = [scene, nudged, nudged, scene]
+        forwarded = []
+
+        def recording(model, windows, *args, **kwargs):
+            forwarded.append(windows.copy())
+            return score_windows(model, windows, *args, **kwargs)
+
+        score_windows = tracker.score_windows
+        monkeypatch.setattr(tracker, "score_windows", recording)
+        gated, detector = _run(quantized, scenes,
+                               TrackerConfig(delta_gate=True, **self.BASE))
+        full, _ = _run(quantized, scenes,
+                       TrackerConfig(delta_gate=False, **self.BASE))
+        assert _track_tuples(gated) == _track_tuples(full)
+        assert _scores(gated) == _scores(full)
+        cells = scene.grid ** 2
+        assert detector.gate_stats == GateStats(
+            frames=4, skipped=3 * cells - 2, recomputed=cells + 2)
+        window = (slice(None), slice(size, 2 * size), slice(2 * size, 3 * size))
+        assert [len(w) for w in forwarded[:3]] == [cells, 1, 1]
+        np.testing.assert_array_equal(forwarded[1][0], image[window])
+        np.testing.assert_array_equal(forwarded[2][0], scene.image[window])
+
+    def test_failed_forward_leaves_no_stale_reference(self, fuzz_model_pair,
+                                                      monkeypatch):
+        """The reference takes a changed cell's pixels before the forward
+        runs; a forward that raises must not leave them behind without
+        their score, or the next frame would reuse the stale one."""
+        import repro.stream.tracker as tracker
+
+        _, quantized = fuzz_model_pair
+        scenes = _gate_scenes(seed=35, num_frames=4, motion_rate=0.5)
+        config = TrackerConfig(delta_gate=True, **self.BASE)
+        full, _ = _run(quantized, scenes,
+                       dataclasses.replace(config, delta_gate=False))
+        detector = StreamingDetector(quantized, matcher=None, config=config)
+        snapshots = [[dataclasses.replace(t)
+                      for t in detector.update(scenes[0])]]
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("forward failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tracker, "score_windows", failing)
+            with pytest.raises(RuntimeError):
+                detector.update(scenes[1])
+        for scene in scenes[1:]:
+            snapshots.append([dataclasses.replace(t)
+                              for t in detector.update(scene)])
+        assert _track_tuples(snapshots) == _track_tuples(full)
+        assert _scores(snapshots) == _scores(full)
+
+    def test_layout_changes_inside_an_update_many_chunk(self):
+        """Grid 3 -> 2 -> 3, a zero-cell frame, a cell-size change and a
+        dtype change, each starting a fresh cache mid-chunk: gated
+        ``update_many``, sequential ``update`` and full recompute agree
+        bit for bit, with equal gate stats."""
+        from repro.data import SceneGenerator
+
+        def scene(grid, cell_size=16, seed=0):
+            return SceneGenerator(SceneConfig(grid=grid, cell_size=cell_size),
+                                  seed=seed).generate()
+
+        three, two, small = scene(3), scene(2, seed=1), scene(3, 12, seed=2)
+        wide = dataclasses.replace(three, image=three.image.astype(np.float64))
+        scenes = [three, three, two, two, three, scene(0), three, small,
+                  small, three, wide, wide, three]
+        model = _AnySizeModel()
+        config = TrackerConfig(delta_gate=True, **self.BASE)
+        full, _ = _run(model, scenes,
+                       dataclasses.replace(config, delta_gate=False))
+        sequential, detector = _run(model, scenes, config)
+        for chunk in (len(scenes), 4):
+            fused = StreamingDetector(model, matcher=None, config=config)
+            snapshots = [snapshot for start in range(0, len(scenes), chunk)
+                         for snapshot in fused.update_many(
+                             scenes[start:start + chunk])]
+            assert _track_tuples(snapshots) == _track_tuples(full)
+            assert _scores(snapshots) == _scores(full)
+            assert fused.gate_stats == detector.gate_stats
+        assert _track_tuples(sequential) == _track_tuples(full)
+        assert _scores(sequential) == _scores(full)
+        # every layout change re-scores its frame; repeats reuse it all
+        assert detector.gate_stats == GateStats(
+            frames=13, skipped=9 + 4 + 9 + 9 + 9,
+            recomputed=9 + 4 + 9 + 9 + 9 + 9 + 9)
 
     def test_kg_edit_invalidates_cached_scores(self, fuzz_model_pair):
         """Cache entries are keyed on the KG version: a constraint edit
@@ -718,8 +838,8 @@ class TestStreamBenchHelpers:
 
         def corrupting(detector, scenes):
             raw = score_chunk(detector, scenes)
-            for entry in detector._score_cache.values():
-                entry.score = 1.0 - entry.score
+            if detector._scores is not None:  # the gated pass's cache
+                detector._scores = 1.0 - detector._scores
             return raw
 
         monkeypatch.setattr(StreamingDetector, "_score_chunk", corrupting)
