@@ -29,7 +29,8 @@ Four tables:
 
 **Acceptance gate** (full mode): on the mostly-static multi-camera
 sweep point (motion density ``0.05``) the gated pass must run at least
-``MIN_SPEEDUP`` (3x) faster than full recompute **and** produce
+``MIN_SPEEDUP`` (3x) faster than full recompute, each side timed as the
+median of ``TIMING_PASSES`` alternating passes, **and** produce
 bit-identical tracks; every exact-gate sweep point must be
 bit-identical with zero quality delta, including the full-motion end
 where the gate buys nothing, and so must every replay row.  The run
@@ -46,8 +47,10 @@ while still asserting bit-identity; both modes persist telemetry to
 ``BENCH_e14_stream.json`` for the CI work-counter and SLO gates.
 """
 
+import contextlib
 import dataclasses
 import os
+import statistics
 import sys
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -86,6 +89,11 @@ SMOKE_MOTION_RATES = (0.05, 1.0)
 #: multi-camera feeds, the regime the delta gate exists for.
 GATE_MOTION_RATE = 0.05
 MIN_SPEEDUP = 3.0
+
+#: Full mode times each sweep side as the median of this many
+#: alternating full/gated passes; one pass per side read 1.9-3.5x at
+#: the gate point on a 2-vCPU host, too wide for a 3x bound.
+TIMING_PASSES = 7
 
 #: Frames per ``update_many`` chunk in the replay rows.
 REPLAY_CHUNK = 8
@@ -130,6 +138,18 @@ def run_pass(
     return snapshots, elapsed, detectors
 
 
+@contextlib.contextmanager
+def _registry_off():
+    """Run extra passes without recording, so the telemetry CI gates
+    stays one per-frame pass per side."""
+    registry = get_registry()
+    enabled, registry.enabled = registry.enabled, False
+    try:
+        yield
+    finally:
+        registry.enabled = enabled
+
+
 def run_stream_bench(
     model: Any,
     matcher: Any,
@@ -146,6 +166,7 @@ def run_stream_bench(
     gate: Optional[TrackerConfig] = None,
     seed: int = 0,
     replay_chunk: int = 0,
+    timing_passes: int = 0,
 ) -> Dict[str, Any]:
     """Full-recompute vs delta-gated sweep over one motion density.
 
@@ -158,6 +179,9 @@ def run_stream_bench(
     a gated ``update_many`` pass in chunks of that many frames
     (``replay_*`` keys, same oracle), run with the registry off so the
     recorded stages and counts stay the per-frame path's.
+    ``timing_passes > 0`` times each side as the median of that many
+    further alternating full/gated passes, also run with the registry
+    off.
     """
     scene = SceneConfig(grid=grid, cell_size=cell_size, object_density=0.4,
                         distractor_density=0.15, clutter_density=0.0,
@@ -173,19 +197,25 @@ def run_stream_bench(
     full_snaps, full_s, _ = run_pass(model, matcher, full_config, cameras)
     gated_snaps, gated_s, gated_detectors = run_pass(
         model, matcher, gated_config, cameras)
+    if timing_passes:
+        full_times, gated_times = [], []
+        with _registry_off():
+            for _ in range(timing_passes):
+                full_times.append(
+                    run_pass(model, matcher, full_config, cameras)[1])
+                gated_times.append(
+                    run_pass(model, matcher, gated_config, cameras)[1])
+        full_s = statistics.median(full_times)
+        gated_s = statistics.median(gated_times)
 
     exact_gate = gated_config.motion_threshold == 0.0
     mismatch = (compare_snapshots(full_snaps, gated_snaps) if exact_gate
                 else None)
     replay: Dict[str, Any] = {}
     if replay_chunk > 0:
-        registry = get_registry()
-        enabled, registry.enabled = registry.enabled, False
-        try:
+        with _registry_off():
             replay_snaps, replay_s, _ = run_pass(
                 model, matcher, gated_config, cameras, chunk=replay_chunk)
-        finally:
-            registry.enabled = enabled
         replay_mismatch = (compare_snapshots(full_snaps, replay_snaps)
                            if exact_gate else None)
         replay = {"replay_fps": num_cameras * num_frames / replay_s,
@@ -246,7 +276,8 @@ def run_experiment(smoke: bool = False):
         row = run_stream_bench(
             model, matcher, task,
             num_cameras=num_cameras, num_frames=num_frames, grid=grid,
-            motion_rate=motion_rate, seed=3, replay_chunk=REPLAY_CHUNK)
+            motion_rate=motion_rate, seed=3, replay_chunk=REPLAY_CHUNK,
+            timing_passes=0 if smoke else TIMING_PASSES)
         assert row["identical"], (
             f"exact delta gating diverged from full recompute at "
             f"motion_rate={motion_rate}: {row['mismatch']}")

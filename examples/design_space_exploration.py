@@ -13,7 +13,7 @@ from repro.core import ArtifactBuilder
 from repro.hw import (
     AcceleratorConfig,
     Compiler,
-    build_schedule,
+    Simulator,
     pareto_front,
     sweep,
 )
@@ -52,11 +52,11 @@ def main() -> None:
     # Timeline of the paper's default configuration.
     default = AcceleratorConfig.edge_default()
     program = Compiler(default).compile(model)
-    schedule = build_schedule(program, default)
+    report = Simulator(default).simulate(program)
     print(f"\nexecution timeline on {default.name} "
           f"({default.array_rows}x{default.array_cols} @ "
           f"{default.clock_mhz:.0f} MHz):")
-    print(schedule.gantt())
+    print(report.gantt())
 
 
 if __name__ == "__main__":

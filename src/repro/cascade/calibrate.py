@@ -29,6 +29,7 @@ import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import CorruptArtifactError, ModelRegistry
+from repro.detect.metrics import cell_decision_counts
 from repro.nn.serialization import atomic_write_bytes
 
 if TYPE_CHECKING:
@@ -46,27 +47,11 @@ def scene_cell_accuracy(scene: "Scene", detections: Sequence["Detection"],
 
     Same decision rule as the aggregate metric, computed per scene so
     the calibration sweep can re-mix fast/specialist outcomes per
-    routing choice without re-running either detector.
+    routing choice without re-running either detector.  A scene with no
+    scored cell reads 1.0.
     """
-    relevant_cells = {
-        obj.cell for obj in scene.objects if task.matches(obj.profile)
-    }
-    object_cells = {obj.cell for obj in scene.objects}
-    fired_cells = set()
-    for detection in detections:
-        col = detection.bbox[0] // scene.cell_size
-        row = detection.bbox[1] // scene.cell_size
-        fired_cells.add((row, col))
-    correct = 0
-    total = 0
-    for row in range(scene.grid):
-        for col in range(scene.grid):
-            cell = (row, col)
-            if object_cells_only and cell not in object_cells:
-                continue
-            fired = cell in fired_cells
-            correct += int((cell in relevant_cells) == fired)
-            total += 1
+    correct, total = cell_decision_counts(scene, detections, task,
+                                          object_cells_only)
     return correct / total if total else 1.0
 
 

@@ -178,6 +178,39 @@ def window_task_accuracy(
     return float((decisions == truth).mean())
 
 
+def cell_decision_counts(
+    scene: Scene,
+    detections: Sequence[Detection],
+    task: TaskDefinition,
+    object_cells_only: bool,
+) -> Tuple[int, int]:
+    """``(correct, total)`` cell decisions of one scene's detections.
+
+    Every grid cell is a decision point: the detector should fire exactly
+    on cells holding a task-relevant object.  ``object_cells_only``
+    scores only cells that contain an object.
+    """
+    relevant_cells = {
+        obj.cell for obj in scene.objects if task.matches(obj.profile)
+    }
+    object_cells = {obj.cell for obj in scene.objects}
+    fired_cells = {
+        (detection.bbox[1] // scene.cell_size,
+         detection.bbox[0] // scene.cell_size)
+        for detection in detections
+    }
+    correct = 0
+    total = 0
+    for row in range(scene.grid):
+        for col in range(scene.grid):
+            cell = (row, col)
+            if object_cells_only and cell not in object_cells:
+                continue
+            correct += int((cell in relevant_cells) == (cell in fired_cells))
+            total += 1
+    return correct, total
+
+
 def task_accuracy(
     detector: TaskDetector,
     scenes: Sequence[Scene],
@@ -186,9 +219,8 @@ def task_accuracy(
 ) -> float:
     """Window-level task accuracy: the paper's configuration metric.
 
-    Every grid cell is a decision point: the detector should fire exactly
-    on cells holding a task-relevant object.  Accuracy is the fraction of
-    correct cell decisions over all scenes.
+    Accuracy is the fraction of correct cell decisions
+    (:func:`cell_decision_counts`) over all scenes.
 
     ``object_cells_only`` restricts scoring to cells that contain an
     object (relevant or distractor) — the hard decisions where the two
@@ -199,22 +231,7 @@ def task_accuracy(
     total = 0
     scenes = list(scenes)
     for scene, detections in zip(scenes, _detect_all(detector, scenes)):
-        relevant_cells = {
-            obj.cell for obj in scene.objects if task.matches(obj.profile)
-        }
-        object_cells = {obj.cell for obj in scene.objects}
-        fired_cells = set()
-        for detection in detections:
-            col = detection.bbox[0] // scene.cell_size
-            row = detection.bbox[1] // scene.cell_size
-            fired_cells.add((row, col))
-        for row in range(scene.grid):
-            for col in range(scene.grid):
-                cell = (row, col)
-                if object_cells_only and cell not in object_cells:
-                    continue
-                is_relevant = cell in relevant_cells
-                fired = cell in fired_cells
-                correct += int(is_relevant == fired)
-                total += 1
+        c, t = cell_decision_counts(scene, detections, task, object_cells_only)
+        correct += c
+        total += t
     return correct / total if total else 0.0

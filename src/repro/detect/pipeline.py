@@ -112,13 +112,17 @@ def _empty_predictions(model: ModelLike) -> Dict[str, np.ndarray]:
     return result
 
 
-def predict_windows(model: ModelLike, windows: np.ndarray,
-                    batch_size: int = 64) -> Dict[str, np.ndarray]:
+def predict_windows(model: ModelLike,
+                    windows: np.ndarray) -> Dict[str, np.ndarray]:
     """Run a model configuration over ``(N, 3, S, S)`` windows.
 
     Returns ``{"class_probs": (N, C), "attribute_probs": {family: (N, V)}}``.
     An empty batch (``N == 0``) yields zero-row arrays of the right widths
     instead of crashing on an empty concatenate.
+
+    The forward runs in :func:`forward_chunk` ``(N)``-row chunks; the
+    float and integer forwards are both batch-invariant, so the chunking
+    changes no output.
     """
     if windows.shape[0] == 0:
         return _empty_predictions(model)
@@ -127,9 +131,10 @@ def predict_windows(model: ModelLike, windows: np.ndarray,
     class_chunks: List[np.ndarray] = []
     attr_chunks: Dict[str, List[np.ndarray]] = {}
     task_chunks: List[np.ndarray] = []
-    for start in range(0, windows.shape[0], batch_size):
+    chunk = forward_chunk(windows.shape[0])
+    for start in range(0, windows.shape[0], chunk):
         with obs.span("detect.model_forward"):
-            out = model.infer(windows[start:start + batch_size])
+            out = model.infer(windows[start:start + chunk])
         class_chunks.append(_softmax_np(out["class_logits"]))
         for family, logits in out["attributes"].items():
             attr_chunks.setdefault(family, []).append(_softmax_np(logits))
@@ -175,8 +180,7 @@ def score_predictions(
 
 
 def score_windows(model: ModelLike, windows: np.ndarray,
-                  matcher: Optional[GraphMatcher] = None,
-                  batch_size: int = 64) -> np.ndarray:
+                  matcher: Optional[GraphMatcher] = None) -> np.ndarray:
     """Combined per-window scores in one call (the streaming reuse hook).
 
     :func:`predict_windows` + :func:`score_predictions` fused for callers
@@ -186,7 +190,7 @@ def score_windows(model: ModelLike, windows: np.ndarray,
     function of ``(window pixels, matcher state)``, which is what makes
     that cache-and-splice exact.
     """
-    predictions = predict_windows(model, windows, batch_size=batch_size)
+    predictions = predict_windows(model, windows)
     _, _, combined = score_predictions(predictions, matcher)
     return combined
 
@@ -334,9 +338,7 @@ class TaskDetector:
         per-scene threshold + NMS on arrays; :class:`Detection` objects
         are built for the kept rows only."""
         windows, boxes = self._windows_all(scenes)
-        predictions = predict_windows(
-            self.model, windows,
-            batch_size=forward_chunk(windows.shape[0]))
+        predictions = predict_windows(self.model, windows)
         with get_registry().span("detect.kg_match"):
             scores = score_predictions(predictions, self.matcher)
         combined = scores[2]

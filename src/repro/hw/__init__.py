@@ -12,8 +12,9 @@ methodology — and this package rebuilds that model:
   array (the functional path bit-matches :class:`repro.quant.QuantizedLinear`);
 * :class:`Compiler` — lowers a :class:`~repro.quant.QuantizedVisionTransformer`
   into a program of GEMM / vector / DMA operations;
-* :class:`Simulator` — executes a program against a config, producing
-  latency, utilization, and per-component energy reports;
+* :class:`Simulator` — walks a program once, placing every op on one
+  timeline, and reports latency, utilization, per-component energy and
+  the per-op placement (:meth:`PerfReport.gantt`);
 * :class:`GPUModel` — a calibrated roofline model of an edge GPU running
   the float network (:func:`float_plan`), the paper's comparison baseline;
 * :func:`escalation_cost` — a cascade escalation's price in fast-path units.
@@ -30,7 +31,6 @@ from repro.hw.gpu import GPUModel, GPUConfig, float_plan
 from repro.hw.escalation import escalation_cost
 from repro.hw.platform import PlatformPower, energy_per_frame_j, streaming_comparison
 from repro.hw.area import AreaReport, estimate_area, node_scale
-from repro.hw.schedule import Schedule, ScheduledOp, build_schedule
 from repro.hw.design_space import DesignPoint, pareto_front, sweep
 
 __all__ = [
@@ -64,9 +64,6 @@ __all__ = [
     "AreaReport",
     "estimate_area",
     "node_scale",
-    "Schedule",
-    "ScheduledOp",
-    "build_schedule",
     "DesignPoint",
     "pareto_front",
     "sweep",

@@ -7,9 +7,9 @@ simulator therefore prices the work the CPU does, and the compiler
 derives no shapes of its own.  Lowering strategy (batch-1 oriented, as
 the paper's edge deployment):
 
-1. all integer weights are DMA-loaded once per inference if they do not
-   fit in the weight SRAM, or pinned across inferences if they do — the
-   compiler emits the load only in the streaming case;
+1. the integer weights stay pinned in the weight SRAM across inferences
+   when :meth:`~repro.hw.memory.MemoryModel.weights_fit` says they fit;
+   otherwise the compiler emits one DMA load of them per inference;
 2. the plan's input image is DMA-loaded (8-bit pixels), and patches are
    formed on the fly by the activation SRAM's addressing (no cost op);
 3. every plan GEMM runs on the systolic array — weight GEMMs at their
@@ -54,8 +54,8 @@ class Compiler:
 
     config: AcceleratorConfig
 
-    def compile(self, model: QuantizedVisionTransformer, batch: int = 1,
-                pin_weights: bool = True) -> Program:
+    def compile(self, model: QuantizedVisionTransformer,
+                batch: int = 1) -> Program:
         cfg = model.config
         plan = site_plan(cfg, batch)
         program = Program(name=f"{cfg.depth}x{cfg.dim}-vit-b{batch}", batch=batch)
@@ -66,8 +66,7 @@ class Compiler:
             (layer.weight_q.size * layer.weight_bits + 7) // 8
             for layer in model.layers.values()
         )
-        if not (pin_weights
-                and MemoryModel(self.config).weights_fit(total_weight_bytes)):
+        if not MemoryModel(self.config).weights_fit(total_weight_bytes):
             program.append(DmaOp("load_weights", DmaDirection.LOAD,
                                  total_weight_bytes))
 

@@ -16,7 +16,7 @@ class DmaTiming:
 
 
 class MemoryModel:
-    """DMA timing plus SRAM capacity checks."""
+    """DMA timing plus the weight SRAM capacity check."""
 
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
@@ -31,23 +31,3 @@ class MemoryModel:
     # ------------------------------------------------------------------
     def weights_fit(self, total_weight_bytes: int) -> bool:
         return total_weight_bytes <= self.config.weight_sram_kib * 1024
-
-    def check_layer(self, weight_bytes: int, act_bytes: int,
-                    out_bytes: int) -> None:
-        """Raise if a single layer cannot be resident during execution."""
-        cfg = self.config
-        if weight_bytes > cfg.weight_sram_kib * 1024:
-            raise ValueError(
-                f"layer weights ({weight_bytes} B) exceed weight SRAM "
-                f"({cfg.weight_sram_kib} KiB); tiling over DRAM required"
-            )
-        if act_bytes > cfg.act_sram_kib * 1024:
-            raise ValueError(
-                f"layer activations ({act_bytes} B) exceed activation SRAM "
-                f"({cfg.act_sram_kib} KiB)"
-            )
-        if out_bytes > cfg.accum_sram_kib * 1024:
-            raise ValueError(
-                f"layer accumulators ({out_bytes} B) exceed accumulator SRAM "
-                f"({cfg.accum_sram_kib} KiB)"
-            )

@@ -1,11 +1,14 @@
 """Program simulator: latency, utilization, and energy.
 
 Execution model: GEMMs occupy the systolic array, vector ops the vector
-unit, DMAs the DRAM channel.  Consecutive operations on *different*
-engines overlap under double buffering up to a configurable overlap
-efficiency; operations on the same engine serialize.  This captures the
-first-order pipelining a real scheduler achieves without simulating a
-full dependency graph.
+unit, DMAs the DRAM channel.  :meth:`Simulator.simulate` walks the
+program once and places every op on one timeline: an op starts where the
+previous op ended, or, after an engine switch, up to
+:data:`OVERLAP_EFFICIENCY` of the shorter of the two ops earlier (double
+buffering); it never starts before its own engine's previous op has
+ended.  This captures the first-order pipelining a real scheduler
+achieves without simulating a full dependency graph, and the report's
+records carry the placement (:meth:`PerfReport.gantt`).
 
 Energy model: per-action constants from the config's
 :class:`~repro.hw.config.EnergyTable` — MAC energy (scaled by operand
@@ -25,16 +28,24 @@ from repro.hw.systolic import SystolicArray
 from repro.hw.vector_unit import VectorUnit
 from repro.obs import get_registry
 
+# Fraction of the shorter of two consecutive ops on different engines
+# that double buffering hides behind the longer one.
+OVERLAP_EFFICIENCY = 0.8
+
+ENGINES = ("gemm", "vector", "dma")
+
 
 @dataclasses.dataclass
 class OpRecord:
-    """Per-operation simulation record."""
+    """Per-operation simulation record and its place on the timeline."""
 
     name: str
     engine: str          # "gemm" | "vector" | "dma"
     cycles: int
     energy_pj: float
     utilization: float = 1.0
+    start: int = 0       # cycle the op starts; set by Simulator.simulate
+    end: int = 0
 
 
 @dataclasses.dataclass
@@ -73,6 +84,30 @@ class PerfReport:
         cycles = sum(r.cycles for r in gemm_records)
         return weighted / cycles
 
+    def engine_occupancy(self, engine: str) -> float:
+        """Fraction of the makespan ``engine`` is busy."""
+        if not self.total_cycles:
+            return 0.0
+        return self.engine_cycles[engine] / self.total_cycles
+
+    def gantt(self, width: int = 72) -> str:
+        """ASCII Gantt chart of the records, one row per engine."""
+        if not self.records or self.total_cycles == 0:
+            return "(empty timeline)"
+        scale = width / self.total_cycles
+        lines = [f"timeline: {self.total_cycles} cycles "
+                 f"('#' = ~{max(1, int(1 / scale))} cycles)"]
+        for engine in ENGINES:
+            row = [" "] * width
+            for r in self.records:
+                if r.engine == engine:
+                    lo = min(width - 1, int(r.start * scale))
+                    hi = min(width, max(lo + 1, int(r.end * scale)))
+                    row[lo:hi] = "#" * (hi - lo)
+            occupancy = self.engine_occupancy(engine) * 100.0
+            lines.append(f"{engine:<6} |{''.join(row)}| {occupancy:5.1f} %")
+        return "\n".join(lines)
+
     def summary(self) -> str:
         lines = [
             f"{self.program_name} on {self.config_name} (batch={self.batch})",
@@ -92,12 +127,8 @@ class PerfReport:
 class Simulator:
     """Execute a :class:`Program` against an :class:`AcceleratorConfig`."""
 
-    def __init__(self, config: AcceleratorConfig,
-                 overlap_efficiency: float = 0.8) -> None:
-        if not 0.0 <= overlap_efficiency <= 1.0:
-            raise ValueError("overlap_efficiency must be in [0, 1]")
+    def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self.overlap_efficiency = overlap_efficiency
         self.array = SystolicArray(config)
         self.vector_unit = VectorUnit(config)
         self.memory = MemoryModel(config)
@@ -137,27 +168,29 @@ class Simulator:
             with obs.span("hw.op_model"):
                 records = [self._op_record(op) for op in program]
 
-            # Latency: serialize within an engine; overlap engine switches.
             with obs.span("hw.step_loop"):
-                total = 0.0
-                previous_engine: Optional[str] = None
-                previous_cycles = 0
+                clock = 0.0
+                engine_free = dict.fromkeys(ENGINES, 0.0)
+                previous: Optional[OpRecord] = None
                 for record in records:
-                    if previous_engine is None or record.engine == previous_engine:
-                        total += record.cycles
-                    else:
+                    start = clock
+                    if previous is not None and record.engine != previous.engine:
                         # Hide part of the shorter op behind the longer one.
-                        hidden = self.overlap_efficiency * min(record.cycles, previous_cycles)
-                        total += record.cycles - hidden
-                    previous_engine = record.engine
-                    previous_cycles = record.cycles
-            total_cycles = int(round(total))
+                        start -= OVERLAP_EFFICIENCY * min(record.cycles,
+                                                          previous.cycles)
+                    # An engine finishes its previous op before it
+                    # starts the next one.
+                    start = max(start, engine_free[record.engine])
+                    clock = engine_free[record.engine] = start + record.cycles
+                    record.start, record.end = int(round(start)), int(round(clock))
+                    previous = record
+            total_cycles = int(round(clock))
             obs.count("hw.ops_simulated", len(records))
             span.set_attr(ops=len(records), total_cycles=total_cycles)
         latency_s = self.config.cycles_to_seconds(total_cycles)
 
-        dynamic_pj: Dict[str, float] = {"gemm": 0.0, "vector": 0.0, "dma": 0.0}
-        engine_cycles: Dict[str, int] = {"gemm": 0, "vector": 0, "dma": 0}
+        dynamic_pj: Dict[str, float] = dict.fromkeys(ENGINES, 0.0)
+        engine_cycles: Dict[str, int] = dict.fromkeys(ENGINES, 0)
         for record in records:
             dynamic_pj[record.engine] += record.energy_pj
             engine_cycles[record.engine] += record.cycles

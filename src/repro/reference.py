@@ -24,7 +24,6 @@ from repro.detect.pipeline import (
     Detection,
     TaskDetector,
     build_detections,
-    forward_chunk,
     predict_windows,
     score_predictions,
 )
@@ -151,9 +150,7 @@ def detect_reference(detector: TaskDetector, scene: Scene) -> List[Detection]:
     match exactly.
     """
     windows, boxes = windows_loop(scene)
-    predictions = predict_windows(
-        detector.model, windows,
-        batch_size=forward_chunk(len(boxes)))
+    predictions = predict_windows(detector.model, windows)
     scores = score_predictions(predictions, detector.matcher)
     combined = scores[2]
     rows = np.flatnonzero(combined >= detector.score_threshold)

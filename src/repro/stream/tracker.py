@@ -45,7 +45,6 @@ import numpy as np
 from repro.data.scenes import Scene
 from repro.detect.pipeline import (
     ModelLike,
-    forward_chunk,
     score_windows,
     tile_windows,
 )
@@ -246,8 +245,7 @@ class StreamingDetector:
                 queued, key=lambda windows: (windows.shape[1:], windows.dtype)):
             run = list(run)
             windows = run[0] if len(run) == 1 else np.concatenate(run)
-            parts.append(score_windows(self.model, windows, self.matcher,
-                                       batch_size=forward_chunk(len(windows))))
+            parts.append(score_windows(self.model, windows, self.matcher))
         pool = (np.concatenate(parts) if len(parts) > 1
                 else parts[0] if parts else np.empty(0))
         if gated and layout is not None:

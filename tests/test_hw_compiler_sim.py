@@ -100,11 +100,8 @@ class TestSimulator:
         assert report.total_cycles >= max(report.engine_cycles.values())
 
     def test_overlap_reduces_latency(self, program):
-        no_overlap = Simulator(AcceleratorConfig.edge_default(),
-                               overlap_efficiency=0.0).simulate(program)
-        overlap = Simulator(AcceleratorConfig.edge_default(),
-                            overlap_efficiency=1.0).simulate(program)
-        assert overlap.total_cycles < no_overlap.total_cycles
+        report = Simulator(AcceleratorConfig.edge_default()).simulate(program)
+        assert report.total_cycles < sum(r.cycles for r in report.records)
 
     def test_bigger_array_faster(self, quantized_model):
         small = Simulator(AcceleratorConfig.small()).simulate(

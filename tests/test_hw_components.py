@@ -130,5 +130,3 @@ class TestMemoryModel:
         mem = MemoryModel(cfg)
         assert mem.weights_fit(1024)
         assert not mem.weights_fit(1025)
-        with pytest.raises(ValueError):
-            mem.check_layer(weight_bytes=2048, act_bytes=0, out_bytes=0)

@@ -1,4 +1,4 @@
-"""Scheduler timeline and design-space exploration."""
+"""The simulator's op timeline and design-space exploration."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,15 @@ from repro.hw import (
     AcceleratorConfig,
     Compiler,
     DesignPoint,
+    GemmOp,
+    Program,
     Simulator,
-    build_schedule,
+    VectorKind,
+    VectorOp,
     pareto_front,
     sweep,
 )
+from repro.hw.simulator import ENGINES
 from repro.quant import quantize_vit
 
 
@@ -27,40 +31,51 @@ def program(quantized):
     return Compiler(AcceleratorConfig.edge_default()).compile(quantized)
 
 
+@pytest.fixture(scope="module")
+def report(program):
+    return Simulator(AcceleratorConfig.edge_default()).simulate(program)
+
+
 class TestSchedule:
-    def test_makespan_matches_simulator(self, program):
-        """The schedule enforces per-engine serialization that the
-        simulator's aggregate model ignores, so its makespan is bounded
-        below by the simulator total (minus rounding) and stays close."""
-        config = AcceleratorConfig.edge_default()
-        schedule = build_schedule(program, config, overlap_efficiency=0.8)
-        report = Simulator(config, overlap_efficiency=0.8).simulate(program)
-        assert schedule.makespan >= report.total_cycles - len(program)
-        assert schedule.makespan <= report.total_cycles * 1.25
+    """The simulator's one walk places every op on the timeline."""
 
-    def test_every_op_scheduled(self, program):
-        schedule = build_schedule(program, AcceleratorConfig.edge_default())
-        assert len(schedule.ops) == len(program)
-        for op in schedule.ops:
-            assert op.end > op.start >= 0
+    def test_total_cycles_is_last_end(self, report):
+        assert report.total_cycles == report.records[-1].end
+        assert report.total_cycles == max(r.end for r in report.records)
 
-    def test_same_engine_ops_serialize(self, program):
-        schedule = build_schedule(program, AcceleratorConfig.edge_default())
-        for engine in ("gemm", "vector", "dma"):
-            ops = schedule.engine_ops(engine)
-            for a, b in zip(ops, ops[1:]):
-                assert b.start >= a.end - 1  # rounding slack of one cycle
+    def test_every_op_scheduled(self, program, report):
+        assert len(report.records) == len(program)
+        for record in report.records:
+            assert record.end > record.start >= 0
 
-    def test_occupancy_bounds(self, program):
-        schedule = build_schedule(program, AcceleratorConfig.edge_default())
-        for engine in ("gemm", "vector", "dma"):
-            assert 0.0 <= schedule.engine_occupancy(engine) <= 1.0 + 1e-9
+    def test_same_engine_ops_serialize(self, report):
+        for engine in ENGINES:
+            records = [r for r in report.records if r.engine == engine]
+            for a, b in zip(records, records[1:]):
+                assert b.start >= a.end
 
-    def test_gantt_renders(self, program):
-        schedule = build_schedule(program, AcceleratorConfig.edge_default())
-        chart = schedule.gantt()
+    def test_occupancy_bounds(self, report):
+        for engine in ENGINES:
+            assert 0.0 <= report.engine_occupancy(engine) <= 1.0
+
+    def test_gantt_renders(self, report):
+        chart = report.gantt()
         assert "gemm" in chart and "vector" in chart and "dma" in chart
         assert "#" in chart
+
+    def test_engine_waits_for_its_previous_op(self):
+        """gemm -> short vector -> gemm: the engine switches would pull
+        the second GEMM back into the first one's cycles; the array is
+        busy until the first GEMM ends, so the two GEMMs run back to back."""
+        program = Program(name="gemm-vector-gemm")
+        program.append(GemmOp("g0", m=64, k=64, n=64))
+        program.append(VectorOp("v", VectorKind.ADD, elements=64))
+        program.append(GemmOp("g1", m=64, k=64, n=64))
+        report = Simulator(AcceleratorConfig.edge_default()).simulate(program)
+        g0, v, g1 = report.records
+        assert v.cycles < g0.cycles and v.cycles < g1.cycles
+        assert g1.start == g0.end
+        assert report.total_cycles == report.engine_cycles["gemm"]
 
 
 class TestDesignSpace:
