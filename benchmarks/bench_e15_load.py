@@ -19,8 +19,9 @@ always pay session construction), and spreads requests over a zipf-ish
 and so does every run: it is seeded, and its rate is a committed
 multiple (``OVERLOAD_FACTOR``) of a committed capacity
 (``BASE_RATE_SCENES_PER_S``), not of a per-run timing.
-Submission never blocks: when a queue is full the request is shed and
-counted, which is what "open loop at 4x capacity" means operationally.
+Submission never blocks: when an engine's queue is full, or a shard has
+no free scene slot, the request is shed and counted, which is what
+"open loop at 4x capacity" means operationally.
 
 **Reported per tier**: served scenes/sec, shed fraction, the
 p50/p99 of served-request latency (submit to completed future), and
@@ -220,9 +221,10 @@ def run_open_loop(tier, scenes, schedule, label: str):
     """Drive one tier through the arrival schedule; gather stats.
 
     Open loop: arrivals fire on the wall clock regardless of service
-    progress.  A full queue sheds the request immediately (non-blocking
-    submit) — served throughput and the latency percentiles cover the
-    requests that were actually admitted.
+    progress.  A full engine queue, or a shard with no free slot, sheds
+    the request immediately (non-blocking submit) — served throughput
+    and the latency percentiles cover the requests that were actually
+    admitted.
     """
     latencies = []
     futures = []
@@ -352,7 +354,6 @@ def run_experiment(smoke: bool = False, shards: int = None):
     shard_config = ShardConfig(
         num_shards=shards,
         engine=engine_config,
-        queue_size=32,
         max_inflight_per_tenant=None if smoke else 64,
         metrics=True,
         base_seed=SEED,

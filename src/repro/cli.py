@@ -280,7 +280,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
     config = ShardConfig(
         num_shards=args.shards,
         engine=EngineConfig(max_batch=args.max_batch, workers=args.workers),
-        queue_size=args.queue_size,
         metrics=True,
         base_seed=args.seed,
     )
@@ -935,8 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="per-shard engine max_batch")
     engine_serve.add_argument("--workers", type=int, default=1,
                               help="threads per shard engine")
-    engine_serve.add_argument("--queue-size", type=int, default=64,
-                              help="per-shard front-end queue bound")
     engine_serve.add_argument("--cascade", action="store_true",
                               help="serve each mission through the "
                                    "cascade router")

@@ -17,8 +17,8 @@ package is its execution engine, in three layers:
   backpressure when the queue is full, shuts down gracefully, and
   returns results in submission order;
 * :class:`ShardRouter` — a multi-process tier over N such engines:
-  mission-fingerprint affinity routing, bounded per-shard queues with
-  shedding and per-tenant fairness, graceful drain on SIGTERM, and
+  mission-fingerprint affinity routing, per-shard scene-slot
+  backpressure with shedding and per-tenant fairness, graceful drain on SIGTERM, and
   bit-exact cross-shard metrics aggregation (see :mod:`repro.serve
   .shard`).
 

@@ -9,12 +9,14 @@ module shards the tier across **processes**:
                                         each: sessions + DetectionEngine
 
 * :class:`ShardRouter` is the front-end.  ``submit(scene, mission)``
-  hashes the mission fingerprint to a shard (:func:`shard_for_mission`),
-  enqueues the scene on that shard's **bounded** queue (backpressure;
-  ``block=False`` sheds with :class:`ShardRejected`), and returns a
-  future completed from the worker's reply.  Mission affinity means each
-  shard warms only its slice of the session cache — two shards never
-  both pay ``prepare()`` for the same mission.
+  hashes the mission fingerprint to a shard (:func:`shard_for_mission`)
+  and sends the scene to it on the caller's own thread, then returns a
+  future completed from the worker's reply.  Backpressure is the
+  shard's slot count (below): a submit with no free slot waits for one
+  in the caller's thread, or — ``block=False`` / ``timeout`` — sheds
+  with :class:`ShardRejected`.  Mission affinity means each shard warms
+  only its slice of the session cache — two shards never both pay
+  ``prepare()`` for the same mission.
 * Each worker process (:func:`_shard_worker_main`) rebuilds sessions
   through a caller-supplied ``factory(mission)`` — models are
   reconstructed from the artifact registry / deterministic builders in
@@ -25,8 +27,8 @@ module shards the tier across **processes**:
   owns one :class:`_SlotArena`: fixed-size slots in an unlinked
   ``memfd`` that the worker inherits, one slot per scene a worker can
   hold (``engine.queue_size + engine.max_batch * engine.workers``).
-  The shard's dispatcher copies ``scene.image`` into a free slot and
-  sends ``(slot, shape, dtype)`` plus the small pickled rest of the
+  ``submit`` copies ``scene.image`` into a free slot and sends
+  ``(slot, shape, dtype)`` plus the small pickled rest of the
   scene down a one-way :func:`multiprocessing.Pipe`; the worker builds
   its scene around a read-only view of the slot.  Ground truth stays
   with the caller: the shell crosses with ``objects`` emptied, since
@@ -51,19 +53,20 @@ module shards the tier across **processes**:
 
 Failure and drain semantics: SIGTERM to a worker finishes its in-flight
 jobs (their futures complete normally), rejects everything later with
-``engine.rejected``, and announces ``draining`` so the front-end
-redistributes that shard's queued-but-undispatched jobs to live shards
-— no future is ever dropped.  A worker that dies uncleanly has its
-pending and queued jobs rerouted the same way; only when no live shard
-remains do futures fail with :class:`ShardClosed`.  ``close()`` never
-leaves a process behind: a worker that does not exit within its grace
-period is sent SIGTERM, then SIGKILL, and joined.
+``engine.rejected``, and announces ``draining``; the front-end then
+sends those rejected jobs, and every submit still waiting on that
+shard's slots, to the next live shard — no future is ever dropped.  A
+worker that dies uncleanly has its pending jobs rerouted the same way;
+only when no live shard remains do futures fail with
+:class:`ShardClosed`.  ``close()`` never leaves a process behind: a
+worker that does not exit within its grace period is sent SIGTERM, then
+SIGKILL, and joined.
 
-Cancellation: the dispatcher claims each job's future before it takes
-a slot (:meth:`~concurrent.futures.Future.set_running_or_notify_cancel`).
-A job cancelled while queued in the front-end is dropped there — no
-slot, no message — and a dispatched job can no longer be cancelled, so
-its reply always resolves it.
+Cancellation: ``submit`` claims each job's future
+(:meth:`~concurrent.futures.Future.set_running_or_notify_cancel`)
+before it returns it, so ``cancel()`` returns ``False`` and the
+worker's reply always resolves the future.  A caller that no longer
+wants a result ignores it.
 
 Determinism: routing is a pure hash of the mission fingerprint, shards
 serve disjoint missions, and per-shard results come from the same
@@ -87,7 +90,6 @@ import itertools
 import mmap
 import multiprocessing
 import os
-import queue
 import signal
 import threading
 import time
@@ -122,13 +124,15 @@ __all__ = [
 
 
 class ShardClosed(RuntimeError):
-    """Raised by ``submit`` after close; set on futures orphaned by a
+    """Raised by ``submit`` after close, or by one still waiting for a
+    slot when close stops the workers; set on futures orphaned by a
     worker death with no live shard left to reroute to."""
 
 
 class ShardRejected(RuntimeError):
-    """Raised by non-blocking ``submit`` when the target shard's queue
-    is full, or when the per-tenant inflight cap is hit."""
+    """Raised by ``submit`` when no slot of the target shard frees in
+    time (at once with ``block=False``, within ``timeout`` otherwise),
+    or when the per-tenant inflight cap is hit."""
 
 
 def shard_for_mission(mission: str, num_shards: int) -> int:
@@ -164,15 +168,14 @@ class ShardConfig:
     ``num_shards``
         Worker processes.
     ``engine``
-        Per-mission :class:`EngineConfig` inside each worker.
-    ``queue_size``
-        Bound of each shard's front-end queue — the cross-process
-        backpressure depth (the worker additionally has the engine's
-        own bounded queue).
+        Per-mission :class:`EngineConfig` inside each worker.  It also
+        sets each shard's admission bound: one scene slot per scene the
+        worker can hold, ``queue_size + max_batch * workers``.  A
+        submit with no free slot waits in the caller's thread or sheds.
     ``max_inflight_per_tenant``
         Fairness cap: a tenant with this many uncompleted submits is
         shed (:class:`ShardRejected`) so one hot tenant cannot occupy
-        every queue slot.  ``None`` disables the cap.
+        every scene slot.  ``None`` disables the cap.
     ``metrics``
         Start a :class:`repro.obs.MetricsServer` on an ephemeral port
         in every worker; the bound URL comes back in the ready
@@ -189,7 +192,6 @@ class ShardConfig:
 
     num_shards: int = 2
     engine: EngineConfig = dataclasses.field(default_factory=EngineConfig)
-    queue_size: int = 64
     max_inflight_per_tenant: Optional[int] = None
     metrics: bool = False
     base_seed: int = 0
@@ -199,8 +201,6 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
         if (self.max_inflight_per_tenant is not None
                 and self.max_inflight_per_tenant < 1):
             raise ValueError("max_inflight_per_tenant must be >= 1")
@@ -269,7 +269,9 @@ class _SlotArena:
     the scenes in flight; :meth:`write` copies an image in and
     :meth:`release` frees the slot.  The slot size grows to fit the
     largest image seen — ``ftruncate`` plus a remap — only while no slot
-    is held, so no live view ever spans a remap.  Worker side:
+    is held, so no live view ever spans a remap.  While an acquire waits
+    to grow, the others wait behind it, so a stream of small scenes
+    cannot keep one slot held forever and starve it.  Worker side:
     :meth:`view` maps the file read-only and returns a slot as an array.
     """
 
@@ -282,6 +284,7 @@ class _SlotArena:
         self._free = list(range(count - 1, -1, -1))
         self._cond = threading.Condition()
         self._interrupted = False
+        self._growers = 0  # acquires waiting until every slot is free
 
     def __reduce__(self):
         return _attach_arena, (self.count, reduction.DupFd(self.fd))
@@ -293,21 +296,40 @@ class _SlotArena:
         with self._cond:
             return self.count - len(self._free)
 
-    def acquire(self, nbytes: int) -> Optional[int]:
+    def acquire(self, nbytes: int, block: bool = True,
+                timeout: Optional[float] = None) -> Optional[int]:
         """A free slot of at least ``nbytes``, growing the slots first
-        if they are smaller.  Blocks until one is free (and, to grow,
-        until all are); ``None`` once :meth:`interrupt` was called."""
+        if they are smaller.  Waits until one is free (to grow, until
+        all are) — not at all with ``block=False``, at most ``timeout``
+        seconds otherwise — and raises :class:`ShardRejected` when none
+        frees in time; ``None`` once :meth:`interrupt` was called."""
         nbytes = max(1, nbytes)  # even an empty image needs a mapping
+        deadline = None if timeout is None else time.monotonic() + timeout
+        growing = False
         with self._cond:
-            while not self._interrupted:
-                if nbytes <= self.slot_bytes:
-                    if self._free:
+            try:
+                while not self._interrupted:
+                    if nbytes > self.slot_bytes:
+                        if len(self._free) == self.count:
+                            self._grow(nbytes)
+                            return self._free.pop()
+                    elif self._free and (growing or not self._growers):
                         return self._free.pop()
-                elif len(self._free) == self.count:
-                    self._grow(nbytes)
-                    return self._free.pop()
-                self._cond.wait()
-            return None
+                    remaining = (None if deadline is None
+                                 else deadline - time.monotonic())
+                    if not block or (remaining is not None
+                                     and remaining <= 0.0):
+                        raise ShardRejected(
+                            f"all {self.count} scene slots held")
+                    if nbytes > self.slot_bytes and not growing:
+                        growing = True
+                        self._growers += 1
+                    self._cond.wait(remaining)
+                return None
+            finally:
+                if growing:
+                    self._growers -= 1
+                    self._cond.notify_all()
 
     def _grow(self, nbytes: int) -> None:
         slot_bytes = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
@@ -399,21 +421,6 @@ def _json_roundtrip(doc: Dict[str, Any]) -> Dict[str, Any]:
     import json
 
     return json.loads(json.dumps(doc))
-
-
-def _claim(future: Future) -> bool:
-    """Mark a job's future running; ``False`` when the caller cancelled
-    it (or it is already resolved), so the job is dropped.
-
-    Only the thread holding the job claims it.  A claimed future can no
-    longer be cancelled, so resolving it later cannot raise.  A rerouted
-    job was claimed by its first dispatcher and stays claimed.
-    """
-    if future.running():
-        return True
-    if future.done():
-        return False
-    return future.set_running_or_notify_cancel()
 
 
 def _picklable_exc(exc: BaseException) -> BaseException:
@@ -572,8 +579,9 @@ def _shard_worker_main(conn_recv, conn_send, shard_index: int,
         nonlocal draining
         if draining:
             return
-        # Announce first so the front-end stops dispatching and starts
-        # redistributing its queue while we finish the in-flight work.
+        # Announce first so the front-end stops sending here and moves
+        # its waiting submits to live shards while we finish the
+        # in-flight work.
         send(("draining", shard_index))
         close_engines()
         draining = True
@@ -683,22 +691,18 @@ class _ShardJob:
         self.future: "Future[List[Detection]]" = Future()
         self.primary = primary
         self.tenant = tenant
-        self.slot: Optional[int] = None  # held in the dispatching shard's arena
+        self.slot: Optional[int] = None  # held in its shard's arena
 
     @property
     def trace_id(self) -> Optional[str]:
         return self.ctx_wire["trace_id"] if self.ctx_wire else None
 
 
-_STOP = object()
-
-
 class _WorkerHandle:
     """Front-end bookkeeping for one shard worker."""
 
-    def __init__(self, index: int, queue_size: int, slots: int) -> None:
+    def __init__(self, index: int, slots: int) -> None:
         self.index = index
-        self.queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)
         self.arena = _SlotArena(slots)
         self.pending: Dict[int, _ShardJob] = {}
         self.probes: Dict[int, Future] = {}
@@ -711,7 +715,6 @@ class _WorkerHandle:
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.conn_send: Any = None  # parent -> worker
         self.conn_recv: Any = None  # worker -> parent
-        self.dispatcher: Optional[threading.Thread] = None
         self.reader: Optional[threading.Thread] = None
 
     @property
@@ -727,7 +730,7 @@ class _WorkerHandle:
                 return False
 
     def take_pending(self, job_id: int) -> Optional[_ShardJob]:
-        """Pop a dispatched job and free its slot."""
+        """Pop a sent job and free its slot."""
         with self.lock:
             job = self.pending.pop(job_id, None)
         if job is not None and job.slot is not None:
@@ -750,6 +753,12 @@ class ShardRouter:
     :class:`CascadeSession` both work).  Under the default ``fork``
     start method any callable works; under ``spawn`` it must pickle
     (see :class:`TaskSessionFactory`).
+
+    Each shard admits at most its slot count of scenes
+    (:class:`ShardConfig`); :meth:`submit` sends on the caller's
+    thread, and the front-end's one thread per shard is the reader that
+    resolves futures and reroutes what a draining or dead worker gives
+    back.
     """
 
     def __init__(self, factory: Callable[[str], Any],
@@ -783,7 +792,7 @@ class ShardRouter:
                 # own; it closes them first thing.
                 foreign = ([h.arena.fd for h in self._handles]
                            if mp_ctx.get_start_method() == "fork" else [])
-                handle = _WorkerHandle(index, self.config.queue_size, slots)
+                handle = _WorkerHandle(index, slots)
                 self._handles.append(handle)
                 to_worker_r, to_worker_w = mp_ctx.Pipe(duplex=False)
                 to_parent_r, to_parent_w = mp_ctx.Pipe(duplex=False)
@@ -811,13 +820,9 @@ class ShardRouter:
             raise
 
         for handle in self._handles:
-            handle.dispatcher = threading.Thread(
-                target=self._dispatch_loop, args=(handle,),
-                name=f"repro-shard-dispatch-{handle.index}", daemon=True)
             handle.reader = threading.Thread(
                 target=self._read_loop, args=(handle,),
                 name=f"repro-shard-read-{handle.index}", daemon=True)
-            handle.dispatcher.start()
             handle.reader.start()
 
     # -- bootstrap -----------------------------------------------------
@@ -864,15 +869,6 @@ class ShardRouter:
         """The primary shard for a mission (ignores liveness)."""
         return shard_for_mission(mission, self.config.num_shards)
 
-    def _pick_handle(self, mission: str) -> _WorkerHandle:
-        primary = self.shard_for(mission)
-        n = self.config.num_shards
-        for k in range(n):
-            handle = self._handles[(primary + k) % n]
-            if handle.live:
-                return handle
-        raise ShardClosed("no live shards")
-
     def shard_info(self) -> List[Dict[str, Any]]:
         """Ready-handshake info per shard (pid, seed, BLAS threads per
         OpenBLAS library, metrics url)."""
@@ -891,14 +887,30 @@ class ShardRouter:
                timeout: Optional[float] = None,
                ctx: Optional[RequestContext] = None,
                ) -> "Future[List[Detection]]":
-        """Route one scene to its mission's shard; returns a future.
+        """Send one scene to its mission's shard; returns a future.
 
-        Backpressure mirrors :meth:`DetectionEngine.submit`: a full
-        shard queue blocks, or — with ``block=False`` / ``timeout`` —
-        sheds with :class:`ShardRejected` and a ``shard.rejected``
-        count.  The request context (explicit ``ctx`` or the ambient
+        The scene goes out on the caller's thread: ``submit`` takes a
+        slot in the first live shard's arena, copies the image in and
+        sends the job.  Backpressure is that shard's slot count, and it
+        mirrors :meth:`DetectionEngine.submit`: with every slot held,
+        the caller waits for one, or — with ``block=False`` /
+        ``timeout`` — sheds with :class:`ShardRejected` and a
+        ``shard.rejected`` count.  A submit waiting on a shard that
+        drains or dies moves on to the next live shard; one still
+        waiting when :meth:`close` stops the workers raises
+        :class:`ShardClosed`.  The
+        request context (explicit ``ctx`` or the ambient
         :func:`current_context`) crosses the process boundary as its
         wire form, so worker-side spans join the caller's trace.
+
+        The returned future is already claimed: ``cancel()`` returns
+        ``False`` and the worker's reply always resolves it.
+
+        Hazard: a future's done-callbacks run on the reader thread of
+        the shard that replied, which is the thread that frees that
+        shard's slots.  A blocking ``submit`` from a done-callback can
+        wait on a slot only that same thread would free, and hang; pass
+        ``block=False`` there, or submit from another thread.
         """
         if self._closed:
             raise ShardClosed("router is closed")
@@ -911,7 +923,6 @@ class ShardRouter:
         if tenant is None and ctx is not None:
             tenant = ctx.tenant
         registry = get_registry()
-        handle = self._pick_handle(mission)
 
         cap = self.config.max_inflight_per_tenant
         if cap is not None and tenant is not None:
@@ -927,18 +938,19 @@ class ShardRouter:
         job = _ShardJob(next(self._job_ids), mission, scene,
                         context_to_wire(ctx), self.shard_for(mission),
                         tenant)
+        job.future.set_running_or_notify_cancel()
         if cap is not None and tenant is not None:
             job.future.add_done_callback(
                 lambda _fut, tenant=tenant: self._release_tenant(tenant))
-        registry.observe("shard.queue_depth", handle.queue.qsize())
         try:
-            handle.queue.put(job, block=block, timeout=timeout)
-        except queue.Full:
-            self._complete_tenant_slot_on_reject(job)
-            registry.count("shard.rejected")
-            raise ShardRejected(
-                f"shard {handle.index} queue full "
-                f"({self.config.queue_size} scenes)") from None
+            self._send(job, block=block, timeout=timeout)
+        except (ShardRejected, ShardClosed) as exc:
+            # The future never reaches the caller: fail it so the
+            # tenant slot's done-callback fires, then raise instead.
+            job.future.set_exception(exc)
+            if isinstance(exc, ShardRejected):
+                registry.count("shard.rejected")
+            raise
         registry.count("shard.submitted")
         return job.future
 
@@ -950,64 +962,68 @@ class ShardRouter:
             else:
                 self._tenant_inflight.pop(tenant, None)
 
-    def _complete_tenant_slot_on_reject(self, job: _ShardJob) -> None:
-        # The future never completes (we raise instead of returning
-        # it), so the done-callback can't release the slot — fail the
-        # future to fire the callback, then swallow it.
-        if not job.future.done():
-            job.future.set_exception(
-                ShardRejected("rejected before dispatch"))
-            job.future.exception()  # mark retrieved
-
     def detect_many(self, scenes: Sequence["Scene"], mission: str,
                     ) -> List[List["Detection"]]:
         """Submit scenes for one mission; gather in submission order."""
         futures = [self.submit(scene, mission) for scene in scenes]
         return [future.result() for future in futures]
 
-    # -- dispatcher / reader threads -----------------------------------
-    def _dispatch_loop(self, handle: _WorkerHandle) -> None:
-        arena = handle.arena
-        while True:
-            item = handle.queue.get()
-            if item is _STOP:
-                return
-            if not _claim(item.future):
+    def _send(self, job: _ShardJob, block: bool = True,
+              timeout: Optional[float] = None) -> None:
+        """Send a job to the first live shard from its primary on:
+        take a slot, copy the image, record the job in ``pending`` and
+        send it.  A shard that drains, dies or closes while the job
+        waits for its slot, or whose pipe is broken, passes the job on
+        to the next live shard.  Raises :class:`ShardRejected` when no
+        slot frees in time and :class:`ShardClosed` when no live shard
+        is left; a job whose image cannot be written fails its future.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        image = job.scene.image
+        n = self.config.num_shards
+        for k in range(n):
+            handle = self._handles[(job.primary + k) % n]
+            if not handle.live:
                 continue
-            image = item.scene.image
+            arena = handle.arena
             waited_s = time.perf_counter()
-            slot = arena.acquire(image.nbytes) if handle.live else None
+            slot = arena.acquire(
+                image.nbytes, block=block,
+                timeout=(None if deadline is None
+                         else max(0.0, deadline - time.monotonic())))
             if slot is None:  # the shard drains, died or closes
-                self._reroute(item, exclude=handle.index)
                 continue
             copied_s = time.perf_counter()
             try:
                 arena.write(slot, image)
                 message = (
-                    "job", item.job_id, item.mission,
+                    "job", job.job_id, job.mission,
                     (slot, arena.slot_bytes, image.shape, image.dtype.str),
-                    dataclasses.replace(item.scene, image=None, objects=[]),
-                    item.ctx_wire)
-            except Exception as exc:  # fail the job, keep dispatching
+                    dataclasses.replace(job.scene, image=None, objects=[]),
+                    job.ctx_wire)
+            except Exception as exc:
                 arena.release(slot)
-                item.future.set_exception(exc)
-                continue
-            item.slot = slot
+                job.future.set_exception(exc)
+                return
+            job.slot = slot
             with handle.lock:
-                handle.pending[item.job_id] = item
+                handle.pending[job.job_id] = job
             sent = handle.send(message)
             registry = get_registry()
             if registry.enabled:
                 registry.record_span("shard.slot_wait", waited_s, copied_s,
-                                     trace_id=item.trace_id)
+                                     trace_id=job.trace_id)
                 registry.record_span("shard.dispatch", copied_s,
                                      time.perf_counter(),
-                                     trace_id=item.trace_id)
-            if not sent:
-                handle.dead = True
-                arena.interrupt()
-                if handle.take_pending(item.job_id) is not None:
-                    self._reroute(item, exclude=handle.index)
+                                     trace_id=job.trace_id)
+            if sent:
+                return
+            handle.dead = True
+            arena.interrupt()
+            if handle.take_pending(job.job_id) is None:
+                return  # the shard's reader took the job and reroutes it
+        raise ShardClosed("router is closed" if self._closed
+                          else "no live shards")
 
     def _read_loop(self, handle: _WorkerHandle) -> None:
         while True:
@@ -1029,11 +1045,10 @@ class ShardRouter:
                 # engine there, so another shard may serve it.
                 job = handle.take_pending(msg[1])
                 if job is not None:
-                    self._reroute(job, exclude=handle.index)
+                    self._reroute(job)
             elif kind == "draining":
                 handle.draining = True
                 handle.arena.interrupt()
-                self._redistribute_queue(handle)
             elif kind == "probe_result":
                 self._take_probe(handle, msg[1], result=msg[2])
             elif kind == "probe_error":
@@ -1053,8 +1068,7 @@ class ShardRouter:
                 probe.set_exception(ShardClosed(
                     f"shard {handle.index} exited mid-probe"))
         for job in orphans:
-            self._reroute(job, exclude=handle.index)
-        self._redistribute_queue(handle)
+            self._reroute(job)
 
     def _take_probe(self, handle: _WorkerHandle, probe_id: int,
                     result: Any = None, error: Any = None) -> None:
@@ -1067,46 +1081,16 @@ class ShardRouter:
         else:
             future.set_result(result)
 
-    def _redistribute_queue(self, handle: _WorkerHandle) -> None:
-        # Drain the front-end queue of a draining/dead shard onto live
-        # peers.  The dispatcher may concurrently pull items; it checks
-        # ``handle.live`` itself and reroutes what it wins.
-        while True:
-            try:
-                item = handle.queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _STOP:
-                handle.queue.put(_STOP)  # keep the dispatcher's poison
-                return
-            self._reroute(item, exclude=handle.index)
-
-    def _reroute(self, job: _ShardJob, exclude: int) -> None:
-        """Requeue a job on the next live shard; never drop the future."""
-        if not _claim(job.future):
-            return
-        n = self.config.num_shards
-        candidates = []
-        for k in range(n):
-            index = (job.primary + k) % n
-            handle = self._handles[index]
-            if index != exclude and handle.live:
-                candidates.append(handle)
-        if not candidates:
-            job.future.set_exception(
-                ShardClosed("no live shard to reroute to"))
-            return
+    def _reroute(self, job: _ShardJob) -> None:
+        """Send a job its shard gave back to the next live shard; never
+        drop the future.  Runs on the giving shard's reader thread, which
+        is not live any more, so it waits on another shard's slots, never
+        on the ones it frees itself."""
         get_registry().count("shard.rerouted")
-        for handle in candidates[:-1]:
-            try:
-                handle.queue.put_nowait(job)
-                return
-            except queue.Full:
-                continue
-        # Last resort blocks: backpressure, not loss.  This runs on a
-        # reader/dispatcher thread of a *different* shard, whose own
-        # queue drains independently, so no self-deadlock.
-        candidates[-1].queue.put(job)
+        try:
+            self._send(job)
+        except ShardClosed as exc:
+            job.future.set_exception(exc)
 
     # -- probes & aggregation ------------------------------------------
     def probe(self, name: str, shard: int,
@@ -1177,12 +1161,15 @@ class ShardRouter:
             os.kill(handle.process.pid, signal.SIGTERM)
 
     def close(self, wait: bool = True) -> None:
-        """Drain queues, stop workers, collect final snapshots.
+        """Stop taking submits, stop workers, collect final snapshots.
 
-        With ``wait=True`` every already-submitted future completes
-        (normally or exceptionally) before the workers are told to
-        exit; the per-shard final snapshots keep
-        :meth:`aggregate_snapshot` meaningful after close.
+        With ``wait=True`` it first waits until no shard holds a slot,
+        so every future already returned completes (normally or
+        exceptionally) and submits waiting on a slot are sent first;
+        with ``wait=False`` it does not wait.  A submit still waiting
+        for a slot then raises :class:`ShardClosed`.  The per-shard
+        final snapshots keep :meth:`aggregate_snapshot` meaningful
+        after close.
         """
         with self._close_lock:
             if self._closed:
@@ -1190,43 +1177,23 @@ class ShardRouter:
             self._closed = True
         if wait:
             deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                with_work = False
-                for handle in self._handles:
-                    with handle.lock:
-                        pending = bool(handle.pending)
-                    if (not handle.dead
-                            and (pending or handle.queue.qsize() > 0)):
-                        with_work = True
-                        break
-                if not with_work:
-                    break
+            while time.monotonic() < deadline and any(
+                    handle.pending or handle.arena.held
+                    for handle in self._handles if not handle.dead):
                 time.sleep(0.01)
         for handle in self._handles:
+            handle.arena.interrupt()
             handle.send(("close",))
         _stop_processes(self._processes(), grace_s=_EXIT_GRACE_S)
         for handle in self._handles:
-            handle.arena.interrupt()
-            handle.queue.put(_STOP)
-        for handle in self._handles:
-            if handle.dispatcher is not None:
-                handle.dispatcher.join(timeout=5.0)
             if handle.reader is not None:
                 handle.reader.join(timeout=5.0)
         self._release_handles()
-        # Anything still queued or pending has no worker left.
+        # Anything still pending has no worker left.
         for handle in self._handles:
             for job in handle.take_all_pending():
                 if not job.future.done():
                     job.future.set_exception(
-                        ShardClosed("router closed before scene was served"))
-            while True:
-                try:
-                    item = handle.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _STOP and _claim(item.future):
-                    item.future.set_exception(
                         ShardClosed("router closed before scene was served"))
 
     def __enter__(self) -> "ShardRouter":

@@ -11,9 +11,13 @@ Covers the multi-process refactor of the serving stack:
 * BLAS sizing: every OpenBLAS copy mapped into a worker runs at the
   worker's CPU share, ``max(1, cpus // num_shards)``,
 * lifecycle: graceful SIGTERM drain (in-flight finishes, raced jobs are
-  rejected with ``engine.rejected`` and rerouted without loss), queue
-  backpressure shedding, per-tenant fairness caps, cancelled jobs that
-  are never dispatched, idempotent close,
+  rejected with ``engine.rejected`` and rerouted without loss), slot
+  backpressure shedding, per-tenant fairness caps, futures that are
+  claimed on submit, idempotent close, one front-end thread per shard,
+* the caller-side wait: a submit with no free slot sheds, times out,
+  moves to the next live shard when its shard drains, or ends with
+  ``ShardClosed`` when the router closes; a large scene waiting to grow
+  the slots is not starved by small ones,
 * cross-process metrics: every shard serves a mergeable snapshot and
   the front-end's ``/snapshot`` is bit-identical to
   ``merge_snapshots`` over the per-shard documents,
@@ -27,6 +31,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import mmap
 import multiprocessing
 import os
 import signal
@@ -323,8 +328,6 @@ class TestRoutingFunctions:
         with pytest.raises(ValueError):
             ShardConfig(num_shards=0)
         with pytest.raises(ValueError):
-            ShardConfig(queue_size=0)
-        with pytest.raises(ValueError):
             ShardConfig(max_inflight_per_tenant=0)
 
 
@@ -339,7 +342,6 @@ def quantized_router():
         num_shards=2,
         engine=EngineConfig(max_batch=4, flush_ms=2.0, workers=1,
                             queue_size=8),
-        queue_size=8,
         metrics=True,
         base_seed=BASE_SEED,
         start_method="fork")
@@ -519,7 +521,7 @@ class TestLifecycle:
                 assert time.monotonic() < deadline, "drain never announced"
                 time.sleep(0.01)
 
-            # Simulate the dispatch/drain race: a job that left the
+            # Simulate the send/drain race: a job that left the
             # front-end before the draining announcement arrived.  The
             # worker must reject it (engine.rejected) and the router
             # must reroute it to a live shard instead of dropping it.
@@ -566,16 +568,14 @@ class TestLifecycle:
         registry = get_registry()
         shed_before = registry.counters.get("shard.rejected")
         shed_before = shed_before.value if shed_before else 0
-        # One shard, depth-1 queues everywhere, slow batches, and fat
-        # scenes: once the worker's slots are taken the dispatcher
-        # waits, the front-end queue fills, and backpressure must
+        # One shard, a depth-1 engine queue, slow batches, and fat
+        # scenes: once the worker's slots are taken, backpressure must
         # surface as ShardRejected on a non-blocking submit, not as loss.
         payload = Scene(np.zeros(100_000, dtype=np.uint8), [], 1, 1)
         engine = EngineConfig(max_batch=1, flush_ms=1.0, workers=1,
                               queue_size=1)
         accepted, shed = [], False
-        with echo_router(0.5, engine=engine, num_shards=1,
-                         queue_size=1) as router:
+        with echo_router(0.5, engine=engine, num_shards=1) as router:
             for _ in range(20):
                 try:
                     accepted.append(
@@ -606,28 +606,32 @@ class TestLifecycle:
         assert (registry.counters["shard.shed.tenant"].value
                 == tenant_shed + 1)
 
-    def test_cancelled_queued_job_is_never_dispatched(self, scenes):
+    def test_submitted_future_cannot_be_cancelled_and_its_reply_resolves_it(
+            self, scenes):
         gate = multiprocessing.get_context("fork").Event()
-        # Two scene slots: the worker holds two jobs while the gate is
-        # shut, so later jobs wait in the front-end.
         config = ShardConfig(
             num_shards=1, start_method="fork",
             engine=EngineConfig(max_batch=1, workers=1, queue_size=1))
         with ShardRouter(GatedEchoSessionFactory(gate), config) as router:
-            held = [router.submit(scene, TASK) for scene in scenes[:3]]
-            cancelled = router.submit(scenes[3], TASK)
-            assert cancelled.cancel()
-            deadline = time.monotonic() + 30.0
-            while not held[0].running():
-                assert time.monotonic() < deadline, "never dispatched"
-                time.sleep(0.01)
-            # A dispatched job is claimed: no cancel can race its reply.
-            assert not held[0].cancel()
+            held = [router.submit(scene, TASK) for scene in scenes[:2]]
+            # The future is claimed before submit returns it, so no
+            # cancel can race its reply.
+            for future in held:
+                assert future.running()
+                assert not future.cancel()
             gate.set()
-            assert [f.result(timeout=30.0) for f in held] == [[]] * 3
+            assert [f.result(timeout=30.0) for f in held] == [[]] * 2
             assert router.submit(scenes[0], TASK).result(timeout=2.0) == []
             served = router.aggregate_snapshot()["counters"]["engine.scenes"]
-        assert served["value_fp"] == 4 * FP_SCALE
+        assert served["value_fp"] == 3 * FP_SCALE
+
+    def test_one_reader_thread_per_shard_and_no_dispatcher(self):
+        before = set(threading.enumerate())
+        with echo_router(num_shards=2):
+            # The only threads a router starts are its shards' readers.
+            added = sorted(thread.name for thread in threading.enumerate()
+                           if thread not in before)
+        assert added == ["repro-shard-read-0", "repro-shard-read-1"]
 
     def test_close_is_idempotent_and_submit_after_close_raises(
             self, scenes):
@@ -637,6 +641,169 @@ class TestLifecycle:
         assert router.closed
         with pytest.raises(ShardClosed):
             router.submit(scenes[0], TASK)
+
+
+# ----------------------------------------------------------------------
+# The caller-side wait: a submit with no free slot
+# ----------------------------------------------------------------------
+def gated_router(gate, **overrides) -> ShardRouter:
+    """Four slots per shard, held while ``gate`` is shut."""
+    config = ShardConfig(
+        num_shards=overrides.pop("num_shards", 1),
+        engine=EngineConfig(max_batch=1, workers=1, queue_size=3),
+        start_method="fork", **overrides)
+    return ShardRouter(GatedEchoSessionFactory(gate), config)
+
+
+def fill_slots(router: ShardRouter, shard: int, mission: str, scene,
+               **submit_kwargs) -> list:
+    """Submit until every slot of ``shard`` is held; the futures."""
+    arena = router._handles[shard].arena
+    futures = [router.submit(scene, mission, **submit_kwargs)
+               for _ in range(arena.count)]
+    assert arena.held == arena.count
+    return futures
+
+
+def counter_value(name: str) -> float:
+    counter = get_registry().counters.get(name)
+    return counter.value if counter else 0
+
+
+@fork_only
+class TestCallerSideWait:
+    def test_shed_and_timeout_exactly_when_every_slot_is_held(self, scenes):
+        gate = multiprocessing.get_context("fork").Event()
+        shed_before = counter_value("shard.rejected")
+        with gated_router(gate, max_inflight_per_tenant=10) as router:
+            try:
+                # No submit sheds while a slot is free.
+                held = fill_slots(router, 0, TASK, scenes[0],
+                                  tenant="t", block=False)
+                with pytest.raises(ShardRejected):
+                    router.submit(scenes[0], TASK, tenant="t", block=False)
+                started = time.monotonic()
+                with pytest.raises(ShardRejected):
+                    router.submit(scenes[0], TASK, tenant="t", timeout=0.3)
+                waited = time.monotonic() - started
+                assert 0.3 <= waited < 5.0
+                assert (counter_value("shard.rejected")
+                        == shed_before + 2)
+                # A shed submit gives its tenant-cap slot back.
+                assert router._tenant_inflight == {"t": len(held)}
+            finally:
+                gate.set()
+            assert [f.result(timeout=30.0) for f in held] == \
+                [[]] * len(held)
+            assert router._tenant_inflight == {}
+
+    def test_a_submit_waiting_on_a_draining_shard_moves_on(self, scenes):
+        gate = multiprocessing.get_context("fork").Event()
+        mission = mission_for_shard(0, 2)
+        with gated_router(gate, num_shards=2) as router:
+            try:
+                held = fill_slots(router, 0, mission, scenes[0])
+                waiting = []
+                submitter = threading.Thread(target=lambda: waiting.append(
+                    router.submit(scenes[1], mission)))
+                submitter.start()
+                time.sleep(0.1)
+                assert submitter.is_alive(), "a slot was free"
+                router.drain_shard(0)
+                # The drain announcement moves the waiting submit to
+                # shard 1 while shard 0 still holds every slot.
+                submitter.join(timeout=30.0)
+                assert not submitter.is_alive()
+                assert router._handles[1].arena.held == 1
+            finally:
+                gate.set()
+            assert waiting[0].result(timeout=30.0) == []
+            assert [f.result(timeout=30.0) for f in held] == \
+                [[]] * len(held)
+            router.close()
+            docs = router.shard_snapshots()
+        assert docs[1]["counters"]["engine.scenes"]["value_fp"] == FP_SCALE
+
+    def test_close_without_wait_ends_a_waiting_submit(self, scenes):
+        gate = multiprocessing.get_context("fork").Event()
+        router = gated_router(gate)
+        try:
+            held = fill_slots(router, 0, TASK, scenes[0])
+            outcome = []
+
+            def submit() -> None:
+                try:
+                    router.submit(scenes[1], TASK)
+                except ShardClosed as exc:
+                    outcome.append(exc)
+
+            submitter = threading.Thread(target=submit)
+            submitter.start()
+            time.sleep(0.1)
+            assert submitter.is_alive(), "a slot was free"
+            closer = threading.Thread(target=router.close,
+                                      kwargs={"wait": False})
+            closer.start()
+            submitter.join(timeout=10.0)
+            assert not submitter.is_alive(), "the waiting submit hung"
+            assert len(outcome) == 1
+        finally:
+            gate.set()
+        closer.join(timeout=60.0)
+        assert not closer.is_alive()
+        for future in held:
+            # Served before the worker stopped, or failed by the close.
+            error = future.exception(timeout=30.0)
+            assert error is None or isinstance(error, ShardClosed)
+
+    def test_a_large_scene_is_not_starved_by_small_ones(self):
+        small = Scene(np.zeros((3, 8, 8), np.float32), [], 1, 8)
+        large = Scene(np.zeros((3, 64, 64), np.float32), [], 1, 64)
+        engine = EngineConfig(max_batch=2, workers=1, queue_size=2)
+        stop = threading.Event()
+        problems = []
+
+        with echo_router(0.005, engine=engine, num_shards=1) as router:
+            arena = router._handles[0].arena
+            assert arena.count == 4
+
+            def stream() -> None:
+                try:
+                    while not stop.is_set():
+                        router.submit(small, TASK).result(timeout=30.0)
+                except Exception as exc:  # surfaced below
+                    problems.append(exc)
+
+            streams = [threading.Thread(target=stream) for _ in range(2)]
+            for thread in streams:
+                thread.start()
+            try:
+                time.sleep(0.2)  # the small stream keeps a slot held
+                assert arena.slot_bytes < large.image.nbytes
+                started = time.monotonic()
+                future = router.submit(large, TASK, timeout=4.0)
+                waited = time.monotonic() - started
+                assert future.result(timeout=30.0) == []
+            finally:
+                stop.set()
+                for thread in streams:
+                    thread.join(timeout=30.0)
+            assert problems == []
+            assert arena.slot_bytes >= large.image.nbytes
+            assert waited < 4.0
+
+    def test_detect_many_past_the_slot_count_is_bit_equal(
+            self, reference_detector):
+        many = SceneGenerator(SceneConfig(grid=2), seed=21).generate_batch(12)
+        config = ShardConfig(
+            num_shards=1, start_method="fork",
+            engine=EngineConfig(max_batch=2, workers=1, queue_size=2))
+        with ShardRouter(QuantizedSessionFactory(), config) as router:
+            assert len(many) == 3 * router._handles[0].arena.count
+            results = router.detect_many(many, TASK)
+        reference = [reference_detector.detect(scene) for scene in many]
+        assert any(len(dets) > 0 for dets in reference)
+        assert_detections_bit_equal(reference, results)
 
 
 # ----------------------------------------------------------------------
@@ -735,6 +902,39 @@ class TestSlotArena:
         assert arena.acquire(10) == 1
         arena.close()
 
+    def test_a_waiting_grow_goes_before_small_acquires(self):
+        from repro.serve.shard import ShardRejected, _SlotArena
+
+        arena = _SlotArena(2)
+        held = arena.acquire(10)
+        big = 3 * mmap.PAGESIZE
+        # A grow that cannot wait, or runs out of time, sheds and leaves
+        # small acquires free to go on.
+        with pytest.raises(ShardRejected):
+            arena.acquire(big, block=False)
+        with pytest.raises(ShardRejected):
+            arena.acquire(big, timeout=0.05)
+        other = arena.acquire(10, block=False)
+        arena.release(other)
+
+        got = []
+        grower = threading.Thread(
+            target=lambda: got.append(arena.acquire(big)), daemon=True)
+        grower.start()
+        time.sleep(0.05)
+        assert grower.is_alive()
+        # A slot is free, but the waiting grow is ahead of small scenes.
+        with pytest.raises(ShardRejected):
+            arena.acquire(10, block=False)
+        arena.release(held)
+        grower.join(timeout=10.0)
+        assert not grower.is_alive()
+        assert arena.slot_bytes >= big
+        assert got == [0]
+        # Once the grow has its slot, small scenes take the rest.
+        assert arena.acquire(10, block=False) == 1
+        arena.close()
+
     def test_interrupt_wakes_a_blocked_acquire(self):
         from repro.serve.shard import _SlotArena
 
@@ -797,17 +997,29 @@ class TestSceneSlots:
     def test_in_flight_scenes_never_exceed_the_slot_count(self, scenes):
         engine = EngineConfig(max_batch=2, flush_ms=1.0, workers=1,
                               queue_size=2)
-        with echo_router(0.1, engine=engine, num_shards=1,
-                         queue_size=32) as router:
+        with echo_router(0.1, engine=engine, num_shards=1) as router:
             handle = router._handles[0]
-            futures = [router.submit(scenes[i % len(scenes)], TASK)
-                       for i in range(16)]
             most = 0
-            while not all(future.done() for future in futures):
-                with handle.lock:
-                    most = max(most, len(handle.pending))
-                time.sleep(0.002)
-            assert all(future.result() == [] for future in futures)
+            done = threading.Event()
+
+            def watch() -> None:
+                nonlocal most
+                while not done.is_set():
+                    with handle.lock:
+                        most = max(most, len(handle.pending))
+                    time.sleep(0.002)
+
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            try:
+                # Submits past the slot count wait in this thread.
+                futures = [router.submit(scenes[i % len(scenes)], TASK)
+                           for i in range(16)]
+                assert all(future.result(timeout=60.0) == []
+                           for future in futures)
+            finally:
+                done.set()
+                watcher.join()
             # The cap binds: the worker held exactly as many scenes as
             # it has slots, never more.
             assert most == handle.arena.count == 4
@@ -959,7 +1171,7 @@ class TestWorkerFaults:
         residue = Residue(monkeypatch)
         engine = EngineConfig(max_batch=2, flush_ms=1.0, workers=1,
                               queue_size=2)
-        config = ShardConfig(num_shards=2, engine=engine, queue_size=16,
+        config = ShardConfig(num_shards=2, engine=engine,
                              base_seed=BASE_SEED, start_method="fork")
         victim_mission = mission_for_shard(0, 2)
         other_mission = mission_for_shard(1, 2)
@@ -970,33 +1182,54 @@ class TestWorkerFaults:
             router.detect_many(scenes[:1], other_mission)
             victim = router._handles[0]
 
-            resolved = []
-            futures, expected = [], []
-            for i in range(12):
+            resolved, returned_after_kill = [], []
+            futures = [None] * 12
+            expected = [scenes[i % len(scenes)] for i in range(12)]
+            killed = threading.Event()
+
+            def submit(i: int) -> None:
                 mission = victim_mission if i < 8 else other_mission
-                future = router.submit(scenes[i % len(scenes)], mission)
+                future = router.submit(expected[i], mission)
+                if killed.is_set():
+                    returned_after_kill.append(i)
                 future.add_done_callback(
                     lambda _fut, i=i: resolved.append(i))
-                futures.append(future)
-                expected.append(scenes[i % len(scenes)])
+                futures[i] = future
+
+            # The victim's first four scenes take its four slots; the
+            # other four wait for a slot in helper threads.
+            for i in range(4):
+                submit(i)
+            helpers = [threading.Thread(target=submit, args=(i,))
+                       for i in range(4, 8)]
+            for helper in helpers:
+                helper.start()
+            for i in range(8, 12):
+                submit(i)
 
             # Every victim slot is taken (a batch runs, the engine queue
-            # is full) and its dispatcher waits for a slot: kill it now.
+            # is full) and submitters wait for a slot: kill it now.
             deadline = time.monotonic() + 30.0
             while victim.arena.held < victim.arena.count:
                 assert time.monotonic() < deadline, "victim never filled"
                 time.sleep(0.005)
             assert not futures[0].done()
             os.kill(victim.info["pid"], signal.SIGKILL)
+            killed.set()
+            for helper in helpers:
+                helper.join(timeout=60.0)
+                assert not helper.is_alive()
+            # A submitter still waited on a victim slot at the kill, and
+            # moved on to the live shard.
+            assert returned_after_kill
 
             results = [future.result(timeout=60.0) for future in futures]
-            # The dead shard's slots are free, and its dispatcher keeps
-            # rerouting instead of blocking on them.
+            # The dead shard's slots are free, and new submits for its
+            # missions go to the live shard instead of waiting on them.
             assert victim.arena.held == 0
             later = router.submit(scenes[0], victim_mission)
             results.append(later.result(timeout=60.0))
             expected.append(scenes[0])
-            assert victim.dispatcher.is_alive()
         finally:
             started = time.monotonic()
             router.close()
@@ -1031,7 +1264,13 @@ STUCK_WORKER_SCRIPT = textwrap.dedent("""
     print(json.dumps([info["pid"] for info in router.shard_info()]),
           flush=True)
     scene = Scene(np.zeros((3, 8, 8), np.float32), [], 1, 8)
-    futures = [router.submit(scene, f"m{i}") for i in range(4)]
+    # Two scenes per shard: as many as a shard has slots, so no submit
+    # waits on a worker that never frees one.
+    missions = [next(f"m{i}" for i in range(100)
+                     if shard.shard_for_mission(f"m{i}", 2) == target)
+                for target in range(2)]
+    futures = [router.submit(scene, mission)
+               for mission in missions for _ in range(2)]
     time.sleep(0.5)
     router.close(wait=False)
     print("closed", flush=True)
