@@ -16,7 +16,15 @@ bottom-up:
   extraction and NMS included), fast vs ``int64_kernels()``;
 * ``engine`` — float-specialist vs quantized micro-batching engines on
   the E11 harness (the quantized configuration must stay within
-  ``ENGINE_RATIO_TARGET`` of float at batch >= 8).
+  ``ENGINE_RATIO_TARGET`` of float at batch >= 8);
+* ``parts`` (full mode) — where one 256-window forward spends its time:
+  quantize, GEMM, requantize, layernorm, softmax, GELU and the rest,
+  timed by wrappers this bench installs around the forward's helpers;
+* ``busy_neighbour`` (full mode) — the forward beside a thread spinning
+  ``x += 1``, divided by the forward alone, at 16 and 256 rows, in a
+  child process on one BLAS thread.  Every numpy call that releases
+  the GIL lets the spinner take it back for up to the 5 ms switch
+  interval, so the ratio counts hand-backs.
 
 Every timed workload asserts **bit-identical outputs** between the BLAS
 kernels and the int64 reference before any clock starts — the speedup
@@ -41,9 +49,14 @@ reviewable), and all four result tables — to
 ``BENCH_e12_quant_inference.json``.
 """
 
+import json
 import os
+import statistics
+import subprocess
 import sys
-from typing import Dict, List, Optional, Tuple
+import threading
+import time
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,8 +70,9 @@ from benchmarks.bench_e11_throughput import (
 from benchmarks.common import finalize_benchmark, interleaved_rounds, print_table
 from repro.data import attribute_head_spec
 from repro.data.datasets import num_classes
-from repro.nn import VisionTransformer, ViTConfig
+from repro.nn import VisionTransformer, ViTConfig, inference
 from repro.obs import get_registry
+from repro.quant.linear import QuantizedLinear
 from repro.quant.vit import QuantizedVisionTransformer, quantize_vit
 from repro.reference import forward_integer_reference, int64_kernels
 
@@ -193,6 +207,127 @@ def run_forward_latency(
     return rows, speedup
 
 
+FORWARD_PARTS = ("quantize", "gemm", "requantize", "layernorm", "softmax",
+                 "gelu", "other")
+
+
+def run_forward_parts(batch_images: int = 256, repeats: int = 15,
+                      seed: int = 11) -> List[Dict]:
+    """Median time of each part of one int8 forward of ``batch_images``.
+
+    Wrappers installed here time the integer kernel's passes
+    (``QuantizedLinear._quantize_codes_shifted``, ``_forward_shifted``
+    minus its ``_requantize``, ``_requantize``) and the forward's vector
+    helpers (``_layernorm``, ``_softmax``, and the tanh GELU handed to
+    :func:`repro.nn.inference._vit_forward`); ``other`` is the rest of
+    the forward (patch extraction, attention products, residual adds,
+    Python).  The forward runs on the bare integer kernels, without the
+    per-site spans.  Every wrapper is removed before this returns.
+    """
+    quantized = build_quantized_student(seed)
+    config = quantized.model.config
+    images = np.random.default_rng(seed + 1).random(
+        (batch_images, config.in_channels,
+         config.image_size, config.image_size)).astype(np.float32)
+    totals: Dict[str, float] = {}
+
+    def timed(part: str, fn: Callable) -> Callable:
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                totals[part] = (totals.get(part, 0.0)
+                                + time.perf_counter() - start)
+        return wrapper
+
+    targets = [(QuantizedLinear, "_quantize_codes_shifted", "quantize"),
+               (QuantizedLinear, "_forward_shifted", "gemm"),
+               (QuantizedLinear, "_requantize", "requantize"),
+               (inference, "_layernorm", "layernorm"),
+               (inference, "_softmax", "softmax")]
+    saved = [(owner, name, owner.__dict__[name])
+             for owner, name, _ in targets]
+    gelu = timed("gelu", inference._gelu_tanh)
+    samples: Dict[str, List[float]] = {part: [] for part in FORWARD_PARTS}
+    try:
+        for owner, name, part in targets:
+            setattr(owner, name, timed(part, getattr(owner, name)))
+        for round_ in range(repeats + 2):
+            totals.clear()
+            start = time.perf_counter()
+            inference._vit_forward(quantized.model, images, quantized.layers,
+                                   gelu=gelu)
+            total = time.perf_counter() - start
+            if round_ < 2:
+                continue  # warm-up
+            totals["gemm"] -= totals["requantize"]
+            totals["other"] = total - sum(totals.values())
+            for part in FORWARD_PARTS:
+                samples[part].append(totals[part])
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+    medians = {part: statistics.median(v) for part, v in samples.items()}
+    whole = sum(medians.values())
+    return [{"part": part, "batch_images": batch_images,
+             "ms": medians[part] * 1e3, "share": medians[part] / whole}
+            for part in FORWARD_PARTS]
+
+
+def _busy_neighbour_child(rows: int, seed: int = 11) -> Dict:
+    """The forward alone and beside a spinning Python thread (median
+    wall-clock ms of each); runs in the child process."""
+    quantized = build_quantized_student(seed)
+    config = quantized.model.config
+    images = np.random.default_rng(seed + 1).random(
+        (rows, config.in_channels,
+         config.image_size, config.image_size)).astype(np.float32)
+
+    def median_ms(calls: int) -> float:
+        times = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            quantized(images)
+            times.append(time.perf_counter() - start)
+        return statistics.median(times) * 1e3
+
+    median_ms(3)  # warm-up
+    alone = median_ms(15)
+    stop = threading.Event()
+
+    def spin() -> None:
+        x = 0
+        while not stop.is_set():
+            x += 1
+
+    neighbour = threading.Thread(target=spin, daemon=True)
+    neighbour.start()
+    try:
+        busy = median_ms(5)
+    finally:
+        stop.set()
+        neighbour.join()
+    return {"rows": rows, "alone_ms": alone, "busy_ms": busy,
+            "ratio": busy / alone}
+
+
+def run_busy_neighbour(rows_list=(16, 256)) -> List[Dict]:
+    """:func:`_busy_neighbour_child` per row count, each in a fresh
+    child process on one BLAS thread, so the spinner never shares a
+    GIL with this process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    rows_out = []
+    for rows in rows_list:
+        result = subprocess.run(
+            [sys.executable, os.path.abspath(__file__),
+             "--busy-neighbour-child", str(rows)],
+            env=env, capture_output=True, text=True, check=True)
+        rows_out.append(json.loads(result.stdout.strip().splitlines()[-1]))
+    return rows_out
+
+
 def _detections_equal(left, right) -> bool:
     def fields(scenes):
         return [[(d.bbox, d.score, d.class_id) for d in detections]
@@ -252,7 +387,8 @@ def run_e2e_forward(
 
 
 def run_experiment(smoke: bool = False):
-    """All four workloads; returns (tables dict, forward speedup)."""
+    """Every workload (``parts`` and ``busy_neighbour`` in full mode
+    only); returns (tables dict, forward speedup)."""
     registry = get_registry()
     registry.reset()  # isolate this run's counters for the work gate
     if smoke:
@@ -272,6 +408,9 @@ def run_experiment(smoke: bool = False):
         "detect": detect_rows,
         "engine": engine_rows,
     }
+    if not smoke:
+        tables["parts"] = run_forward_parts()
+        tables["busy_neighbour"] = run_busy_neighbour()
     return tables, forward_speedup
 
 
@@ -291,6 +430,10 @@ def _print_results(tables) -> None:
                 tables["detect"])
     print_table("E12: engine throughput (float vs quantized)",
                 tables["engine"])
+    if "parts" in tables:
+        print_table("E12: one int8 forward by part", tables["parts"])
+        print_table("E12: forward beside a busy Python thread",
+                    tables["busy_neighbour"])
     print()
     print(get_registry().report("E12 quantized inference"))
 
@@ -307,6 +450,9 @@ def test_e12_quant_inference(benchmark):
 
 
 def main():
+    if sys.argv[1:2] == ["--busy-neighbour-child"]:
+        print(json.dumps(_busy_neighbour_child(int(sys.argv[2]))))
+        return 0
     smoke = "--smoke" in sys.argv[1:]
     tables, forward_speedup = run_experiment(smoke=smoke)
     _print_results(tables)

@@ -35,7 +35,35 @@ zero-point-shifted float codes and requantize with constants fused at
 construction.  The kernel keeps no per-call state: codes, accumulator
 and output are allocated on every call, so a returned output is never
 overwritten by a later call, threads share nothing but the frozen
-weights, and a forward's working memory is freed when it returns.
+constants, and a forward's working memory is freed when it returns.
+Every constant is a read-only copy made at construction.
+
+Vector passes
+-------------
+Per call, in order, over chunks of about ``_CHUNK_ELEMS`` elements:
+
+1. quantize — ``x / s_x`` into a float64 block, ``rint`` cast-stored as
+   the GEMM dtype, clipped in place to the shifted code range (three
+   calls per chunk of ``_CHUNK_ELEMS // in_features`` rows);
+2. one GEMM over all rows;
+3. requantize — the accumulator chunk cast-copied into a float64 block,
+   ``*=`` the scale rows, ``+=`` the bias rows, cast-copied into the
+   float32 output: four calls per chunk (three without a bias, or on a
+   float64 accumulator), none mixing dtypes, so none runs numpy's
+   buffered casting loop.
+
+The requant scale ``s_x · s_w`` and the bias are tiled at construction
+into ``R0 = _ROW_ELEMS // out_features`` identical rows, and the row
+count is zero-padded up to a multiple of ``R0`` (kept as is when it is
+at most ``R0``), so each requantize chunk — a whole number of ``R0``
+rows — is applied through a ``(rows / R0, R0, n)`` view in one
+~8K-element inner loop per block of rows, not one short per-channel
+broadcast per row.  Padded rows are zero codes, so their accumulators
+are exact zeros, and the caller's rows are a leading slice of the
+output.  Every pass is elementwise in the same float64 operation order
+as the reference, so neither the padding nor the chunking changes a
+bit; what they change is the number of numpy calls, and each call over
+more than a few hundred elements hands the GIL back.
 
 The original int64 matmul is kept verbatim as
 :func:`repro.reference.forward_integer_reference` — the bit-exactness
@@ -62,13 +90,27 @@ from repro.quant.qparams import (
 _F64_EXACT_BOUND = 2 ** 53
 _F32_EXACT_BOUND = 2 ** 24
 
-# Rows-per-block budget (in elements) for the chunked elementwise
-# passes: the float64 quantize/requant intermediates are streamed
-# through one ~256 KiB block per call that stays cache-resident instead of
-# being materialised at full batch size, which would round-trip several
-# MiB of float64 through memory per site.  Chunking is invisible to the
-# results — every pass is elementwise, so blocking cannot change a bit.
-_CHUNK_ELEMS = 32 * 1024
+# Elements per block of constant rows: the requant scale and bias are
+# tiled at construction into R0 = _ROW_ELEMS // out_features identical
+# rows (64 KiB of float64 each), which a (rows/R0, R0, n) view of an
+# R0-aligned chunk reads in one coalesced inner loop per R0 rows.
+_ROW_ELEMS = 8 * 1024
+
+# Elements per chunk of the quantize and requantize passes (pass order
+# and chunk rule in the module docstring): the float64 intermediate of
+# a chunk is a 1 MiB block that stays in L2 instead of a full-batch
+# float64 array round-tripping through memory, and a chunk this large
+# keeps the numpy calls per site -- each one a GIL hand-back -- few.
+# A requantize chunk is rounded down to whole R0 blocks (at least one).
+# Chunking never changes a bit: every pass is elementwise.
+_CHUNK_ELEMS = 128 * 1024
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy: the kernel's constants are its own."""
+    a = np.array(a, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
 
 
 class QuantizedLinear:
@@ -76,7 +118,9 @@ class QuantizedLinear:
 
     Not a :class:`~repro.nn.Module` — it owns no trainable parameters and
     operates on plain numpy arrays (the quantized model never
-    backpropagates).
+    backpropagates).  Every constant it computes with is a read-only
+    copy made at construction, so a caller's later write to the arrays
+    it was built from cannot change it.
     """
 
     def __init__(
@@ -96,16 +140,22 @@ class QuantizedLinear:
         # the footprint a deployment actually ships.
         self.weight_q = np.ascontiguousarray(
             weight_q.astype(weight_params.spec.storage_dtype()))
+        self.weight_q.flags.writeable = False
         self.weight_params = weight_params
         self.act_params = act_params
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+        self.bias = None if bias is None else _frozen(bias)
         # Precomputed requantization constants.
-        self._weight_scale = np.asarray(weight_params.scale, dtype=np.float64).reshape(-1)
+        self._weight_scale = _frozen(weight_params.scale).reshape(-1)
         self._act_scale = float(np.asarray(act_params.scale).reshape(()))
         self._act_zero = int(np.asarray(act_params.zero_point).reshape(()))
         # y = (acc − z_x · Σ_k W_q) · (s_x · s_w) + b, with the
         # subtraction folded into zero-point-shifted codes (below).
-        self._requant_scale = self._act_scale * self._weight_scale
+        requant_scale = self._act_scale * self._weight_scale
+        n = self.out_features
+        rows = max(1, _ROW_ELEMS // max(1, n))
+        self._scale_rows = _frozen(np.broadcast_to(requant_scale, (rows, n)))
+        self._bias_rows = (None if self.bias is None else
+                           _frozen(np.broadcast_to(self.bias, (rows, n))))
         # ---- exactness bound + prepacked BLAS weight -----------------
         k = self.weight_q.shape[1]
         act_spec = act_params.spec
@@ -130,6 +180,7 @@ class QuantizedLinear:
             np.float32 if k * amax * wmax <= _F32_EXACT_BOUND else np.float64)
         self._packed_weight = np.ascontiguousarray(
             self.weight_q.T.astype(self._gemm_dtype))
+        self._packed_weight.flags.writeable = False
 
     # ------------------------------------------------------------------
     @property
@@ -160,9 +211,16 @@ class QuantizedLinear:
         """Activations → integer codes with the frozen act parameters."""
         return quantize_array(x, self.act_params)
 
+    def _padded_rows(self, rows: int) -> int:
+        """``rows`` rounded up to a whole number of constant rows (kept
+        as is when it fits in one): the requantize then runs every chunk
+        through the same ``(rows/R0, R0, n)`` view."""
+        r0 = self._scale_rows.shape[0]
+        return rows if rows <= r0 else -(-rows // r0) * r0
+
     def _quantize_codes_shifted(self, x: np.ndarray) -> np.ndarray:
         """Activations → zero-point-shifted codes (q − z_x) in the GEMM's
-        float dtype.
+        float dtype, zero-padded to :meth:`_padded_rows` rows.
 
         Same float64 round/clip arithmetic as :func:`quantize_array`
         (codes equal :meth:`quantize_input` minus ``z_x``, bit for bit),
@@ -171,64 +229,72 @@ class QuantizedLinear:
         GEMM over shifted codes needs no correction subtraction at all.
         """
         m, k = x.shape
-        if self._gemm_dtype is np.float32:
-            # Fuse the float32 cast into the rint pass: rounded codes
-            # within the clip range are integers ≤ 2^24, exact in
-            # float32; values outside round to something still outside,
-            # which the clip maps to the same bound either way.  The
-            # float64 quotient only ever lives in a cache-resident
-            # chunk; rint/clip run while that block is hot.
-            codes = np.empty((m, k), dtype=np.float32)
-            step = max(1, _CHUNK_ELEMS // k)
-            scratch = np.empty((min(m, step), k), dtype=np.float64)
-            for start in range(0, m, step):
-                stop = min(start + step, m)
-                block = scratch[: stop - start]
-                np.divide(x[start:stop], self._act_scale, out=block,
-                          dtype=np.float64)
-                rounded = codes[start:stop]
-                np.rint(block, out=rounded, casting="same_kind")
-                np.clip(rounded, self._shift_qmin, self._shift_qmax,
-                        out=rounded)
-            return codes
-        q = np.divide(x, self._act_scale, dtype=np.float64)
-        np.rint(q, out=q)
-        np.clip(q, self._shift_qmin, self._shift_qmax, out=q)
-        return q
+        codes = np.empty((self._padded_rows(m), k), dtype=self._gemm_dtype)
+        codes[m:] = 0
+        step = max(1, _CHUNK_ELEMS // max(1, k))
+        # A float32 GEMM takes its codes through a float64 block: rounded
+        # codes within the clip range are integers ≤ 2^24, exact in
+        # float32, and values outside round to something still outside,
+        # which the clip maps to the same bound either way.  So the
+        # float32 cast fuses into the rint pass, while the float64
+        # quotient only ever lives in one cache-resident chunk.
+        scratch = (None if self._gemm_dtype is np.float64 else
+                   np.empty((min(m, step), k), dtype=np.float64))
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            rounded = codes[start:stop]
+            block = rounded if scratch is None else scratch[: stop - start]
+            np.divide(x[start:stop], self._act_scale, out=block,
+                      dtype=np.float64)
+            np.rint(block, out=rounded, casting="same_kind")
+            np.clip(rounded, self._shift_qmin, self._shift_qmax,
+                    out=rounded)
+        return codes
 
     def _forward_shifted(self, q: np.ndarray) -> np.ndarray:
-        """GEMM + requantization over zero-point-shifted float codes.
+        """GEMM + requantization over zero-point-shifted float codes
+        (row count from :meth:`_padded_rows`).
 
         The accumulator over ``q − z_x`` is exactly the corrected integer
         ``acc − z_x·Σ_k W_q`` (every partial sum is an integer within the
-        construction-time bound, hence exact in the GEMM dtype), so the
-        result is bit-identical to the reference:  the fused multiply
-        casts the exact integer accumulator to float64 and scales it in
-        one pass, matching the reference's op order.
+        construction-time bound, hence exact in the GEMM dtype, whatever
+        the row count), so the requantized result is bit-identical to the
+        reference.
         """
-        acc = np.matmul(q, self._packed_weight)
-        out = np.empty(acc.shape, dtype=np.float32)
-        # Every multiply/add below computes in float64 (ufunc type
-        # resolution ignores the float32 ``out``) and casts on store, so
-        # the op order — and therefore every bit — matches the
-        # reference's astype(float64)·scale + bias → float32 chain.
-        if self.bias is None:
-            np.multiply(acc, self._requant_scale, out=out,
-                        casting="same_kind")
-        elif acc.dtype != np.float64:
-            m, n = acc.shape
-            step = max(1, _CHUNK_ELEMS // n)
-            scratch = np.empty((min(m, step), n), dtype=np.float64)
-            for start in range(0, m, step):
-                stop = min(start + step, m)
+        return self._requantize(np.matmul(q, self._packed_weight))
+
+    def _requantize(self, acc: np.ndarray) -> np.ndarray:
+        """float32 ``acc · (s_x · s_w) + b`` over an exact integer
+        accumulator: the reference's astype(float64) · scale + bias →
+        float32 chain, op for op.
+
+        Each chunk is cast-copied into a float64 block, scaled and
+        biased in place against the constant rows, and cast-copied into
+        the float32 output: no pass mixes dtypes, so none runs numpy's
+        buffered casting loop.
+        """
+        rows, n = acc.shape
+        out = np.empty((rows, n), dtype=np.float32)
+        if rows == 0:
+            return out
+        r0 = min(rows, self._scale_rows.shape[0])
+        scale = self._scale_rows[:r0]
+        bias = None if self._bias_rows is None else self._bias_rows[:r0]
+        step = max(1, _CHUNK_ELEMS // (r0 * n)) * r0
+        scratch = (None if acc.dtype == np.float64 else
+                   np.empty((min(rows, step), n), dtype=np.float64))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            if scratch is None:
+                block = acc[start:stop]
+            else:
                 block = scratch[: stop - start]
-                np.multiply(acc[start:stop], self._requant_scale,
-                            out=block)
-                np.add(block, self.bias, out=out[start:stop],
-                       casting="same_kind")
-        else:
-            acc *= self._requant_scale
-            np.add(acc, self.bias, out=out, casting="same_kind")
+                np.copyto(block, acc[start:stop])
+            blocks = block.reshape(-1, r0, n)
+            blocks *= scale
+            if bias is not None:
+                blocks += bias
+            np.copyto(out[start:stop], block, casting="same_kind")
         return out
 
     def forward_integer(self, x_q: np.ndarray) -> np.ndarray:
@@ -240,9 +306,14 @@ class QuantizedLinear:
         # Zero-point-shifted codes are exact in the GEMM dtype (the
         # construction-time bound covers them): the same kernel as
         # ``__call__`` from here on.
-        shifted = np.subtract(x_q.reshape(-1, x_q.shape[-1]), self._act_zero,
-                              dtype=self._gemm_dtype)
-        y = self._forward_shifted(shifted)
+        flat = x_q.reshape(-1, x_q.shape[-1])
+        m = flat.shape[0]
+        shifted = np.empty((self._padded_rows(m), flat.shape[1]),
+                           dtype=self._gemm_dtype)
+        np.subtract(flat, self._act_zero, out=shifted[:m],
+                    dtype=self._gemm_dtype)
+        shifted[m:] = 0
+        y = self._forward_shifted(shifted)[:m]
         return y.reshape(*x_q.shape[:-1], self.out_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -250,7 +321,8 @@ class QuantizedLinear:
         original_shape = x.shape
         flat = x.reshape(-1, original_shape[-1])
         y = self._forward_shifted(self._quantize_codes_shifted(flat))
-        return y.reshape(*original_shape[:-1], self.out_features)
+        return y[: flat.shape[0]].reshape(*original_shape[:-1],
+                                          self.out_features)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -143,3 +143,57 @@ class TestVisionTransformer:
         loss.backward()
         missing = [name for name, p in tiny_vit.named_parameters() if p.grad is None]
         assert not missing, f"no gradient reached: {missing}"
+
+
+def _softmax_row_max_oracle(x):
+    """The softmax with a ``max(axis=1)`` row max, as the inference
+    forward computed it before the column-major row max."""
+    flat = x.reshape(-1, x.shape[-1])
+    flat -= flat.max(axis=1)[:, None]
+    np.exp(flat, out=flat)
+    flat /= np.einsum("ij->i", flat)[:, None]
+    return flat.reshape(x.shape)
+
+
+class TestInferenceSoftmax:
+    """``repro.nn.inference._softmax`` equals the ``max(axis=1)``
+    formulation bit for bit, NaN positions included."""
+
+    @staticmethod
+    def _assert_same(x):
+        from repro.nn.inference import _softmax
+
+        with np.errstate(invalid="ignore"):
+            expected = _softmax_row_max_oracle(x.copy())
+            actual = _softmax(x.copy())
+        np.testing.assert_array_equal(actual, expected)
+        assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+    @pytest.mark.parametrize("cols", [1, 17])
+    def test_random_rows(self, cols):
+        x = np.random.default_rng(cols).normal(
+            scale=4.0, size=(2, 4, 17, cols)).astype(np.float32)
+        self._assert_same(x)
+
+    def test_ties_zeros_infinities_and_nan(self):
+        x = np.random.default_rng(3).normal(size=(8, 17)).astype(np.float32)
+        x[0] = 1.5                       # every column ties
+        x[1, [2, 9, 16]] = x[1].max() + 1.0   # a tied maximum
+        x[2] = 0.0
+        x[2, ::2] = -0.0                 # signed zeros tie at the max
+        x[3, 5] = -np.inf                # one -inf
+        x[4] = -np.inf                   # a row of -inf
+        x[5, 7] = np.nan                 # one NaN
+        x[6, 0] = np.inf                 # a +inf maximum
+        self._assert_same(x)
+
+    def test_strided_cls_rows(self):
+        # The CLS-only block hands softmax a non-contiguous row view.
+        scores = np.random.default_rng(4).normal(
+            size=(3, 4, 17, 17)).astype(np.float32)
+        expected = scores.copy()
+        expected[:, :, :1] = _softmax_row_max_oracle(expected[:, :, :1])
+        from repro.nn.inference import _softmax
+
+        scores[:, :, :1] = _softmax(scores[:, :, :1])
+        np.testing.assert_array_equal(scores, expected)

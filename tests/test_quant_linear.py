@@ -1,5 +1,7 @@
 """QuantizedLinear and fake quantization (QAT)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.quant import (
     fake_quantize,
 )
 from repro import reference
+from repro.quant import linear as quant_linear
+from repro.quant.qparams import quantize_array
 from repro.reference import forward_integer_reference, int64_kernels
 from repro.tensor import Tensor, randn
 
@@ -177,6 +181,107 @@ class TestExactBlasKernels:
         q.forward_integer(q.quantize_input(x))
         q(x)
         assert len(calls) == 2, "the int64 kernels must not outlive the scope"
+
+
+def _kernel(n, bias, wide, k=8, seed=0):
+    """A QuantizedLinear of ``n`` outputs; ``wide`` picks 16-bit codes,
+    whose exactness bound selects the float64 GEMM."""
+    rng = np.random.default_rng(seed + n)
+    bits = 16 if wide else 8
+    linear = Linear(k, n, bias=bias, rng=rng)
+    act_params = compute_qparams(-3.0, 3.0, QuantSpec(bits=bits,
+                                                      symmetric=False))
+    weight_spec = QuantSpec(bits=bits, symmetric=True, per_channel=True,
+                            axis=0)
+    return QuantizedLinear.from_linear(linear, act_params, weight_spec)
+
+
+def _edge_rows(layer):
+    """Row counts at every edge of the padded, chunked passes: R0 (the
+    constant rows), the requantize chunk step, and several steps with a
+    ragged tail."""
+    r0 = layer._scale_rows.shape[0]
+    step = max(1, quant_linear._CHUNK_ELEMS // (r0 * layer.out_features)) * r0
+    return sorted({0, 1, r0 - 1, r0, r0 + 1, step - 1, step, step + 1,
+                   3 * step + r0 // 2 + 1})
+
+
+class TestChunkEdges:
+    """Padding rows to the constant-row block and chunking the passes
+    never change a bit: the kernel equals the int64 reference at every
+    row count around the block and chunk edges."""
+
+    @pytest.mark.parametrize("wide", [False, True],
+                             ids=["float32_gemm", "float64_gemm"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("n", [3, 48, 96, 144])
+    def test_kernel_equals_reference_at_chunk_edges(self, n, bias, wide):
+        layer = _kernel(n, bias, wide)
+        assert layer._gemm_dtype is (np.float64 if wide else np.float32)
+        rows = _edge_rows(layer)
+        x = np.random.default_rng(n).normal(
+            scale=2.0, size=(rows[-1], layer.in_features)).astype(np.float32)
+        x_q_all = layer.quantize_input(x)
+        for m in rows:
+            x_q = x_q_all[:m]
+            expected = forward_integer_reference(layer, x_q)
+            np.testing.assert_array_equal(layer.forward_integer(x_q),
+                                          expected, err_msg=f"m={m}")
+            fast = layer(x[:m])
+            assert fast.shape == (m, n)
+            np.testing.assert_array_equal(fast, expected, err_msg=f"m={m}")
+
+    def test_quantize_chunks_meet_the_reference_codes(self):
+        # The quantize pass chunks by in_features, not by the constant
+        # rows: its own edges, at a wide input.
+        layer = _kernel(48, True, False, k=200)
+        step = quant_linear._CHUNK_ELEMS // layer.in_features
+        x = np.random.default_rng(1).normal(
+            scale=2.0, size=(2 * step + 1, layer.in_features)).astype(np.float32)
+        for m in (step - 1, step, step + 1, 2 * step + 1):
+            np.testing.assert_array_equal(
+                layer(x[:m]), forward_integer_reference(
+                    layer, layer.quantize_input(x[:m])), err_msg=f"m={m}")
+
+
+class TestFrozenConstants:
+    """The kernel computes with its own read-only copies."""
+
+    @staticmethod
+    def _built_from_caller_arrays():
+        rng = np.random.default_rng(7)
+        linear = Linear(8, 5, rng=rng)
+        x = rng.standard_normal((4, 8)).astype(np.float32)
+        act_params = make_act_params(x)
+        bias = linear.bias.data.astype(np.float64)
+        weight_spec = QuantSpec(bits=8, symmetric=True, per_channel=True,
+                                axis=0)
+        lo, hi = linear.weight.data.min(axis=1), linear.weight.data.max(axis=1)
+        weight_params = compute_qparams(lo, hi, weight_spec)
+        weight_q = quantize_array(linear.weight.data, weight_params)
+        scale = np.asarray(weight_params.scale, dtype=np.float64)
+        weight_params = dataclasses.replace(weight_params, scale=scale)
+        layer = QuantizedLinear(weight_q, weight_params, act_params, bias)
+        return layer, bias, scale, x
+
+    def test_constants_are_read_only(self):
+        layer, _, _, _ = self._built_from_caller_arrays()
+        for name in ("bias", "_weight_scale", "_scale_rows", "_bias_rows",
+                     "_packed_weight", "weight_q"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layer, name)[...] = 0
+
+    def test_writes_to_caller_arrays_leave_the_layer_unchanged(self):
+        layer, bias, scale, x = self._built_from_caller_arrays()
+        before = layer(x)
+        reference_before = forward_integer_reference(
+            layer, layer.quantize_input(x))
+        bias += 100.0
+        scale *= 2.0
+        np.testing.assert_array_equal(layer(x), before)
+        np.testing.assert_array_equal(
+            forward_integer_reference(layer, layer.quantize_input(x)),
+            reference_before)
 
 
 class TestFakeQuantize:

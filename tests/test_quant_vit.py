@@ -279,7 +279,10 @@ class TestKernelKeepsNoState:
         # Process-wide caches (the site plan) fill on another model.
         quantize_vit(student_vit, calibration_images)(images[:2])
         q = quantize_vit(student_vit, calibration_images)
-        tracemalloc.start()
+        # Whole tracebacks: memory a forward keeps through a numpy
+        # helper (np.tile, np.ascontiguousarray) is attributed to that
+        # helper's frame, so it counts only if any frame may match.
+        tracemalloc.start(64)
         try:
             before = tracemalloc.take_snapshot()
             outputs = q(images)
@@ -288,7 +291,7 @@ class TestKernelKeepsNoState:
             tracemalloc.stop()
         forward_code = [
             tracemalloc.Filter(True, os.path.join(
-                os.path.dirname(module.__file__), "*"))
+                os.path.dirname(module.__file__), "*"), all_frames=True)
             for module in (inference, quant_vit)]
         kept = sum(stat.size_diff for stat in
                    after.filter_traces(forward_code).compare_to(
